@@ -354,6 +354,18 @@ impl FaultGuard {
             })
             .unwrap_or(0)
     }
+
+    /// Disarms the plan but keeps the arming permit: points stop firing
+    /// at once, and no other plan can arm until the guard drops. Use it
+    /// to run clean follow-up work (checks, epilogues) without letting a
+    /// concurrently waiting test arm its plan underneath. Hit counts
+    /// stay readable, frozen at their values when disarmed.
+    pub fn disarm(&mut self) {
+        if self.active.is_some() {
+            ARMED.store(false, Ordering::SeqCst);
+            *ACTIVE.lock().unwrap_or_else(PoisonError::into_inner) = None;
+        }
+    }
 }
 
 impl fmt::Debug for FaultGuard {
@@ -366,10 +378,7 @@ impl fmt::Debug for FaultGuard {
 
 impl Drop for FaultGuard {
     fn drop(&mut self) {
-        if self.active.is_some() {
-            ARMED.store(false, Ordering::SeqCst);
-            *ACTIVE.lock().unwrap_or_else(PoisonError::into_inner) = None;
-        }
+        self.disarm();
     }
 }
 
@@ -489,6 +498,35 @@ mod tests {
         assert_eq!(guard.hits("test.b"), 1);
         drop(guard);
         assert!(POINT_A.fire().is_ok(), "disarmed after the guard drops");
+    }
+
+    #[test]
+    fn disarm_stops_firing_but_keeps_the_arming_permit() {
+        let mut guard = FaultPlan::new(3)
+            .rule("test.a", HitSpec::Always, FaultAction::Error)
+            .arm();
+        assert!(POINT_A.fire().is_err());
+        guard.disarm();
+        for _ in 0..10 {
+            assert!(POINT_A.fire().is_ok(), "a disarmed point fired");
+        }
+        assert_eq!(guard.hits("test.a"), 1, "hits freeze at disarm");
+
+        // another thread's arm() must wait for the permit, not slip in
+        // between the disarm and the drop
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            let _other = FaultPlan::new(4).arm();
+            tx.send(()).unwrap();
+        });
+        assert!(
+            rx.recv_timeout(Duration::from_millis(100)).is_err(),
+            "arm() got the permit while a disarmed guard still held it"
+        );
+        drop(guard);
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("arm() never got the permit after the guard dropped");
+        waiter.join().unwrap();
     }
 
     #[test]

@@ -961,6 +961,14 @@ impl<T: Scalar> Engine<T> {
     ) -> Result<Vec<T>, SparseError> {
         let _span = self.telemetry.span("exec.sddmm");
         self.record_exec_counters();
+        // the row gather below indexes Y by the permutation, so a Y of
+        // the wrong height must be rejected before it, not by the kernel
+        if y.nrows() != self.reordered.nrows() {
+            return Err(SparseError::DimensionMismatch {
+                expected: format!("Y.nrows == S.nrows ({})", self.reordered.nrows()),
+                got: format!("{}", y.nrows()),
+            });
+        }
         // the kernel reads Y rows in reordered row space
         let y_perm;
         let y_for_kernel = if self.plan.row_perm.is_identity() {
@@ -1566,6 +1574,28 @@ mod tests {
         assert_eq!(out, expected);
         let mut short = vec![0.0f64; m.nnz() - 1];
         assert!(engine.sddmm_into(&x, &y, &mut short).is_err());
+    }
+
+    #[test]
+    fn sddmm_rejects_a_y_of_the_wrong_height_without_panicking() {
+        let m = generators::shuffled_block_diagonal::<f64>(64, 16, 48, 16, 7);
+        let engine = Engine::prepare(&m, &cfg()).unwrap();
+        assert!(!engine.plan().row_perm.is_identity(), "needs the gather");
+        let x = generators::random_dense::<f64>(m.ncols(), 4, 1);
+        for rows in [m.nrows() - 1, m.nrows() + 1] {
+            let y = generators::random_dense::<f64>(rows, 4, 2);
+            for err in [
+                engine.sddmm(&x, &y).unwrap_err(),
+                engine
+                    .sddmm_into(&x, &y, &mut vec![0.0; m.nnz()])
+                    .unwrap_err(),
+            ] {
+                assert!(
+                    matches!(err, SparseError::DimensionMismatch { .. }),
+                    "{rows} rows: {err:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //! * only SpMM and SpMV requests fuse (an SpMV member joins as a
 //!   one-column operand and gets its slice back as a flat vector),
 //!   and only with the *same structure* (pointer-equal matrix `Arc`
-//!   or equal [`MatrixFingerprint`]) and the same operand height;
+//!   or equal [`MatrixFingerprint`](crate::MatrixFingerprint)) and the
+//!   same operand height;
 //! * the fused operand is capped at [`BatchConfig::max_batch_k`]
 //!   columns;
 //! * fusion is deadline-aware: a candidate whose remaining deadline is
@@ -29,7 +30,7 @@
 //!   oldest queued job, so its remaining deadline is the batch's.)
 
 use crate::engine::{Job, RequestOp};
-use crate::fingerprint::MatrixFingerprint;
+use spmm_kernels::Output;
 use spmm_sparse::{DenseMatrix, Scalar};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -86,33 +87,30 @@ impl BatchConfig {
     }
 }
 
-/// One request inside a fused batch: the job plus its column slice of
-/// the fused operand/output.
-pub(crate) struct BatchMember<T> {
-    pub(crate) job: Job<T>,
-    /// This member's dense operand (the `Spmm` payload, or an `Spmv`
-    /// vector lifted to a one-column matrix; kept here so fusing never
-    /// re-matches on the op).
-    pub(crate) x: Arc<DenseMatrix<T>>,
-    /// This member's operand width.
-    pub(crate) k: usize,
-    /// Whether this member is an SpMV request: its slice of the fused
-    /// output is returned as `Output::Vector`, not `Output::Dense`.
-    pub(crate) vector: bool,
+/// The operand shape `(rows, columns)` of a request that can join a
+/// fused pass: SpMM's dense operand, or an SpMV vector as one column.
+fn fusable_shape<T: Scalar>(op: &RequestOp<T>) -> Option<(usize, usize)> {
+    match op {
+        RequestOp::Spmm { x } => Some((x.nrows(), x.ncols())),
+        RequestOp::Spmv { x } => Some((x.len(), 1)),
+        _ => None,
+    }
 }
 
-/// A coalesced batch: at least two members over one shared structure.
-pub(crate) struct FusedBatch<T> {
-    pub(crate) members: Vec<BatchMember<T>>,
-    /// Total fused column count (`Σ members[i].k`).
-    pub(crate) total_k: usize,
+/// The columns a request contributes to a fused operand (0 for ops
+/// that never fuse).
+pub(crate) fn fusable_width<T: Scalar>(op: &RequestOp<T>) -> usize {
+    fusable_shape(op).map_or(0, |(_, k)| k)
 }
 
-/// What a worker pulled off the queue: a lone job (served by the
-/// existing single-request path) or a fused batch.
-pub(crate) enum Collected<T> {
-    Single(Job<T>),
-    Fused(FusedBatch<T>),
+/// Row `r` of a fusable request's operand; an SpMV vector's row is its
+/// `r`-th entry.
+fn operand_row<T: Scalar>(op: &RequestOp<T>, r: usize) -> &[T] {
+    match op {
+        RequestOp::Spmm { x } => x.row(r),
+        RequestOp::Spmv { x } => std::slice::from_ref(&x[r]),
+        _ => &[],
+    }
 }
 
 /// The remaining deadline of a queued job at `now` (`None` = no
@@ -133,25 +131,9 @@ fn tighter(candidate: Option<Duration>, batch: Option<Duration>) -> bool {
     }
 }
 
-/// Lifts an SpMV operand to the one-column dense matrix it is, so it
-/// can ride the fused SpMM pass.
-fn as_column<T: Scalar>(x: &Arc<Vec<T>>) -> Arc<DenseMatrix<T>> {
-    Arc::new(DenseMatrix::from_vec(x.len(), 1, x.as_ref().clone()))
-}
-
-/// The batchable payload of a queued request: the operand as a dense
-/// matrix plus whether it came in as an SpMV vector.
-fn batchable_operand<T: Scalar>(op: &RequestOp<T>) -> Option<(Arc<DenseMatrix<T>>, bool)> {
-    match op {
-        RequestOp::Spmm { x } => Some((Arc::clone(x), false)),
-        RequestOp::Spmv { x } => Some((as_column(x), true)),
-        _ => None,
-    }
-}
-
 /// The coalescing policy: given the job a worker just popped, scan the
 /// queue for compatible SpMM/SpMV requests and pull them into one
-/// batch.
+/// group.
 pub(crate) struct BatchScheduler {
     config: BatchConfig,
 }
@@ -166,118 +148,96 @@ impl BatchScheduler {
     }
 
     /// Collects companions for `head` from `queue` (called with the
-    /// queue lock held). Returns the collected unit plus the number of
-    /// otherwise-compatible candidates skipped for having a tighter
-    /// deadline than the batch.
+    /// queue lock held). Returns the group, head first — just the head
+    /// when nothing fuses — plus the number of otherwise-compatible
+    /// candidates skipped for having a tighter deadline than the batch.
     pub(crate) fn collect<T: Scalar>(
         &self,
         head: Job<T>,
         queue: &mut VecDeque<Job<T>>,
-    ) -> (Collected<T>, u64) {
-        let Some((head_x, head_vector)) = batchable_operand(&head.request.op) else {
-            return (Collected::Single(head), 0);
+    ) -> (Vec<Job<T>>, u64) {
+        let max = self.config.max_batch_k;
+        let Some((rows, head_k)) = fusable_shape(&head.request.op).filter(|&(_, k)| k < max) else {
+            return (vec![head], 0);
         };
-        let head_rows = head_x.nrows();
-        let head_k = head_x.ncols();
-        if head_k >= self.config.max_batch_k {
-            return (Collected::Single(head), 0);
-        }
         let now = Instant::now();
         let head_remaining = remaining_at(&head, now);
-        // the fingerprint is only computed when a candidate shares the
-        // structure without sharing the allocation
-        let mut head_fp: Option<MatrixFingerprint> = None;
-        let mut companions: Vec<BatchMember<T>> = Vec::new();
+        let mut group = vec![head];
         let mut total_k = head_k;
         let mut deadline_skipped = 0u64;
 
         let mut i = 0;
-        while i < queue.len() && total_k < self.config.max_batch_k {
+        while i < queue.len() && total_k < max {
             let candidate = &queue[i];
-            let Some((x, vector)) = batchable_operand(&candidate.request.op) else {
+            let fits = fusable_shape(&candidate.request.op)
+                .filter(|&(r, k)| r == rows && total_k + k <= max)
+                .filter(|_| {
+                    // each job hashes its matrix at most once, and only
+                    // when it shares the structure but not the allocation
+                    Arc::ptr_eq(&candidate.request.matrix, &group[0].request.matrix)
+                        || candidate.fingerprint() == group[0].fingerprint()
+                });
+            let Some((_, k)) = fits else {
                 i += 1;
                 continue;
             };
-            let same_structure = Arc::ptr_eq(&candidate.request.matrix, &head.request.matrix) || {
-                let fp = head_fp.get_or_insert_with(|| MatrixFingerprint::of(&head.request.matrix));
-                MatrixFingerprint::of(&candidate.request.matrix) == *fp
-            };
-            if !same_structure || x.nrows() != head_rows {
-                i += 1;
-                continue;
-            }
-            if total_k + x.ncols() > self.config.max_batch_k {
-                i += 1;
-                continue;
-            }
             if tighter(remaining_at(candidate, now), head_remaining) {
                 deadline_skipped += 1;
                 i += 1;
                 continue;
             }
             if let Some(job) = queue.remove(i) {
-                let k = x.ncols();
                 total_k += k;
-                companions.push(BatchMember { job, x, k, vector });
-            } else {
-                break;
+                group.push(job);
             }
         }
-
-        if companions.is_empty() {
-            return (Collected::Single(head), deadline_skipped);
-        }
-        let mut members = Vec::with_capacity(companions.len() + 1);
-        members.push(BatchMember {
-            job: head,
-            x: head_x,
-            k: head_k,
-            vector: head_vector,
-        });
-        members.extend(companions);
-        (
-            Collected::Fused(FusedBatch { members, total_k }),
-            deadline_skipped,
-        )
+        (group, deadline_skipped)
     }
 }
 
-/// Concatenates the members' operands column-wise into one fused
-/// `nrows × Σk` matrix, returning it with each member's column offset
-/// (in member order).
-pub(crate) fn fuse_operands<T: Scalar>(
-    members: &[&BatchMember<T>],
-) -> (DenseMatrix<T>, Vec<usize>) {
-    let nrows = members.first().map_or(0, |m| m.x.nrows());
-    let mut offsets = Vec::with_capacity(members.len());
+/// Concatenates the jobs' operands column-wise into one fused
+/// `nrows × Σk` matrix, returning it with each job's column offset (in
+/// job order).
+pub(crate) fn fuse_operands<T: Scalar>(jobs: &[&Job<T>]) -> (DenseMatrix<T>, Vec<usize>) {
+    let nrows = jobs
+        .first()
+        .and_then(|j| fusable_shape(&j.request.op))
+        .map_or(0, |(rows, _)| rows);
+    let mut offsets = Vec::with_capacity(jobs.len());
     let mut total_k = 0;
-    for m in members {
+    for job in jobs {
         offsets.push(total_k);
-        total_k += m.k;
+        total_k += fusable_width(&job.request.op);
     }
     let mut fused = DenseMatrix::zeros(nrows, total_k);
     for r in 0..nrows {
         let row = fused.row_mut(r);
-        for (m, &off) in members.iter().zip(&offsets) {
-            row[off..off + m.k].copy_from_slice(m.x.row(r));
+        for (job, &off) in jobs.iter().zip(&offsets) {
+            let src = operand_row(&job.request.op, r);
+            row[off..off + src.len()].copy_from_slice(src);
         }
     }
     (fused, offsets)
 }
 
-/// Extracts one member's column slice `[offset, offset + k)` of the
-/// fused output as its own matrix.
-pub(crate) fn slice_columns<T: Scalar>(
+/// Cuts one member's answer out of the fused output: its columns
+/// `[offset, offset + k)` as a dense matrix, or, for an SpMV member,
+/// its one column as a flat vector.
+pub(crate) fn slice_member<T: Scalar>(
     fused: &DenseMatrix<T>,
     offset: usize,
-    k: usize,
-) -> DenseMatrix<T> {
+    op: &RequestOp<T>,
+) -> Output<T> {
+    let k = fusable_width(op);
     let mut out = DenseMatrix::zeros(fused.nrows(), k);
     for r in 0..fused.nrows() {
         out.row_mut(r)
             .copy_from_slice(&fused.row(r)[offset..offset + k]);
     }
-    out
+    match op {
+        RequestOp::Spmv { .. } => Output::Vector(out.data().to_vec()),
+        _ => Output::Dense(out),
+    }
 }
 
 #[cfg(test)]
@@ -289,31 +249,23 @@ mod tests {
     use spmm_sparse::CsrMatrix;
     use std::sync::mpsc;
 
+    type Reply = mpsc::Receiver<Result<Response<f64>, ServeError>>;
+
+    fn queued(request: Request<f64>) -> (Job<f64>, Reply) {
+        let (tx, rx) = mpsc::channel();
+        (Job::new(request, tx, None), rx)
+    }
+
     fn job(
         matrix: &Arc<CsrMatrix<f64>>,
         x: DenseMatrix<f64>,
         deadline: Option<Duration>,
-    ) -> (Job<f64>, mpsc::Receiver<Result<Response<f64>, ServeError>>) {
-        let (tx, rx) = mpsc::channel();
+    ) -> (Job<f64>, Reply) {
         let mut request = Request::spmm(Arc::clone(matrix), x);
         if let Some(d) = deadline {
             request = request.deadline(d);
         }
-        (
-            Job {
-                request,
-                enqueued: Instant::now(),
-                reply: tx,
-            },
-            rx,
-        )
-    }
-
-    fn members_of<T>(collected: Collected<T>) -> Vec<BatchMember<T>> {
-        match collected {
-            Collected::Fused(batch) => batch.members,
-            Collected::Single(_) => panic!("expected a fused batch"),
-        }
+        queued(request)
     }
 
     #[test]
@@ -329,11 +281,11 @@ mod tests {
         let (c, _rx3) = job(&m, generators::random_dense(64, 4, 4), None);
         queue.extend([a, b, c]);
 
-        let (collected, skipped) = sched.collect(head, &mut queue);
+        let (group, skipped) = sched.collect(head, &mut queue);
         assert_eq!(skipped, 0);
-        let members = members_of(collected);
-        assert_eq!(members.len(), 3);
-        assert_eq!(members.iter().map(|m| m.k).sum::<usize>(), 20);
+        assert_eq!(group.len(), 3);
+        let cols: usize = group.iter().map(|j| fusable_width(&j.request.op)).sum();
+        assert_eq!(cols, 20);
         assert_eq!(queue.len(), 1, "the over-cap job stays queued");
     }
 
@@ -346,21 +298,16 @@ mod tests {
         let mut queue = VecDeque::new();
         let (head, _rx0) = job(&m, generators::random_dense(64, 8, 1), None);
         let (foreign, _rx1) = job(&other, generators::random_dense(64, 8, 2), None);
-        let (tx, _rx2) = mpsc::channel();
-        let sddmm = Job {
-            request: Request::sddmm(
-                Arc::clone(&m),
-                generators::random_dense::<f64>(64, 8, 3),
-                generators::random_dense::<f64>(64, 8, 4),
-            ),
-            enqueued: Instant::now(),
-            reply: tx,
-        };
+        let (sddmm, _rx2) = queued(Request::sddmm(
+            Arc::clone(&m),
+            generators::random_dense::<f64>(64, 8, 3),
+            generators::random_dense::<f64>(64, 8, 4),
+        ));
         queue.extend([foreign, sddmm]);
 
-        let (collected, skipped) = sched.collect(head, &mut queue);
+        let (group, skipped) = sched.collect(head, &mut queue);
         assert_eq!(skipped, 0);
-        assert!(matches!(collected, Collected::Single(_)));
+        assert_eq!(group.len(), 1);
         assert_eq!(queue.len(), 2);
     }
 
@@ -376,8 +323,8 @@ mod tests {
         let (cand, _rx1) = job(&twin, generators::random_dense(64, 8, 2), None);
         queue.push_back(cand);
 
-        let (collected, _) = sched.collect(head, &mut queue);
-        assert_eq!(members_of(collected).len(), 2);
+        let (group, _) = sched.collect(head, &mut queue);
+        assert_eq!(group.len(), 2);
     }
 
     #[test]
@@ -406,10 +353,9 @@ mod tests {
         let (free, _rx3) = job(&m, generators::random_dense(64, 8, 4), None);
         queue.extend([tight, slack, free]);
 
-        let (collected, skipped) = sched.collect(head, &mut queue);
+        let (group, skipped) = sched.collect(head, &mut queue);
         assert_eq!(skipped, 1);
-        let members = members_of(collected);
-        assert_eq!(members.len(), 3);
+        assert_eq!(group.len(), 3);
         assert_eq!(queue.len(), 1, "the tight job stays queued");
     }
 
@@ -426,8 +372,8 @@ mod tests {
             Some(Duration::from_secs(3600)),
         );
         queue.push_back(dl);
-        let (collected, skipped) = sched.collect(head, &mut queue);
-        assert!(matches!(collected, Collected::Single(_)));
+        let (group, skipped) = sched.collect(head, &mut queue);
+        assert_eq!(group.len(), 1);
         assert_eq!(skipped, 1);
     }
 
@@ -438,26 +384,22 @@ mod tests {
         let mut queue = VecDeque::new();
         let (head, _rx0) = job(&m, generators::random_dense(64, 8, 1), None);
         let v: Vec<f64> = generators::random_dense::<f64>(64, 1, 2).data().to_vec();
-        let (tx, _rx1) = mpsc::channel();
-        let spmv = Job {
-            request: Request::spmv(Arc::clone(&m), v.clone()),
-            enqueued: Instant::now(),
-            reply: tx,
-        };
+        let (spmv, _rx1) = queued(Request::spmv(Arc::clone(&m), v.clone()));
         queue.push_back(spmv);
 
-        let (collected, skipped) = sched.collect(head, &mut queue);
+        let (group, skipped) = sched.collect(head, &mut queue);
         assert_eq!(skipped, 0);
-        let members = members_of(collected);
-        assert_eq!(members.len(), 2);
-        assert!(!members[0].vector);
-        assert!(members[1].vector, "the SpMV member keeps its shape tag");
-        assert_eq!(members[1].k, 1);
-        assert_eq!(
-            members[1].x.data(),
-            v.as_slice(),
-            "the lifted one-column operand carries the vector verbatim"
-        );
+        assert_eq!(group.len(), 2);
+        assert_eq!(fusable_width(&group[1].request.op), 1);
+        let refs: Vec<&Job<f64>> = group.iter().collect();
+        let (fused, offsets) = fuse_operands(&refs);
+        assert_eq!(offsets, vec![0, 8]);
+        let column: Vec<f64> = (0..64).map(|r| fused.row(r)[8]).collect();
+        assert_eq!(column, v, "the vector rides as one column, verbatim");
+        match slice_member(&fused, 8, &group[1].request.op) {
+            Output::Vector(back) => assert_eq!(back, v, "the SpMV member keeps its shape"),
+            other => panic!("an SpMV member must get a vector back, got {other:?}"),
+        }
     }
 
     #[test]
@@ -468,29 +410,18 @@ mod tests {
             generators::random_dense::<f64>(16, 2, 3),
         ];
         let m = Arc::new(generators::banded::<f64>(16, 2, 1, 1));
-        let members: Vec<BatchMember<f64>> = xs
-            .iter()
-            .map(|x| {
-                let (j, _rx) = job(&m, x.clone(), None);
-                std::mem::forget(_rx);
-                BatchMember {
-                    x: match &j.request.op {
-                        RequestOp::Spmm { x } => Arc::clone(x),
-                        _ => unreachable!(),
-                    },
-                    k: x.ncols(),
-                    job: j,
-                    vector: false,
-                }
-            })
-            .collect();
-        let refs: Vec<&BatchMember<f64>> = members.iter().collect();
+        let jobs: Vec<(Job<f64>, Reply)> = xs.iter().map(|x| job(&m, x.clone(), None)).collect();
+        let refs: Vec<&Job<f64>> = jobs.iter().map(|(j, _)| j).collect();
         let (fused, offsets) = fuse_operands(&refs);
         assert_eq!(fused.ncols(), 10);
         assert_eq!(offsets, vec![0, 3, 8]);
-        for (m, &off) in members.iter().zip(&offsets) {
-            let back = slice_columns(&fused, off, m.k);
-            assert_eq!(back.data(), m.x.data(), "round trip must be exact");
+        for ((x, job), &off) in xs.iter().zip(&refs).zip(&offsets) {
+            match slice_member(&fused, off, &job.request.op) {
+                Output::Dense(back) => {
+                    assert_eq!(back.data(), x.data(), "round trip must be exact")
+                }
+                other => panic!("an SpMM member must get a matrix back, got {other:?}"),
+            }
         }
     }
 }

@@ -1,6 +1,7 @@
-//! The `serve-bench` workload driver: a Zipf-popular request stream
-//! over the generator corpus, closed-loop concurrent clients, and two
-//! deterministic probes that pin down the acceptance criteria.
+//! The `serve-bench` preset of the traffic driver: a Zipf-popular
+//! request stream over the generator corpus, closed-loop concurrent
+//! clients, and deterministic probes that pin down the acceptance
+//! criteria.
 //!
 //! The workload models multi-tenant serving: a handful of matrix
 //! structures (the corpus) receive traffic with Zipf-distributed
@@ -16,23 +17,28 @@
 //!   must complete via the row-wise fallback rather than miss its
 //!   deadline preparing a plan.
 //!
-//! Both outcomes, the latency distribution and the exact cache
-//! counters are recorded into the serve telemetry before the manifest
-//! snapshot, so the printed report and the JSON manifest agree.
+//! Batching, a plan store, deltas and a sharded fleet each add their
+//! own probe ([`BatchProbe`], [`PlanStoreProbe`], [`DeltaProbe`],
+//! [`ShardProbe`]). Every outcome, the latency distribution and the
+//! exact cache counters are recorded into the serve telemetry before
+//! the manifest snapshot, so the printed report and the JSON manifest
+//! agree.
 
 use crate::batch::BatchConfig;
 use crate::cache::CacheStats;
+use crate::driver::{
+    cover, percentile_ms, structural_delta, zipf_schedule, Case, Fleet, Op, Stream, Target,
+};
 use crate::engine::{Request, ServeConfig, ServeEngine, ServePath, ServeStats};
 use crate::error::ServeError;
 use crate::fingerprint::MatrixFingerprint;
-use crate::router::{RouterConfig, ShardRouter};
 use crate::store::PlanStore;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use spmm_data::corpus::{Corpus, CorpusProfile};
 use spmm_data::generators;
 use spmm_kernels::{Engine, EngineConfig};
-use spmm_sparse::{CsrMatrix, DenseMatrix, SparseError};
+use spmm_sparse::{CsrMatrix, SparseError};
 use spmm_telemetry::{RunManifest, TelemetryHandle};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -119,11 +125,11 @@ pub struct ServeBenchConfig {
     /// Default: disabled.
     pub plan_store: Option<PathBuf>,
     /// Fleet size: with a value greater than 1 the stream is driven
-    /// through a [`ShardRouter`] of this many engines (each configured
-    /// from the knobs above) over a shared plan-store tier, and the
-    /// shard probe kills one shard mid-stream to prove failover
-    /// warm-loads instead of re-preparing. Default 1 (no router; the
-    /// classic single-engine path, byte-for-byte unchanged).
+    /// through a [`ShardRouter`](crate::ShardRouter) of this many
+    /// engines (each configured from the knobs above) over a shared
+    /// plan-store tier, and the shard probe kills one shard mid-stream
+    /// to prove failover warm-loads instead of re-preparing. Default 1
+    /// (one engine, no router).
     pub shards: usize,
     /// Run the structural-delta probe: for every corpus structure,
     /// apply a ≤ 1 %-of-nnz delta incrementally
@@ -159,8 +165,9 @@ impl Default for ServeBenchConfig {
 /// Outcome of the forced-fusion probe: a single-worker batched engine
 /// is pinned on a cold decoy while same-structure requests pile up
 /// behind it, so fusion happens deterministically; every fused
-/// response is then compared bit for bit against an identically
-/// configured *unbatched* engine.
+/// response is then compared bit for bit against the *unbatched*
+/// sequential reference (the operands are quantized, so any exact
+/// kernel must match it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct BatchProbe {
@@ -342,6 +349,15 @@ pub struct ServeBenchReport {
     pub manifest: RunManifest,
 }
 
+/// A probe line's verdict: `ok (…)` when it passed, else `FAILED`.
+pub(crate) fn verdict(passed: bool, ok: &'static str) -> &'static str {
+    if passed {
+        ok
+    } else {
+        "FAILED"
+    }
+}
+
 impl ServeBenchReport {
     /// Whether every probe observed its contractual outcome (the batch
     /// probe only participates when batching is enabled).
@@ -390,20 +406,18 @@ impl ServeBenchReport {
             "  hit probe:  path={} preprocess={:?} -> {}\n",
             self.hit_probe_path,
             self.hit_probe_preprocess,
-            if self.hit_probe_path == ServePath::CachedPlan && self.hit_probe_preprocess.is_zero() {
+            verdict(
+                self.hit_probe_path == ServePath::CachedPlan && self.hit_probe_preprocess.is_zero(),
                 "ok (cached plan, zero additional preprocessing)"
-            } else {
-                "FAILED"
-            }
+            )
         ));
         out.push_str(&format!(
             "  cold probe: path={} -> {}\n",
             self.cold_probe_path,
-            if self.cold_probe_path == ServePath::Fallback {
+            verdict(
+                self.cold_probe_path == ServePath::Fallback,
                 "ok (cold miss under deadline served by row-wise fallback)"
-            } else {
-                "FAILED"
-            }
+            )
         ));
         if let Some(batch) = &c.batch {
             out.push_str(&format!(
@@ -421,11 +435,10 @@ impl ServeBenchReport {
                 probe.batches,
                 probe.batched_requests,
                 probe.exact,
-                if probe.passed() {
+                verdict(
+                    probe.passed(),
                     "ok (fused responses bit-identical to unbatched references)"
-                } else {
-                    "FAILED"
-                }
+                )
             ));
         }
         if let Some(probe) = &self.plan_store_probe {
@@ -436,11 +449,7 @@ impl ServeBenchReport {
                 probe.warm_load_ms,
                 probe.speedup,
                 probe.exact,
-                if probe.passed() {
-                    "ok (bit-exact warm start, >= 10x faster than prepare)"
-                } else {
-                    "FAILED"
-                }
+                verdict(probe.passed(), "ok (bit-exact warm start, >= 10x faster than prepare)")
             ));
         }
         if let Some(probe) = &self.delta_probe {
@@ -452,11 +461,7 @@ impl ServeBenchReport {
                 probe.apply_ms,
                 probe.speedup,
                 probe.exact,
-                if probe.passed() {
-                    "ok (bit-exact incremental re-prepare, >= 3x faster than from-scratch)"
-                } else {
-                    "FAILED"
-                }
+                verdict(probe.passed(), "ok (bit-exact incremental re-prepare, >= 3x faster than from-scratch)")
             ));
         }
         if let Some(probe) = &self.shard_probe {
@@ -471,65 +476,25 @@ impl ServeBenchReport {
                 probe.ready_shards,
                 probe.shards,
                 probe.exact,
-                if probe.passed() {
-                    "ok (failover warm-loaded from the store; zero duplicate prepares fleet-wide)"
-                } else {
-                    "FAILED"
-                }
+                verdict(probe.passed(), "ok (failover warm-loaded from the store; zero duplicate prepares fleet-wide)")
             ));
         }
         out
     }
 }
 
-/// Draws `n` Zipf-distributed corpus indices: index `i` with weight
-/// `1/(i+1)^s`. Shared with the chaos driver so both workloads draw
-/// from the same popularity model.
-pub(crate) fn zipf_schedule(n: usize, population: usize, s: f64, rng: &mut SmallRng) -> Vec<usize> {
-    let weights: Vec<f64> = (0..population)
-        .map(|i| 1.0 / ((i + 1) as f64).powf(s))
-        .collect();
-    let mut cdf = Vec::with_capacity(population);
-    let mut acc = 0.0;
-    for w in &weights {
-        acc += w;
-        cdf.push(acc);
-    }
-    let total = acc;
-    (0..n)
-        .map(|_| {
-            let u: f64 = rng.random::<f64>() * total;
-            cdf.partition_point(|&c| c <= u).min(population - 1)
-        })
-        .collect()
-}
-
-/// Nearest-rank percentile (ceil convention): the smallest sample such
-/// that at least `⌈q·n⌉` samples are ≤ it. The rank is 1-based and
-/// clamped into the sample range, so `q=0` returns the minimum and
-/// `q=1` the maximum — never an out-of-range index and never a rank
-/// below the first sample.
-fn percentile_ms(sorted: &[Duration], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = (q * sorted.len() as f64).ceil().max(1.0) as usize;
-    sorted[rank.min(sorted.len()) - 1].as_secs_f64() * 1e3
-}
-
 /// Forces fusion deterministically and checks exactness: a 1-worker
 /// batched engine is warmed on `matrix`, pinned on a cold decoy, and
 /// handed three same-structure requests that queue up behind the decoy
-/// and coalesce. Each fused response is compared bit for bit against
-/// an identically configured unbatched engine.
+/// and coalesce. The operands are quantized, so each fused response
+/// must equal the unbatched sequential reference bit for bit.
 fn run_batch_probe(
     batch: BatchConfig,
     budget: Duration,
-    matrix: &Arc<CsrMatrix<f32>>,
+    matrix: &CsrMatrix<f32>,
     k: usize,
     seed: u64,
 ) -> Result<BatchProbe, ServeError> {
-    let k = k.max(1);
     let batched = ServeEngine::<f32>::start(
         ServeConfig::builder()
             .workers(1)
@@ -538,51 +503,26 @@ fn run_batch_probe(
             .batching(batch)
             .build()?,
     );
-    let solo = ServeEngine::<f32>::start(
-        ServeConfig::builder()
-            .workers(1)
-            .queue_capacity(64)
-            .preprocess_budget(budget)
-            .build()?,
-    );
-    let xs: Vec<Arc<DenseMatrix<f32>>> = (0..3u64)
-        .map(|i| {
-            Arc::new(generators::random_dense::<f32>(
-                matrix.ncols(),
-                k,
-                seed ^ (0xBA7C + i),
-            ))
-        })
+    let members: Vec<Case<f32>> = (0..3u64)
+        .map(|i| Case::new(matrix.clone(), 0xBA7C + i, k.max(1), seed, true))
         .collect();
-    batched.execute(Request::spmm(matrix.clone(), xs[0].clone()))?;
-    let decoy_m = Arc::new(generators::uniform_random::<f32>(
-        611,
-        401,
-        8,
-        seed ^ 0xDEC0,
-    ));
-    let decoy_x = Arc::new(generators::random_dense::<f32>(
-        decoy_m.ncols(),
-        k,
-        seed ^ 4,
-    ));
-    let decoy = batched.submit(Request::spmm(decoy_m, decoy_x))?;
-    let tickets: Vec<_> = xs
+    batched.execute(members[0].request(Op::Spmm))?;
+    let decoy = Case::new(
+        generators::uniform_random::<f32>(611, 401, 8, seed ^ 0xDEC0),
+        0xDEC0,
+        k.max(1),
+        seed,
+        false,
+    );
+    let decoy = batched.submit(decoy.request(Op::Spmm))?;
+    let tickets: Vec<_> = members
         .iter()
-        .map(|x| batched.submit(Request::spmm(matrix.clone(), x.clone())))
+        .map(|m| batched.submit(m.request(Op::Spmm)))
         .collect::<Result<_, _>>()?;
     decoy.wait()?;
     let mut exact = true;
-    for (x, ticket) in xs.iter().zip(tickets) {
-        let got = ticket.wait()?.output.into_dense();
-        let reference = solo
-            .execute(Request::spmm(matrix.clone(), x.clone()))?
-            .output
-            .into_dense();
-        exact &= match (got, reference) {
-            (Some(got), Some(reference)) => got.data() == reference.data(),
-            _ => false,
-        };
+    for (member, ticket) in members.iter().zip(tickets) {
+        exact &= member.is_exact(Op::Spmm, &ticket.wait()?.output);
     }
     let stats = batched.stats();
     Ok(BatchProbe {
@@ -598,20 +538,17 @@ fn run_batch_probe(
 /// against the live engine's.
 fn run_plan_store_probe(
     store: &PlanStore,
-    matrices: &[Arc<CsrMatrix<f32>>],
-    k: usize,
-    seed: u64,
+    cases: &[Case<f32>],
     telemetry: &TelemetryHandle,
 ) -> Result<PlanStoreProbe, ServeError> {
-    let engine_config = EngineConfig::default();
-    let k = k.max(1);
     let mut cold = Duration::ZERO;
     let mut warm = Duration::ZERO;
     let mut exact = true;
-    for (i, m) in matrices.iter().enumerate() {
-        let fp = MatrixFingerprint::of(m);
+    for case in cases {
+        let fp = MatrixFingerprint::of(&case.matrix);
         let cold_start = Instant::now();
-        let live = Engine::prepare(m, &engine_config).map_err(ServeError::Prepare)?;
+        let live =
+            Engine::prepare(&case.matrix, &EngineConfig::default()).map_err(ServeError::Prepare)?;
         cold += cold_start.elapsed();
         store.save(&fp, &live).map_err(ServeError::Prepare)?;
         let warm_start = Instant::now();
@@ -622,280 +559,206 @@ fn run_plan_store_probe(
                 ServeError::Prepare(SparseError::Io("just-saved plan is missing".into()))
             })?;
         warm += warm_start.elapsed();
-        let x = generators::random_dense::<f32>(m.ncols(), k, seed ^ (0x5707 + i as u64));
-        let y = generators::random_dense::<f32>(m.nrows(), k, seed ^ (0x7057 + i as u64));
-        let spmm_exact = live.spmm(&x).map_err(ServeError::Execute)?.data()
-            == stored.spmm(&x).map_err(ServeError::Execute)?.data();
-        let sddmm_exact = live.sddmm(&x, &y).map_err(ServeError::Execute)?
-            == stored.sddmm(&x, &y).map_err(ServeError::Execute)?;
+        let (x, y) = (&case.x, &case.y);
+        let spmm_exact = live.spmm(x).map_err(ServeError::Execute)?.data()
+            == stored.spmm(x).map_err(ServeError::Execute)?.data();
+        let sddmm_exact = live.sddmm(x, y).map_err(ServeError::Execute)?
+            == stored.sddmm(x, y).map_err(ServeError::Execute)?;
         exact &= spmm_exact && sddmm_exact;
     }
     let cold_prepare_ms = cold.as_secs_f64() * 1e3;
     let warm_load_ms = warm.as_secs_f64() * 1e3;
-    let speedup = if warm_load_ms > 0.0 {
-        cold_prepare_ms / warm_load_ms
-    } else {
-        f64::INFINITY
-    };
     Ok(PlanStoreProbe {
         cold_prepare_ms,
         warm_load_ms,
-        speedup,
-        plans: matrices.len(),
+        speedup: ratio(cold_prepare_ms, warm_load_ms),
+        plans: cases.len(),
         exact,
     })
 }
 
-/// Builds the probe's deterministic ≤ 1 %-nnz delta for `m`: every
-/// `nnz / budget`-th edge is removed (spreading the churn across the
-/// whole row range, so several row panels drift) and an equal number
-/// of previously-absent integer-grid edges is added on a disjoint set
-/// of coordinates.
-#[allow(clippy::type_complexity)]
-fn probe_delta(m: &CsrMatrix<f32>, seed: u64) -> (Vec<(usize, usize, f32)>, Vec<(usize, usize)>) {
-    let nnz = m.nnz();
-    let budget = (nnz / 200).max(1);
-    let step = (nnz / budget).max(1);
-    let mut removed = Vec::with_capacity(budget);
-    let mut edge = 0usize;
-    'rows: for r in 0..m.nrows() {
-        for &c in m.row_cols(r) {
-            if edge.is_multiple_of(step) {
-                removed.push((r, c as usize));
-                if removed.len() == budget {
-                    break 'rows;
-                }
-            }
-            edge += 1;
-        }
+/// `num / den`, infinite when the denominator rounds to zero.
+fn ratio(num: f64, den: f64) -> f64 {
+    if den > 0.0 {
+        num / den
+    } else {
+        f64::INFINITY
     }
-    let mut used: std::collections::HashSet<(usize, usize)> = removed.iter().copied().collect();
-    let mut added = Vec::with_capacity(budget);
-    let nrows = m.nrows();
-    let mut r = (seed as usize) % nrows.max(1);
-    let mut attempts = 0;
-    while added.len() < budget && attempts < nrows * 2 {
-        attempts += 1;
-        let cols = m.row_cols(r);
-        let fresh = (0..m.ncols() as u32)
-            .find(|c| cols.binary_search(c).is_err() && !used.contains(&(r, *c as usize)));
-        if let Some(c) = fresh {
-            used.insert((r, c as usize));
-            added.push((r, c as usize, ((added.len() % 9) as f32) - 4.0));
-        }
-        r = (r + 1) % nrows;
-    }
-    (added, removed)
 }
 
 /// Measures the incremental re-prepare contract: for every corpus
-/// structure (values quantised onto the integer grid), time
-/// `Engine::apply_delta` against a from-scratch `Engine::prepare` of
-/// the patched matrix, and compare SpMM answers bit for bit.
-fn run_delta_probe(
-    matrices: &[Arc<CsrMatrix<f32>>],
-    k: usize,
-    seed: u64,
-) -> Result<DeltaProbe, ServeError> {
-    let engine_config = EngineConfig::default();
-    let k = k.max(1);
+/// structure, time `Engine::apply_delta` of a ≤ 1 %-nnz delta against a
+/// from-scratch `Engine::prepare` of the patched matrix, and compare
+/// SpMM answers bit for bit (the operands are quantized, so the two
+/// plans must agree exactly).
+fn run_delta_probe(cases: &[Case<f32>], seed: u64) -> Result<DeltaProbe, ServeError> {
+    let config = EngineConfig::default();
     let mut prepare = Duration::ZERO;
     let mut apply = Duration::ZERO;
     let mut edges_churned = 0usize;
     let mut exact = true;
-    for (i, m) in matrices.iter().enumerate() {
-        // quantised twin: plan decisions are structural, so timings are
-        // representative, and integer-grid values make the bit-equality
-        // comparison meaningful across different plans
-        let mut q = (**m).clone();
-        quantize_f32(q.values_mut());
-        let base = Engine::prepare(&q, &engine_config).map_err(ServeError::Prepare)?;
-        let (added, removed) = probe_delta(&q, seed ^ i as u64);
+    for (i, case) in cases.iter().enumerate() {
+        let m = &case.matrix;
+        let base = Engine::prepare(m, &config).map_err(ServeError::Prepare)?;
+        let (added, removed) = structural_delta(m, (m.nnz() / 200).max(1), seed ^ i as u64);
         edges_churned += added.len() + removed.len();
         let apply_start = Instant::now();
         let incremental = base
             .apply_delta(&added, &removed)
             .map_err(ServeError::Prepare)?;
         apply += apply_start.elapsed();
-        let patched = q
+        let patched = m
             .apply_structural_delta(&added, &removed)
             .map_err(ServeError::Prepare)?;
         let prepare_start = Instant::now();
-        let fresh = Engine::prepare(&patched, &engine_config).map_err(ServeError::Prepare)?;
+        let fresh = Engine::prepare(&patched, &config).map_err(ServeError::Prepare)?;
         prepare += prepare_start.elapsed();
-        let mut x = generators::random_dense::<f32>(q.ncols(), k, seed ^ (0xDE17A + i as u64));
-        quantize_f32(x.data_mut());
-        exact &= incremental.spmm(&x).map_err(ServeError::Execute)?.data()
-            == fresh.spmm(&x).map_err(ServeError::Execute)?.data();
+        exact &= incremental
+            .spmm(&case.x)
+            .map_err(ServeError::Execute)?
+            .data()
+            == fresh.spmm(&case.x).map_err(ServeError::Execute)?.data();
     }
     let prepare_ms = prepare.as_secs_f64() * 1e3;
     let apply_ms = apply.as_secs_f64() * 1e3;
-    let speedup = if apply_ms > 0.0 {
-        prepare_ms / apply_ms
-    } else {
-        f64::INFINITY
-    };
     Ok(DeltaProbe {
         prepare_ms,
         apply_ms,
-        speedup,
-        structures: matrices.len(),
+        speedup: ratio(prepare_ms, apply_ms),
+        structures: cases.len(),
         edges_churned,
         exact,
     })
 }
 
-/// Runs the serving benchmark and returns the measured report. The
-/// probes' contractual outcomes are asserted by the caller (or CI) via
-/// [`ServeBenchReport::probes_passed`], not by this function — a
-/// degraded run still reports honestly.
+/// Monotonic suffix for ephemeral fleet store directories, so
+/// concurrent runs in one process never share a tier by accident.
+static EPHEMERAL_STORES: AtomicU64 = AtomicU64::new(0);
+
+/// Runs the serving benchmark — the driver preset that adds the hit,
+/// cold, batch, plan-store, delta and shard probes — and returns the
+/// measured report. The probes' contractual outcomes are asserted by
+/// the caller (or CI) via [`ServeBenchReport::probes_passed`], not by
+/// this function: a degraded run still reports honestly.
 ///
 /// # Errors
 /// Propagates probe-request failures ([`ServeError`]); the streamed
 /// requests themselves only tally into the counters.
 pub fn run_serve_bench(config: &ServeBenchConfig) -> Result<ServeBenchReport, ServeError> {
-    if config.shards > 1 {
-        return run_sharded_serve_bench(config);
-    }
     let budget = config.preprocess_budget.max(Duration::from_millis(1));
     let corpus = Corpus::<f32>::generate(CorpusProfile::Quick, config.seed);
-    let matrices: Vec<Arc<CsrMatrix<f32>>> = corpus
-        .matrices
-        .into_iter()
-        .map(|e| Arc::new(e.matrix))
-        .collect();
-    assert!(!matrices.is_empty(), "corpus must not be empty");
-    // shared dense operands per structure (x for SpMM/SDDMM, y for SDDMM)
-    let xs: Vec<Arc<DenseMatrix<f32>>> = matrices
-        .iter()
-        .map(|m| {
-            Arc::new(generators::random_dense::<f32>(
-                m.ncols(),
-                config.k,
-                config.seed ^ 1,
-            ))
-        })
-        .collect();
-    let ys: Vec<Arc<DenseMatrix<f32>>> = matrices
-        .iter()
-        .map(|m| {
-            Arc::new(generators::random_dense::<f32>(
-                m.nrows(),
-                config.k,
-                config.seed ^ 2,
-            ))
-        })
-        .collect();
-    // per-structure operands for the alternative streams, built only
-    // when that stream is requested
-    let vs: Vec<Arc<Vec<f32>>> = if config.op == BenchOp::Spmv {
-        matrices
-            .iter()
-            .map(|m| {
-                Arc::new(
-                    generators::random_dense::<f32>(m.ncols(), 1, config.seed ^ 4)
-                        .data()
-                        .to_vec(),
-                )
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let bs: Vec<Arc<CsrMatrix<f32>>> = if config.op == BenchOp::Spgemm {
-        matrices
-            .iter()
-            .map(|m| {
-                Arc::new(generators::uniform_random::<f32>(
-                    m.ncols(),
-                    96,
-                    4,
-                    config.seed ^ 5,
-                ))
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-
+    let cases = cover(
+        corpus.matrices.into_iter().map(|e| e.matrix),
+        config.k,
+        config.seed,
+        false,
+    );
+    assert!(!cases.is_empty(), "corpus must not be empty");
     let mut rng = SmallRng::seed_from_u64(config.seed);
-    let schedule = zipf_schedule(config.requests, matrices.len(), config.zipf_s, &mut rng);
+    let schedule = zipf_schedule(config.requests, cases.len(), config.zipf_s, &mut rng);
 
-    let store = match &config.plan_store {
+    // a fleet's whole economy needs a shared store tier: use the
+    // configured directory, or an ephemeral one removed after the run
+    let ephemeral = (config.shards > 1 && config.plan_store.is_none()).then(|| {
+        let dir = std::env::temp_dir().join(format!(
+            "spmm-serve-bench-shards-{}-{}",
+            std::process::id(),
+            EPHEMERAL_STORES.fetch_add(1, Ordering::Relaxed)
+        ));
+        // stale leftovers from a killed run must not skew the
+        // duplicate-prepare accounting
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    });
+    let store = match config.plan_store.as_ref().or(ephemeral.as_ref()) {
         Some(dir) => Some(Arc::new(PlanStore::open(dir).map_err(ServeError::Prepare)?)),
         None => None,
     };
-    let mut serve_config = ServeConfig::builder()
-        .workers(config.workers)
-        .queue_capacity(config.queue_capacity)
-        .cache_capacity(config.cache_capacity)
-        .preprocess_budget(budget);
-    if let Some(batch) = config.batch {
-        serve_config = serve_config.batching(batch);
+    let target = Fleet {
+        shards: config.shards,
+        workers: config.workers,
+        queue_capacity: config.queue_capacity,
+        cache_capacity: config.cache_capacity,
+        preprocess_budget: budget,
+        seed: config.seed,
+        batch: config.batch,
+        store: store.clone(),
     }
-    if let Some(store) = &store {
-        serve_config = serve_config.plan_store(Arc::clone(store));
-    }
-    let serve = ServeEngine::<f32>::start(serve_config.build()?);
+    .start::<f32>()?;
+    let router = match &target {
+        Target::Router(router) => Some(router),
+        Target::Engine(_) => None,
+    };
 
-    let concurrency = config.concurrency.max(1);
+    // -- shard probe, phase 1: the owner prepares (and persists) the
+    //    quantized probe structure before the stream
+    let probe = Case::new(
+        generators::uniform_random::<f32>(397, 311, 6, config.seed ^ 0x51AD),
+        0x51AE,
+        config.k.max(1),
+        config.seed,
+        true,
+    );
+    let probe_fp = MatrixFingerprint::of(&probe.matrix);
+    let victim = router.map(|r| r.owner(&probe_fp));
+    let exact_before = match router {
+        Some(r) => probe.is_exact(Op::Spmm, &r.execute(probe.request(Op::Spmm))?.output),
+        None => true,
+    };
+
+    let mix: &[Op] = match config.op {
+        // every 5th request exercises the SDDMM path
+        BenchOp::Spmm => &[Op::Spmm, Op::Spmm, Op::Spmm, Op::Spmm, Op::Sddmm],
+        BenchOp::Spmv => &[Op::Spmv],
+        BenchOp::Spgemm => &[Op::Spgemm],
+    };
+    let stream = Stream {
+        cases: &cases,
+        schedule: &schedule,
+        mix,
+        deadline: Some(config.deadline),
+        concurrency: config.concurrency,
+        deltas: None,
+    };
+    // a fleet runs the stream in two halves and kills the victim at the
+    // barrier between them: killing a shard while clients are in flight
+    // would let its in-flight prepares race the survivor's re-prepares
+    // of the same structures before the write-through saves land. At the
+    // barrier the victim has drained, so all it prepared is persisted
+    // and the second half's re-routed traffic must warm-load.
+    let split = if victim.is_some() {
+        schedule.len() / 2
+    } else {
+        schedule.len()
+    };
     let stream_start = Instant::now();
-    let mut latencies: Vec<Duration> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..concurrency)
-            .map(|client| {
-                let serve = &serve;
-                let schedule = &schedule;
-                let (matrices, xs, ys, vs, bs) = (&matrices, &xs, &ys, &vs, &bs);
-                scope.spawn(move || {
-                    let mut latencies = Vec::new();
-                    // closed loop: this client walks its stripe in order
-                    for (idx, &mi) in schedule
-                        .iter()
-                        .enumerate()
-                        .filter(|(idx, _)| idx % concurrency == client)
-                    {
-                        let request = match config.op {
-                            BenchOp::Spmv => Request::spmv(matrices[mi].clone(), vs[mi].clone()),
-                            BenchOp::Spgemm => {
-                                Request::spgemm(matrices[mi].clone(), bs[mi].clone())
-                            }
-                            // every 5th request exercises the SDDMM path
-                            BenchOp::Spmm if idx % 5 == 4 => {
-                                Request::sddmm(matrices[mi].clone(), xs[mi].clone(), ys[mi].clone())
-                            }
-                            BenchOp::Spmm => Request::spmm(matrices[mi].clone(), xs[mi].clone()),
-                        }
-                        .deadline(config.deadline);
-                        let submitted = Instant::now();
-                        // a rejected submission is already counted by
-                        // the engine; only successes carry a latency
-                        if let Ok(ticket) = serve.submit(request) {
-                            if ticket.wait().is_ok() {
-                                latencies.push(submitted.elapsed());
-                            }
-                        }
-                    }
-                    latencies
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // a panicked client contributes no latencies; its requests
-            // are still accounted for in the engine counters
-            .flat_map(|h| h.join().unwrap_or_default())
-            .collect()
-    });
+    let mut tally = stream.run(&target, 0..split);
+    if let (Some(router), Some(victim)) = (router, victim) {
+        router.kill(victim);
+        tally.merge(stream.run(&target, split..schedule.len()));
+    }
     let wall = stream_start.elapsed();
-    latencies.sort_unstable();
+    tally.latencies.sort_unstable();
 
-    // -- hit probe: the hottest structure, back to back -----------------
-    let hot = 0; // Zipf weight is maximal at index 0
-    serve.execute(Request::spmm(matrices[hot].clone(), xs[hot].clone()))?;
-    let hit_probe = serve.execute(Request::spmm(matrices[hot].clone(), xs[hot].clone()))?;
+    // -- shard probe, phase 2: the structure's traffic must fail over
+    //    and warm-load from the store, bit-exactly
+    let failover = match router {
+        Some(r) => {
+            let shard = r.route(&probe_fp).ok_or(ServeError::NoReadyShard {
+                shards: config.shards,
+            })?;
+            Some((shard, r.execute(probe.request(Op::Spmm))?))
+        }
+        None => None,
+    };
+
+    // -- hit probe: the hottest structure (Zipf index 0), back to back
+    let hot = &cases[0];
+    target.execute(Request::spmm(hot.matrix.clone(), hot.x.clone()))?;
+    let hit_probe = target.execute(Request::spmm(hot.matrix.clone(), hot.x.clone()))?;
 
     // -- cold probe: unseen structure, deadline == budget ⇒ the tight
-    //    path fires deterministically and must degrade, not miss --------
+    //    path fires deterministically and must degrade, not miss
     let cold_matrix = Arc::new(generators::uniform_random::<f32>(
         731,
         389,
@@ -907,45 +770,60 @@ pub fn run_serve_bench(config: &ServeBenchConfig) -> Result<ServeBenchReport, Se
         config.k,
         config.seed ^ 3,
     ));
-    let cold_probe = serve.execute(Request::spmm(cold_matrix, cold_x).deadline(budget))?;
+    let cold_probe = target.execute(Request::spmm(cold_matrix, cold_x).deadline(budget))?;
 
-    // -- batch probe: deterministic forced fusion + exactness check -----
+    // duplicate accounting must be read *before* the standalone probes
+    // below write to (or read from) the same store directory
+    let shard_probe = match (router, victim, failover, &store) {
+        (Some(router), Some(victim), Some((failover_shard, after)), Some(store)) => {
+            let counters = router.manifest().counters;
+            let counter = |name: &str| counters.get(name).copied().unwrap_or(0);
+            let saves = counter("serve.store.save") + counter("serve.store.save_error");
+            let persisted = store.list().map_err(ServeError::Prepare)?.len() as u64;
+            Some(ShardProbe {
+                shards: config.shards,
+                victim,
+                failover_shard,
+                failover_path: after.path,
+                failover_preprocess: after.preprocess,
+                store_warm_hits: counter("serve.store.hit"),
+                duplicate_prepares: saves.saturating_sub(persisted),
+                exact: exact_before && probe.is_exact(Op::Spmm, &after.output),
+                ready_shards: router.health().ready_shards(),
+            })
+        }
+        _ => None,
+    };
+
     let batch_probe = config
         .batch
-        .map(|batch| run_batch_probe(batch, budget, &matrices[hot], config.k, config.seed))
+        .map(|batch| run_batch_probe(batch, budget, &hot.matrix, config.k, config.seed))
         .transpose()?;
-
-    // -- plan store probe: cold prepare vs warm load, bit-exactness -----
-    let plan_store_probe = store
-        .as_ref()
-        .map(|store| {
-            run_plan_store_probe(store, &matrices, config.k, config.seed, serve.telemetry())
-        })
-        .transpose()?;
-
-    // -- delta probe: incremental vs from-scratch re-prepare ------------
+    let plan_store_probe = match (&config.plan_store, &store) {
+        (Some(_), Some(store)) => Some(run_plan_store_probe(store, &cases, target.telemetry())?),
+        _ => None,
+    };
     let delta_probe = config
         .deltas
-        .then(|| run_delta_probe(&matrices, config.k, config.seed))
+        .then(|| run_delta_probe(&cases, config.seed))
         .transpose()?;
 
-    let stats = serve.stats();
-    let cache = serve.cache_stats();
-    let p50_ms = percentile_ms(&latencies, 0.50);
-    let p99_ms = percentile_ms(&latencies, 0.99);
-    let throughput_rps = if wall.as_secs_f64() > 0.0 {
-        latencies.len() as f64 / wall.as_secs_f64()
-    } else {
-        0.0
-    };
+    let stats = target.stats();
+    let cache = target.cache_stats();
+    let p50_ms = percentile_ms(&tally.latencies, 0.50);
+    let p99_ms = percentile_ms(&tally.latencies, 0.99);
+    let throughput_rps = tally.throughput_rps(wall);
 
     // record the results into the same manifest that carries the exact
     // serve.* counters, then snapshot
-    let telemetry = serve.telemetry();
+    let telemetry = target.telemetry();
     telemetry.gauge("bench.throughput_rps", throughput_rps);
     telemetry.gauge("bench.p50_ms", p50_ms);
     telemetry.gauge("bench.p99_ms", p99_ms);
     telemetry.gauge("bench.hit_rate", cache.hit_rate());
+    if config.shards > 1 {
+        telemetry.gauge("bench.shards", config.shards as f64);
+    }
     telemetry.meta("bench.op", &config.op.to_string());
     telemetry.meta(
         "bench.hit_probe",
@@ -956,6 +834,23 @@ pub fn run_serve_bench(config: &ServeBenchConfig) -> Result<ServeBenchReport, Se
         ),
     );
     telemetry.meta("bench.cold_probe", &format!("path={}", cold_probe.path));
+    if let Some(probe) = &shard_probe {
+        telemetry.meta(
+            "bench.shard_probe",
+            &format!(
+                "shards={} victim={} failover={} path={} preprocess_ns={} warm_hits={} duplicates={} ready_shards={} exact={}",
+                probe.shards,
+                probe.victim,
+                probe.failover_shard,
+                probe.failover_path,
+                probe.failover_preprocess.as_nanos(),
+                probe.store_warm_hits,
+                probe.duplicate_prepares,
+                probe.ready_shards,
+                probe.exact
+            ),
+        );
+    }
     if let Some(probe) = &batch_probe {
         telemetry.gauge("bench.batch.stream_batches", stats.batches as f64);
         telemetry.gauge(
@@ -983,13 +878,30 @@ pub fn run_serve_bench(config: &ServeBenchConfig) -> Result<ServeBenchReport, Se
         );
     }
     if let Some(probe) = &delta_probe {
-        record_delta_probe(telemetry, probe);
+        telemetry.gauge("bench.delta.prepare_ms", probe.prepare_ms);
+        telemetry.gauge("bench.delta.apply_ms", probe.apply_ms);
+        telemetry.gauge("bench.delta.speedup", probe.speedup);
+        telemetry.meta(
+            "bench.delta_probe",
+            &format!(
+                "structures={} edges_churned={} prepare_ms={:.3} apply_ms={:.3} speedup={:.2} exact={}",
+                probe.structures,
+                probe.edges_churned,
+                probe.prepare_ms,
+                probe.apply_ms,
+                probe.speedup,
+                probe.exact
+            ),
+        );
     }
-    let manifest = serve.manifest();
+    let manifest = target.manifest();
+    if let Some(dir) = &ephemeral {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 
     Ok(ServeBenchReport {
         config: config.clone(),
-        corpus_size: matrices.len(),
+        corpus_size: cases.len(),
         wall,
         throughput_rps,
         p50_ms,
@@ -1002,386 +914,7 @@ pub fn run_serve_bench(config: &ServeBenchConfig) -> Result<ServeBenchReport, Se
         cold_probe_path: cold_probe.path,
         batch_probe,
         plan_store_probe,
-        shard_probe: None,
-        delta_probe,
-        manifest,
-    })
-}
-
-/// Records the delta probe's outcome into the run telemetry so the
-/// JSON manifest (`--json`, the CI perf smoke) carries the speedup
-/// gauge the ≥ 3× assertion reads.
-fn record_delta_probe(telemetry: &TelemetryHandle, probe: &DeltaProbe) {
-    telemetry.gauge("bench.delta.prepare_ms", probe.prepare_ms);
-    telemetry.gauge("bench.delta.apply_ms", probe.apply_ms);
-    telemetry.gauge("bench.delta.speedup", probe.speedup);
-    telemetry.meta(
-        "bench.delta_probe",
-        &format!(
-            "structures={} edges_churned={} prepare_ms={:.3} apply_ms={:.3} speedup={:.2} exact={}",
-            probe.structures,
-            probe.edges_churned,
-            probe.prepare_ms,
-            probe.apply_ms,
-            probe.speedup,
-            probe.exact
-        ),
-    );
-}
-
-/// Monotonic suffix for ephemeral shard-bench store directories, so
-/// concurrent runs in one process never share a tier by accident.
-static EPHEMERAL_STORES: AtomicU64 = AtomicU64::new(0);
-
-/// Quantises values onto the integer grid `{-8, …, 8}` so the shard
-/// probe's sums are exactly representable in `f32` and addition is
-/// associative — the failover path must be *bit*-equal to the
-/// sequential reference, whichever shard and kernel path serves it.
-fn quantize_f32(values: &mut [f32]) {
-    for v in values {
-        *v = (*v * 8.0).round().clamp(-8.0, 8.0);
-    }
-}
-
-/// The sharded serve-bench: the same corpus, schedule and probes as the
-/// single-engine path, but driven through a [`ShardRouter`] over a
-/// shared plan-store tier, with the shard probe killing the probe
-/// structure's owning shard mid-stream (see [`ShardProbe`]).
-fn run_sharded_serve_bench(config: &ServeBenchConfig) -> Result<ServeBenchReport, ServeError> {
-    let budget = config.preprocess_budget.max(Duration::from_millis(1));
-    let corpus = Corpus::<f32>::generate(CorpusProfile::Quick, config.seed);
-    let matrices: Vec<Arc<CsrMatrix<f32>>> = corpus
-        .matrices
-        .into_iter()
-        .map(|e| Arc::new(e.matrix))
-        .collect();
-    assert!(!matrices.is_empty(), "corpus must not be empty");
-    let xs: Vec<Arc<DenseMatrix<f32>>> = matrices
-        .iter()
-        .map(|m| {
-            Arc::new(generators::random_dense::<f32>(
-                m.ncols(),
-                config.k,
-                config.seed ^ 1,
-            ))
-        })
-        .collect();
-    let ys: Vec<Arc<DenseMatrix<f32>>> = matrices
-        .iter()
-        .map(|m| {
-            Arc::new(generators::random_dense::<f32>(
-                m.nrows(),
-                config.k,
-                config.seed ^ 2,
-            ))
-        })
-        .collect();
-    let vs: Vec<Arc<Vec<f32>>> = if config.op == BenchOp::Spmv {
-        matrices
-            .iter()
-            .map(|m| {
-                Arc::new(
-                    generators::random_dense::<f32>(m.ncols(), 1, config.seed ^ 4)
-                        .data()
-                        .to_vec(),
-                )
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let bs: Vec<Arc<CsrMatrix<f32>>> = if config.op == BenchOp::Spgemm {
-        matrices
-            .iter()
-            .map(|m| {
-                Arc::new(generators::uniform_random::<f32>(
-                    m.ncols(),
-                    96,
-                    4,
-                    config.seed ^ 5,
-                ))
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-
-    let mut rng = SmallRng::seed_from_u64(config.seed);
-    let schedule = zipf_schedule(config.requests, matrices.len(), config.zipf_s, &mut rng);
-
-    // the router's whole economy needs a shared store tier: use the
-    // configured directory, or an ephemeral one torn down after the run
-    let (store_dir, ephemeral) = match &config.plan_store {
-        Some(dir) => (dir.clone(), false),
-        None => {
-            let dir = std::env::temp_dir().join(format!(
-                "spmm-serve-bench-shards-{}-{}",
-                std::process::id(),
-                EPHEMERAL_STORES.fetch_add(1, Ordering::Relaxed)
-            ));
-            // stale leftovers from a killed run must not skew the
-            // duplicate-prepare accounting
-            let _ = std::fs::remove_dir_all(&dir);
-            (dir, true)
-        }
-    };
-    let store = Arc::new(PlanStore::open(&store_dir).map_err(ServeError::Prepare)?);
-
-    let mut shard_template = ServeConfig::builder()
-        .workers(config.workers)
-        .queue_capacity(config.queue_capacity)
-        .cache_capacity(config.cache_capacity)
-        .preprocess_budget(budget);
-    if let Some(batch) = config.batch {
-        shard_template = shard_template.batching(batch);
-    }
-    let router = ShardRouter::<f32>::start(
-        RouterConfig::builder()
-            .shards(config.shards)
-            .shard(shard_template.build()?)
-            .plan_store(Arc::clone(&store))
-            .build()?,
-    )?;
-
-    // -- shard probe, phase 1: the owner prepares (and persists) the
-    //    quantised probe structure before the stream ------------------
-    let mut probe_matrix = generators::uniform_random::<f32>(397, 311, 6, config.seed ^ 0x51AD);
-    quantize_f32(probe_matrix.values_mut());
-    let probe_matrix = Arc::new(probe_matrix);
-    let mut probe_x = generators::random_dense::<f32>(
-        probe_matrix.ncols(),
-        config.k.max(1),
-        config.seed ^ 0x51AE,
-    );
-    quantize_f32(probe_x.data_mut());
-    let probe_x = Arc::new(probe_x);
-    let reference = spmm_kernels::spmm::spmm_rowwise_seq(&probe_matrix, &probe_x)
-        .map_err(ServeError::Execute)?;
-    let probe_fp = MatrixFingerprint::of(&probe_matrix);
-    let victim = router.owner(&probe_fp);
-    let r1 = router.execute(Request::spmm(probe_matrix.clone(), probe_x.clone()))?;
-    let exact_before = r1
-        .output
-        .into_dense()
-        .is_some_and(|d| d.data() == reference.data());
-
-    let concurrency = config.concurrency.max(1);
-    // the stream runs in two phases with the kill at the barrier
-    // between them: killing a shard while other clients are mid-flight
-    // would let the victim's in-flight prepares race the survivor's
-    // re-prepares of the same structures before the write-through
-    // saves land, and the dedup ledger could legitimately show a
-    // transient duplicate. At the barrier the victim drains fully, so
-    // everything it prepared is persisted and phase 2's re-routed
-    // traffic must warm-load instead of re-preparing.
-    let run_phase = |range: std::ops::Range<usize>| -> Vec<Duration> {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..concurrency)
-                .map(|client| {
-                    let router = &router;
-                    let schedule = &schedule;
-                    let (matrices, xs, ys, vs, bs) = (&matrices, &xs, &ys, &vs, &bs);
-                    let range = range.clone();
-                    scope.spawn(move || {
-                        let mut latencies = Vec::new();
-                        for idx in range.filter(|idx| idx % concurrency == client) {
-                            let mi = schedule[idx];
-                            let request = match config.op {
-                                BenchOp::Spmv => {
-                                    Request::spmv(matrices[mi].clone(), vs[mi].clone())
-                                }
-                                BenchOp::Spgemm => {
-                                    Request::spgemm(matrices[mi].clone(), bs[mi].clone())
-                                }
-                                BenchOp::Spmm if idx % 5 == 4 => Request::sddmm(
-                                    matrices[mi].clone(),
-                                    xs[mi].clone(),
-                                    ys[mi].clone(),
-                                ),
-                                BenchOp::Spmm => {
-                                    Request::spmm(matrices[mi].clone(), xs[mi].clone())
-                                }
-                            }
-                            .deadline(config.deadline);
-                            let submitted = Instant::now();
-                            if let Ok(ticket) = router.submit(request) {
-                                if ticket.wait().is_ok() {
-                                    latencies.push(submitted.elapsed());
-                                }
-                            }
-                        }
-                        latencies
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap_or_default())
-                .collect()
-        })
-    };
-    let half = schedule.len() / 2;
-    let stream_start = Instant::now();
-    let mut latencies = run_phase(0..half);
-    router.kill(victim);
-    latencies.extend(run_phase(half..schedule.len()));
-    let wall = stream_start.elapsed();
-    latencies.sort_unstable();
-
-    // -- shard probe, phase 2: the structure's traffic must fail over
-    //    and warm-load from the store, bit-exactly --------------------
-    let failover_shard = router.route(&probe_fp).ok_or(ServeError::NoReadyShard {
-        shards: config.shards,
-    })?;
-    let r2 = router.execute(Request::spmm(probe_matrix.clone(), probe_x.clone()))?;
-    let failover_path = r2.path;
-    let failover_preprocess = r2.preprocess;
-    let exact_after = r2
-        .output
-        .into_dense()
-        .is_some_and(|d| d.data() == reference.data());
-
-    // -- hit probe / cold probe, through the router -------------------
-    let hot = 0;
-    router.execute(Request::spmm(matrices[hot].clone(), xs[hot].clone()))?;
-    let hit_probe = router.execute(Request::spmm(matrices[hot].clone(), xs[hot].clone()))?;
-    let cold_matrix = Arc::new(generators::uniform_random::<f32>(
-        731,
-        389,
-        6,
-        config.seed ^ 0xC01D,
-    ));
-    let cold_x = Arc::new(generators::random_dense::<f32>(
-        cold_matrix.ncols(),
-        config.k,
-        config.seed ^ 3,
-    ));
-    let cold_probe = router.execute(Request::spmm(cold_matrix, cold_x).deadline(budget))?;
-
-    // duplicate accounting must be read *before* the standalone probes
-    // below write to (or read from) the same store directory
-    let pre = router.manifest();
-    let counter = |name: &str| pre.counters.get(name).copied().unwrap_or(0);
-    let saves = counter("serve.store.save") + counter("serve.store.save_error");
-    let persisted = store.list().map_err(ServeError::Prepare)?.len() as u64;
-    let shard_probe = ShardProbe {
-        shards: config.shards,
-        victim,
-        failover_shard,
-        failover_path,
-        failover_preprocess,
-        store_warm_hits: counter("serve.store.hit"),
-        duplicate_prepares: saves.saturating_sub(persisted),
-        exact: exact_before && exact_after,
-        ready_shards: router.health().ready_shards(),
-    };
-
-    let batch_probe = config
-        .batch
-        .map(|batch| run_batch_probe(batch, budget, &matrices[hot], config.k, config.seed))
-        .transpose()?;
-    let plan_store_probe = if config.plan_store.is_some() {
-        Some(run_plan_store_probe(
-            &store,
-            &matrices,
-            config.k,
-            config.seed,
-            router.telemetry(),
-        )?)
-    } else {
-        None
-    };
-    let delta_probe = config
-        .deltas
-        .then(|| run_delta_probe(&matrices, config.k, config.seed))
-        .transpose()?;
-
-    let stats = router.stats().fleet;
-    let cache = router.cache_stats();
-    let p50_ms = percentile_ms(&latencies, 0.50);
-    let p99_ms = percentile_ms(&latencies, 0.99);
-    let throughput_rps = if wall.as_secs_f64() > 0.0 {
-        latencies.len() as f64 / wall.as_secs_f64()
-    } else {
-        0.0
-    };
-
-    let telemetry = router.telemetry();
-    telemetry.gauge("bench.throughput_rps", throughput_rps);
-    telemetry.gauge("bench.p50_ms", p50_ms);
-    telemetry.gauge("bench.p99_ms", p99_ms);
-    telemetry.gauge("bench.hit_rate", cache.hit_rate());
-    telemetry.gauge("bench.shards", config.shards as f64);
-    telemetry.meta("bench.op", &config.op.to_string());
-    telemetry.meta(
-        "bench.hit_probe",
-        &format!(
-            "path={} preprocess_ns={}",
-            hit_probe.path,
-            hit_probe.preprocess.as_nanos()
-        ),
-    );
-    telemetry.meta("bench.cold_probe", &format!("path={}", cold_probe.path));
-    telemetry.meta(
-        "bench.shard_probe",
-        &format!(
-            "shards={} victim={} failover={} path={} preprocess_ns={} warm_hits={} duplicates={} ready_shards={} exact={}",
-            shard_probe.shards,
-            shard_probe.victim,
-            shard_probe.failover_shard,
-            shard_probe.failover_path,
-            shard_probe.failover_preprocess.as_nanos(),
-            shard_probe.store_warm_hits,
-            shard_probe.duplicate_prepares,
-            shard_probe.ready_shards,
-            shard_probe.exact
-        ),
-    );
-    if let Some(probe) = &batch_probe {
-        telemetry.meta(
-            "bench.batch_probe",
-            &format!(
-                "batches={} fused_requests={} exact={}",
-                probe.batches, probe.batched_requests, probe.exact
-            ),
-        );
-    }
-    if let Some(probe) = &plan_store_probe {
-        telemetry.gauge("bench.store.cold_prepare_ms", probe.cold_prepare_ms);
-        telemetry.gauge("bench.store.warm_load_ms", probe.warm_load_ms);
-        telemetry.gauge("bench.store.speedup", probe.speedup);
-        telemetry.meta(
-            "bench.plan_store_probe",
-            &format!(
-                "plans={} cold_prepare_ms={:.3} warm_load_ms={:.3} speedup={:.2} exact={}",
-                probe.plans, probe.cold_prepare_ms, probe.warm_load_ms, probe.speedup, probe.exact
-            ),
-        );
-    }
-    if let Some(probe) = &delta_probe {
-        record_delta_probe(telemetry, probe);
-    }
-    let manifest = router.manifest();
-    if ephemeral {
-        let _ = std::fs::remove_dir_all(&store_dir);
-    }
-
-    Ok(ServeBenchReport {
-        config: config.clone(),
-        corpus_size: matrices.len(),
-        wall,
-        throughput_rps,
-        p50_ms,
-        p99_ms,
-        hit_rate: cache.hit_rate(),
-        stats,
-        cache,
-        hit_probe_path: hit_probe.path,
-        hit_probe_preprocess: hit_probe.preprocess,
-        cold_probe_path: cold_probe.path,
-        batch_probe,
-        plan_store_probe,
-        shard_probe: Some(shard_probe),
+        shard_probe,
         delta_probe,
         manifest,
     })
@@ -1392,82 +925,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn zipf_schedule_is_skewed_and_in_range() {
-        let mut rng = SmallRng::seed_from_u64(7);
-        let schedule = zipf_schedule(2000, 10, 1.2, &mut rng);
-        assert!(schedule.iter().all(|&i| i < 10));
-        let head = schedule.iter().filter(|&&i| i == 0).count();
-        let tail = schedule.iter().filter(|&&i| i == 9).count();
-        assert!(
-            head > tail * 3,
-            "head {head} should dominate tail {tail} at s=1.2"
-        );
-    }
-
-    #[test]
-    fn percentiles_follow_the_nearest_rank_convention_exactly() {
-        // n = 1: every quantile is the lone sample
-        let one = [Duration::from_millis(7)];
-        for q in [0.0, 0.5, 0.99, 1.0] {
-            assert_eq!(percentile_ms(&one, q), 7.0, "q={q}");
-        }
-
-        // n = 10, samples 1..=10 ms: rank = ⌈10q⌉ clamped to [1, 10]
-        let ten: Vec<Duration> = (1..=10).map(Duration::from_millis).collect();
-        assert_eq!(percentile_ms(&ten, 0.0), 1.0);
-        assert_eq!(percentile_ms(&ten, 0.10), 1.0);
-        assert_eq!(percentile_ms(&ten, 0.50), 5.0);
-        assert_eq!(percentile_ms(&ten, 0.51), 6.0);
-        assert_eq!(percentile_ms(&ten, 0.90), 9.0);
-        assert_eq!(percentile_ms(&ten, 0.99), 10.0);
-        assert_eq!(percentile_ms(&ten, 1.0), 10.0);
-
-        // n = 100, samples 1..=100 ms: p50 is the 50th sample, p99 the
-        // 99th — the old round-based index was off by one here
-        let hundred: Vec<Duration> = (1..=100).map(Duration::from_millis).collect();
-        assert_eq!(percentile_ms(&hundred, 0.50), 50.0);
-        assert_eq!(percentile_ms(&hundred, 0.99), 99.0);
-        assert_eq!(percentile_ms(&hundred, 0.999), 100.0);
-        assert_eq!(percentile_ms(&hundred, 1.0), 100.0);
-
-        assert_eq!(percentile_ms(&[], 0.5), 0.0);
-    }
-
-    #[test]
-    fn quick_bench_run_satisfies_the_probes() {
-        let config = ServeBenchConfig {
-            requests: 24,
-            concurrency: 2,
-            workers: 2,
-            cache_capacity: 4,
-            ..ServeBenchConfig::default()
-        };
-        let report = run_serve_bench(&config).unwrap();
-        assert!(report.probes_passed(), "{}", report.render());
-        assert_eq!(report.hit_probe_preprocess, Duration::ZERO);
-        assert_eq!(report.cold_probe_path, ServePath::Fallback);
-        // counters in the manifest are the counters in the stats
-        assert_eq!(
-            report.manifest.counters["serve.cache.hit"],
-            report.cache.hits
-        );
-        assert_eq!(
-            report.manifest.counters["serve.completed"],
-            report.stats.completed
-        );
-        // every streamed request is accounted for
-        assert_eq!(
-            report.stats.submitted + report.stats.rejected,
-            // streamed requests + the three probe requests
-            (config.requests + 3) as u64
-        );
-        let rendered = report.render();
-        assert!(rendered.contains("plan cache"), "{rendered}");
-    }
-
-    #[test]
-    fn spmv_and_spgemm_streams_run_and_keep_probe_accounting() {
-        for op in [BenchOp::Spmv, BenchOp::Spgemm] {
+    fn every_op_stream_satisfies_the_probes_and_the_accounting() {
+        for op in [BenchOp::Spmm, BenchOp::Spmv, BenchOp::Spgemm] {
             let config = ServeBenchConfig {
                 requests: 16,
                 concurrency: 2,
@@ -1477,15 +936,25 @@ mod tests {
                 ..ServeBenchConfig::default()
             };
             let report = run_serve_bench(&config).unwrap();
-            assert!(report.probes_passed(), "[{op}] {}", report.render());
+            let rendered = report.render();
+            assert!(report.probes_passed(), "[{op}] {rendered}");
+            assert_eq!(report.hit_probe_preprocess, Duration::ZERO);
+            assert_eq!(report.cold_probe_path, ServePath::Fallback);
+            // every streamed request is accounted for, and the three
+            // probe requests stay SpMM whatever the stream's op
             assert_eq!(
                 report.stats.submitted + report.stats.rejected,
                 (config.requests + 3) as u64,
-                "[{op}] probes must stay SpMM so accounting is unchanged"
+                "[{op}] {rendered}"
             );
-            assert_eq!(report.stats.failed, 0, "[{op}] {}", report.render());
+            assert_eq!(report.stats.failed, 0, "[{op}] {rendered}");
+            // counters in the manifest are the counters in the stats
+            let counters = &report.manifest.counters;
+            assert_eq!(counters["serve.cache.hit"], report.cache.hits);
+            assert_eq!(counters["serve.completed"], report.stats.completed);
             assert_eq!(report.manifest.meta["bench.op"], op.to_string());
-            assert!(report.render().contains(&format!("serve-bench[{op}]")));
+            assert!(rendered.contains(&format!("serve-bench[{op}]")));
+            assert!(rendered.contains("plan cache"), "{rendered}");
         }
     }
 

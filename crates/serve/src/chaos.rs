@@ -1,7 +1,8 @@
-//! The `chaos-bench` driver: concurrent Zipf traffic through the
-//! serving engine under a scripted, seeded fault schedule.
+//! The `chaos-bench` preset of the traffic driver: concurrent Zipf
+//! traffic through the serving engine under a scripted, seeded fault
+//! schedule.
 //!
-//! Where `serve-bench` measures the happy path, this driver proves the
+//! Where `serve-bench` measures the happy path, this preset proves the
 //! resilience contracts hold *under injected failure*:
 //!
 //! * **Exactness under chaos.** Every operand is quantised to small
@@ -27,23 +28,21 @@
 //! `delay:<ms>ms` and hits `N` | `every:N` | `N..M` | `*`.
 
 use crate::batch::BatchConfig;
-use crate::bench::zipf_schedule;
+use crate::bench::verdict;
 use crate::cache::CacheStats;
-use crate::engine::{HealthSnapshot, Request, ServeConfig, ServeEngine, ServeStats};
+use crate::driver::{cover, zipf_schedule, DeltaChain, Fleet, Op, Stream};
+use crate::engine::{HealthSnapshot, ServeConfig, ServeStats};
 use crate::error::ServeError;
-use crate::fingerprint::MatrixFingerprint;
-use crate::router::{RouterConfig, ShardRouter};
 use crate::store::PlanStore;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use spmm_data::generators;
 use spmm_faults::FaultPlan;
-use spmm_kernels::{sddmm, spgemm, spmm, spmv, Engine, EngineConfig, Output};
-use spmm_sparse::{CsrMatrix, DenseMatrix, SparseError};
+use spmm_kernels::{Engine, EngineConfig, Output};
+use spmm_sparse::SparseError;
 use spmm_telemetry::RunManifest;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -79,11 +78,12 @@ pub struct ChaosBenchConfig {
     /// prove a failing disk tier degrades to live preparation without
     /// losing exactness. Default: no store.
     pub plan_store: Option<PathBuf>,
-    /// Engines behind the [`ShardRouter`]. At `1` (the default) the
-    /// stream drives a single [`ServeEngine`] exactly as before; above
-    /// it the same Zipf traffic and fault schedule flow through
-    /// rendezvous routing, and the exactness bar is unchanged — every
-    /// success must stay bit-equal whichever shard served it.
+    /// Engines behind the [`ShardRouter`](crate::ShardRouter). At `1`
+    /// (the default) the stream drives a single
+    /// [`ServeEngine`](crate::ServeEngine); above it the same Zipf
+    /// traffic and fault schedule flow through rendezvous routing, and
+    /// the exactness bar is unchanged — every success must stay
+    /// bit-equal whichever shard served it.
     pub shards: usize,
     /// Live structural deltas: a mutator thread chains
     /// [`apply_delta`](crate::PlanCache::apply_delta) epochs over the
@@ -196,11 +196,10 @@ impl ChaosBenchReport {
             self.failed,
             self.exact,
             self.ok,
-            if self.all_successes_exact() {
+            verdict(
+                self.all_successes_exact(),
                 "ok (every success bit-equal to the row-wise reference)"
-            } else {
-                "FAILED"
-            }
+            )
         ));
         out.push_str(&format!(
             "  paths: fallbacks {} (quarantined {})  worker panics {}  deadline-exceeded {}\n",
@@ -271,265 +270,15 @@ impl ChaosBenchReport {
     }
 }
 
-/// Quantises values onto the integer grid `{-8, …, 8}` so that every
-/// product and partial sum in SpMM/SpMV/SDDMM/SpGEMM is exactly
-/// representable and summation order cannot change the result.
-fn quantize(values: &mut [f64]) {
-    for v in values {
-        *v = (*v * 8.0).round().clamp(-8.0, 8.0);
-    }
-}
-
-/// Which kernel family a scheduled request exercises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ChaosOp {
-    Spmm,
-    Spmv,
-    Sddmm,
-    Spgemm,
-}
-
-struct ChaosCase {
-    matrix: Arc<CsrMatrix<f64>>,
-    x: Arc<DenseMatrix<f64>>,
-    y: Arc<DenseMatrix<f64>>,
-    /// The SpMV vector operand (quantised).
-    v: Arc<Vec<f64>>,
-    /// The sparse SpGEMM right-hand operand (quantised).
-    b: Arc<CsrMatrix<f64>>,
-    /// Sequential row-wise SpMM reference (bit-exact target).
-    spmm_ref: DenseMatrix<f64>,
-    /// Sequential row-wise SpMV reference (bit-exact target).
-    spmv_ref: Vec<f64>,
-    /// Sequential row-wise SDDMM reference (bit-exact target).
-    sddmm_ref: Vec<f64>,
-    /// Sequential Gustavson SpGEMM reference (bit-exact target).
-    spgemm_ref: CsrMatrix<f64>,
-}
-
-/// Computes the four sequential references for a (quantised) operand
-/// set and packs them into a [`ChaosCase`].
-fn make_case(
-    matrix: Arc<CsrMatrix<f64>>,
-    x: Arc<DenseMatrix<f64>>,
-    y: Arc<DenseMatrix<f64>>,
-    v: Arc<Vec<f64>>,
-    b: Arc<CsrMatrix<f64>>,
-) -> ChaosCase {
-    let spmm_ref = spmm::spmm_rowwise_seq(&matrix, &x)
-        .unwrap_or_else(|e| unreachable!("generated corpus is valid: {e}"));
-    let spmv_ref = spmv::spmv_rowwise_seq(&matrix, &v)
-        .unwrap_or_else(|e| unreachable!("generated corpus is valid: {e}"));
-    let sddmm_ref = sddmm::sddmm_rowwise_seq(&matrix, &x, &y)
-        .unwrap_or_else(|e| unreachable!("generated corpus is valid: {e}"));
-    let spgemm_ref = spgemm::spgemm_gustavson_seq(&matrix, &b)
-        .unwrap_or_else(|e| unreachable!("generated corpus is valid: {e}"));
-    ChaosCase {
-        matrix,
-        x,
-        y,
-        v,
-        b,
-        spmm_ref,
-        spmv_ref,
-        sddmm_ref,
-        spgemm_ref,
-    }
-}
-
-fn build_corpus(config: &ChaosBenchConfig) -> Vec<ChaosCase> {
-    (0..6u64)
-        .map(|i| {
-            let mut matrix = generators::uniform_random::<f64>(
-                64 + 16 * i as usize,
-                48 + 8 * i as usize,
-                4 + (i as usize % 3),
-                config.seed ^ (0xC0DE + i),
-            );
-            quantize(matrix.values_mut());
-            let mut x =
-                generators::random_dense::<f64>(matrix.ncols(), config.k, config.seed ^ (17 + i));
-            quantize(x.data_mut());
-            let mut y =
-                generators::random_dense::<f64>(matrix.nrows(), config.k, config.seed ^ (31 + i));
-            quantize(y.data_mut());
-            let mut v: Vec<f64> =
-                generators::random_dense::<f64>(matrix.ncols(), 1, config.seed ^ (47 + i))
-                    .data()
-                    .to_vec();
-            quantize(&mut v);
-            let mut b = generators::uniform_random::<f64>(
-                matrix.ncols(),
-                40 + 8 * i as usize,
-                3 + (i as usize % 2),
-                config.seed ^ (0xBEEF + i),
-            );
-            quantize(b.values_mut());
-            make_case(
-                Arc::new(matrix),
-                Arc::new(x),
-                Arc::new(y),
-                Arc::new(v),
-                Arc::new(b),
-            )
-        })
-        .collect()
-}
-
-/// Epochs the `--deltas` mutator chains over the stream. `epochs[0]`
-/// is the hottest corpus structure untouched; `deltas[e]` patches
-/// `epochs[e]` into `epochs[e + 1]`. Every epoch shares the base
-/// case's dense/vector/sparse operands (a structural delta never
-/// changes the shape), so each epoch only recomputes references.
-struct DeltaScript {
-    epochs: Vec<ChaosCase>,
-    #[allow(clippy::type_complexity)]
-    deltas: Vec<(Vec<(usize, usize, f64)>, Vec<(usize, usize)>)>,
-}
-
-/// Structural-delta epochs the mutator walks per `--deltas` run.
+/// Structural-delta epochs the `--deltas` mutator chains over the
+/// stream.
 const DELTA_EPOCHS: usize = 4;
 
-/// The deterministic delta for epoch `e`: remove one existing edge and
-/// add one previously-absent edge (integer-grid value) in a different
-/// row, so chained epochs shrink and grow rows — including emptying a
-/// one-edge row — without ever tripping the up-front delta validation.
-#[allow(clippy::type_complexity)]
-fn epoch_delta(m: &CsrMatrix<f64>, e: usize) -> (Vec<(usize, usize, f64)>, Vec<(usize, usize)>) {
-    let nrows = m.nrows();
-    let mut removed = Vec::new();
-    for off in 0..nrows {
-        let r = (e * 5 + off) % nrows;
-        let cols = m.row_cols(r);
-        if !cols.is_empty() {
-            removed.push((r, cols[e % cols.len()] as usize));
-            break;
-        }
-    }
-    let mut added = Vec::new();
-    for off in 0..nrows {
-        let r = (e * 7 + 3 + off) % nrows;
-        let cols = m.row_cols(r);
-        let fresh = (0..m.ncols() as u32)
-            .find(|c| cols.binary_search(c).is_err() && !removed.contains(&(r, *c as usize)));
-        if let Some(c) = fresh {
-            added.push((r, c as usize, ((e % 9) as f64) - 4.0));
-            break;
-        }
-    }
-    (added, removed)
-}
-
-fn build_delta_script(base: &ChaosCase) -> DeltaScript {
-    let mut epochs = vec![make_case(
-        base.matrix.clone(),
-        base.x.clone(),
-        base.y.clone(),
-        base.v.clone(),
-        base.b.clone(),
-    )];
-    let mut deltas = Vec::new();
-    for e in 0..DELTA_EPOCHS {
-        let prev = &epochs[e].matrix;
-        let (added, removed) = epoch_delta(prev, e);
-        let next = prev
-            .apply_structural_delta(&added, &removed)
-            .unwrap_or_else(|err| unreachable!("scripted delta is valid by construction: {err}"));
-        epochs.push(make_case(
-            Arc::new(next),
-            base.x.clone(),
-            base.y.clone(),
-            base.v.clone(),
-            base.b.clone(),
-        ));
-        deltas.push((added, removed));
-    }
-    DeltaScript { epochs, deltas }
-}
-
-/// The serving surface the chaos stream drives: one engine, or a
-/// rendezvous-routed fleet of them behind a [`ShardRouter`]. The
-/// delegating methods keep the stream loop and the end-of-run
-/// snapshots identical either way; the router's fleet-level merges
-/// stand in for the single engine's counters.
-enum ChaosTarget {
-    Engine(ServeEngine<f64>),
-    Router(ShardRouter<f64>),
-}
-
-impl ChaosTarget {
-    fn execute(&self, request: Request<f64>) -> Result<crate::engine::Response<f64>, ServeError> {
-        match self {
-            ChaosTarget::Engine(engine) => engine.execute(request),
-            ChaosTarget::Router(router) => router.execute(request),
-        }
-    }
-
-    fn apply_delta(
-        &self,
-        fp: &MatrixFingerprint,
-        added: &[(usize, usize, f64)],
-        removed: &[(usize, usize)],
-    ) -> Result<Option<MatrixFingerprint>, ServeError> {
-        match self {
-            ChaosTarget::Engine(engine) => engine.apply_delta(fp, added, removed),
-            ChaosTarget::Router(router) => router.apply_delta(fp, added, removed),
-        }
-    }
-
-    fn stats(&self) -> ServeStats {
-        match self {
-            ChaosTarget::Engine(engine) => engine.stats(),
-            ChaosTarget::Router(router) => router.stats().fleet,
-        }
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        match self {
-            ChaosTarget::Engine(engine) => engine.cache_stats(),
-            ChaosTarget::Router(router) => router.cache_stats(),
-        }
-    }
-
-    fn health(&self) -> HealthSnapshot {
-        match self {
-            ChaosTarget::Engine(engine) => engine.health(),
-            ChaosTarget::Router(router) => router.health().fleet().clone(),
-        }
-    }
-
-    fn telemetry(&self) -> spmm_telemetry::TelemetryHandle {
-        match self {
-            ChaosTarget::Engine(engine) => engine.telemetry().clone(),
-            ChaosTarget::Router(router) => router.telemetry().clone(),
-        }
-    }
-
-    fn manifest(&self) -> RunManifest {
-        match self {
-            ChaosTarget::Engine(engine) => engine.manifest(),
-            ChaosTarget::Router(router) => router.manifest(),
-        }
-    }
-}
-
-/// Whether a successful response is bit-equal to its reference.
-fn is_exact(case: &ChaosCase, op: ChaosOp, output: &Output<f64>) -> bool {
-    match (op, output) {
-        (ChaosOp::Spmm, Output::Dense(got)) => got.data() == case.spmm_ref.data(),
-        (ChaosOp::Spmv, Output::Vector(got)) => *got == case.spmv_ref,
-        (ChaosOp::Sddmm, Output::Values(got)) => *got == case.sddmm_ref,
-        (ChaosOp::Spgemm, Output::Sparse(got)) => {
-            got.same_structure(&case.spgemm_ref) && got.values() == case.spgemm_ref.values()
-        }
-        _ => false,
-    }
-}
-
-/// Runs the chaos workload and returns the observed report. When
-/// `config.faults` is set, the parsed [`FaultPlan`] is armed
-/// process-wide for the duration of the stream (taking the global
-/// arming lock); `None` runs clean without arming anything.
+/// Runs the chaos workload — the driver preset that adds fault arming,
+/// exact tallies and the final-epoch check — and returns the observed
+/// report. When `config.faults` is set, the parsed [`FaultPlan`] is
+/// armed process-wide for the whole run (taking the global arming
+/// lock); `None` runs clean without arming anything.
 ///
 /// The driver asserts nothing itself — the caller (the chaos suite,
 /// CI) checks [`ChaosBenchReport::all_successes_exact`] and the
@@ -540,7 +289,7 @@ fn is_exact(case: &ChaosCase, op: ChaosOp, output: &Output<f64>) -> bool {
 /// [`ServeError::Prepare`] with the parse message when `config.faults`
 /// is not valid fault-spec grammar.
 pub fn run_chaos_bench(config: &ChaosBenchConfig) -> Result<ChaosBenchReport, ServeError> {
-    let guard = match &config.faults {
+    let mut guard = match &config.faults {
         Some(spec) => Some(
             FaultPlan::parse(spec, config.seed)
                 .map_err(|msg| ServeError::Prepare(SparseError::InvalidStructure(msg)))?
@@ -548,161 +297,45 @@ pub fn run_chaos_bench(config: &ChaosBenchConfig) -> Result<ChaosBenchReport, Se
         ),
         None => None,
     };
-    let corpus = build_corpus(config);
-    let mut rng = SmallRng::seed_from_u64(config.seed);
-    let schedule = zipf_schedule(config.requests, corpus.len(), config.zipf_s, &mut rng);
-
-    let mut serve_config = ServeConfig::builder()
-        .workers(config.workers)
-        .queue_capacity(config.queue_capacity)
-        .cache_capacity(config.cache_capacity)
-        .retry_jitter_seed(config.seed);
-    if let Some(batch) = config.batch {
-        serve_config = serve_config.batching(batch);
-    }
-    if let Some(dir) = &config.plan_store {
-        let store = PlanStore::open(dir).map_err(ServeError::Prepare)?;
-        serve_config = serve_config.plan_store(Arc::new(store));
-    }
-    let serve = if config.shards > 1 {
-        ChaosTarget::Router(ShardRouter::<f64>::start(
-            RouterConfig::builder()
-                .shards(config.shards)
-                .shard(serve_config.build()?)
-                .build()?,
-        )?)
-    } else {
-        ChaosTarget::Engine(ServeEngine::<f64>::start(serve_config.build()?))
-    };
-
-    let concurrency = config.concurrency.max(1);
-    // --deltas: a scripted epoch chain over the hottest structure, a
-    // shared committed-epoch watermark the clients read, and mutator
-    // tallies. Clients always check against the epoch they *sent*, so
-    // the watermark only has to be monotonic, not synchronised with
-    // the serving side.
-    let delta_script = config.deltas.then(|| build_delta_script(&corpus[0]));
-    let committed_epoch = AtomicUsize::new(0);
-    let deltas_committed = AtomicUsize::new(0);
-    let deltas_failed = AtomicUsize::new(0);
-    let stream_start = Instant::now();
-    // (ok, failed, exact) per client, summed after the stream drains
-    let tallies: Vec<(usize, usize, usize)> = std::thread::scope(|scope| {
-        if let Some(script) = &delta_script {
-            let serve = &serve;
-            let committed_epoch = &committed_epoch;
-            let deltas_committed = &deltas_committed;
-            let deltas_failed = &deltas_failed;
-            scope.spawn(move || {
-                for (e, (added, removed)) in script.deltas.iter().enumerate() {
-                    let fp = MatrixFingerprint::of(&script.epochs[e].matrix);
-                    let mut attempts = 0;
-                    loop {
-                        attempts += 1;
-                        match serve.apply_delta(&fp, added, removed) {
-                            Ok(Some(_)) => {
-                                committed_epoch.store(e + 1, Ordering::Release);
-                                deltas_committed.fetch_add(1, Ordering::Relaxed);
-                                break;
-                            }
-                            Ok(None) => {
-                                // the epoch's plan is not resident (cold
-                                // start or evicted): drive one request
-                                // through the serving path to prepare
-                                // it, then retry the delta
-                                let epoch = &script.epochs[e];
-                                let _ = serve
-                                    .execute(Request::spmm(epoch.matrix.clone(), epoch.x.clone()));
-                            }
-                            Err(_) => {
-                                // injected or real — the old epoch must
-                                // still serve, which the concurrent
-                                // clients are verifying right now
-                                deltas_failed.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        if attempts >= 32 {
-                            // a persistent fault schedule (e.g. `@*`)
-                            // can legitimately pin the fleet on the old
-                            // epoch; report honestly and stop mutating
-                            return;
-                        }
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    // let some client traffic land on the new epoch
-                    // before chaining the next delta on top of it
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-            });
-        }
-        let handles: Vec<_> = (0..concurrency)
-            .map(|client| {
-                let serve = &serve;
-                let schedule = &schedule;
-                let corpus = &corpus;
-                let delta_script = &delta_script;
-                let committed_epoch = &committed_epoch;
-                scope.spawn(move || {
-                    let (mut ok, mut failed, mut exact) = (0, 0, 0);
-                    for (idx, &mi) in schedule
-                        .iter()
-                        .enumerate()
-                        .filter(|(idx, _)| idx % concurrency == client)
-                    {
-                        let case = match (mi, delta_script) {
-                            // the mutating structure: send the latest
-                            // committed epoch and check against *its*
-                            // reference — whatever the mutator does
-                            // next, this structure's plan must answer
-                            // for this structure
-                            (0, Some(script)) => {
-                                &script.epochs[committed_epoch.load(Ordering::Acquire)]
-                            }
-                            _ => &corpus[mi],
-                        };
-                        // round-robin over the four kernel families so
-                        // every path sees the fault schedule
-                        let op = match idx % 4 {
-                            1 => ChaosOp::Spmv,
-                            2 => ChaosOp::Spgemm,
-                            3 => ChaosOp::Sddmm,
-                            _ => ChaosOp::Spmm,
-                        };
-                        let request = match op {
-                            ChaosOp::Spmm => Request::spmm(case.matrix.clone(), case.x.clone()),
-                            ChaosOp::Spmv => Request::spmv(case.matrix.clone(), case.v.clone()),
-                            ChaosOp::Sddmm => {
-                                Request::sddmm(case.matrix.clone(), case.x.clone(), case.y.clone())
-                            }
-                            ChaosOp::Spgemm => Request::spgemm(case.matrix.clone(), case.b.clone()),
-                        };
-                        match serve.execute(request) {
-                            Ok(resp) => {
-                                ok += 1;
-                                if is_exact(case, op, &resp.output) {
-                                    exact += 1;
-                                }
-                            }
-                            Err(_) => failed += 1,
-                        }
-                    }
-                    (ok, failed, exact)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // a panicked client (which would itself be a bug) counts
-            // nothing; the totals then fail all_successes_exact
-            .map(|h| h.join().unwrap_or((0, 0, 0)))
-            .collect()
+    let matrices = (0..6usize).map(|i| {
+        let seed = config.seed ^ (0xC0DE + i as u64);
+        generators::uniform_random::<f64>(64 + 16 * i, 48 + 8 * i, 4 + i % 3, seed)
     });
+    let cases = cover(matrices, config.k, config.seed, true);
+    let mut rng = SmallRng::seed_from_u64(config.seed);
+    let schedule = zipf_schedule(config.requests, cases.len(), config.zipf_s, &mut rng);
+    let store = match &config.plan_store {
+        Some(dir) => Some(Arc::new(PlanStore::open(dir).map_err(ServeError::Prepare)?)),
+        None => None,
+    };
+    let target = Fleet {
+        shards: config.shards,
+        workers: config.workers,
+        queue_capacity: config.queue_capacity,
+        cache_capacity: config.cache_capacity,
+        preprocess_budget: ServeConfig::default().preprocess_budget,
+        seed: config.seed,
+        batch: config.batch,
+        store,
+    }
+    .start::<f64>()?;
+    let chain = config
+        .deltas
+        .then(|| DeltaChain::new(&cases[0], DELTA_EPOCHS));
+    let stream = Stream {
+        cases: &cases,
+        schedule: &schedule,
+        // round-robin over the four kernel families so every path sees
+        // the fault schedule
+        mix: &[Op::Spmm, Op::Spmv, Op::Spgemm, Op::Sddmm],
+        deadline: None,
+        concurrency: config.concurrency,
+        deltas: chain.as_ref(),
+    };
+    let stream_start = Instant::now();
+    let tally = stream.run(&target, 0..schedule.len());
     let wall = stream_start.elapsed();
-    let (ok, failed, exact) = tallies
-        .iter()
-        .fold((0, 0, 0), |(a, b, c), (x, y, z)| (a + x, b + y, c + z));
 
-    // disarm before snapshotting so the health probe runs clean
     let fault_hits: BTreeMap<String, u64> = match (&guard, &config.faults) {
         (Some(guard), Some(spec)) => FaultPlan::parse(spec, config.seed)
             .map(|plan| {
@@ -714,83 +347,71 @@ pub fn run_chaos_bench(config: &ChaosBenchConfig) -> Result<ChaosBenchReport, Se
             .unwrap_or_default(),
         _ => BTreeMap::new(),
     };
+    // Disarm for the epilogue and the snapshots, but hold the arming
+    // permit until the epilogue is done: its requests and its prepare
+    // must not fire a plan another test arms in the meantime.
+    if let Some(guard) = &mut guard {
+        guard.disarm();
+    }
+
+    // --deltas epilogue, run clean: the final committed epoch's plan is
+    // the product of every chained incremental patch that landed. It
+    // must serve all four kernel families bit-equal to the sequential
+    // references, and SpMM must also match a from-scratch prepare over
+    // the final structure bit for bit.
+    let final_epoch_exact = chain.as_ref().map(|chain| {
+        let case = chain.current();
+        let served = [Op::Spmm, Op::Spmv, Op::Sddmm, Op::Spgemm]
+            .into_iter()
+            .all(|op| {
+                target
+                    .execute(case.request(op))
+                    .is_ok_and(|resp| case.is_exact(op, &resp.output))
+            });
+        served
+            && Engine::prepare(&case.matrix, &EngineConfig::default())
+                .and_then(|fresh| fresh.spmm(&case.x))
+                .is_ok_and(|out| case.is_exact(Op::Spmm, &Output::Dense(out)))
+    });
     drop(guard);
 
-    // --deltas epilogue, run clean (faults disarmed): the final
-    // committed epoch's plan is the product of every chained
-    // incremental patch that landed — it must serve all four kernel
-    // families bit-equal to the sequential references, and SpMM must
-    // additionally match a from-scratch prepare over the final
-    // structure bit-for-bit.
-    let final_epoch_exact = delta_script.as_ref().map(|script| {
-        let case = &script.epochs[committed_epoch.load(Ordering::Acquire)];
-        let mut all_exact = true;
-        for op in [
-            ChaosOp::Spmm,
-            ChaosOp::Spmv,
-            ChaosOp::Sddmm,
-            ChaosOp::Spgemm,
-        ] {
-            let request = match op {
-                ChaosOp::Spmm => Request::spmm(case.matrix.clone(), case.x.clone()),
-                ChaosOp::Spmv => Request::spmv(case.matrix.clone(), case.v.clone()),
-                ChaosOp::Sddmm => {
-                    Request::sddmm(case.matrix.clone(), case.x.clone(), case.y.clone())
-                }
-                ChaosOp::Spgemm => Request::spgemm(case.matrix.clone(), case.b.clone()),
-            };
-            match serve.execute(request) {
-                Ok(resp) => all_exact &= is_exact(case, op, &resp.output),
-                Err(_) => all_exact = false,
-            }
-        }
-        all_exact &= Engine::prepare(&case.matrix, &EngineConfig::default())
-            .and_then(|fresh| fresh.spmm(&case.x))
-            .map(|out| out.data() == case.spmm_ref.data())
-            .unwrap_or(false);
-        all_exact
-    });
-
-    let stats = serve.stats();
-    let cache = serve.cache_stats();
-    let health = serve.health();
-    let telemetry = serve.telemetry();
-    telemetry.gauge("chaos.ok", ok as f64);
-    telemetry.gauge("chaos.failed", failed as f64);
-    telemetry.gauge("chaos.exact", exact as f64);
+    let stats = target.stats();
+    let cache = target.cache_stats();
+    let health = target.health();
+    let telemetry = target.telemetry();
+    telemetry.gauge("chaos.ok", tally.ok as f64);
+    telemetry.gauge("chaos.failed", tally.failed as f64);
+    telemetry.gauge("chaos.exact", tally.exact as f64);
     if config.shards > 1 {
         telemetry.gauge("chaos.shards", config.shards as f64);
     }
+    let (deltas_committed, deltas_failed) = chain
+        .as_ref()
+        .map_or((0, 0), |c| (c.committed(), c.failed()));
     if config.deltas {
-        telemetry.gauge(
-            "chaos.deltas_committed",
-            deltas_committed.load(Ordering::Relaxed) as f64,
-        );
-        telemetry.gauge(
-            "chaos.deltas_failed",
-            deltas_failed.load(Ordering::Relaxed) as f64,
-        );
+        telemetry.gauge("chaos.deltas_committed", deltas_committed as f64);
+        telemetry.gauge("chaos.deltas_failed", deltas_failed as f64);
     }
     telemetry.meta("chaos.seed", &config.seed.to_string());
     if let Some(spec) = &config.faults {
         telemetry.meta("chaos.faults", spec);
     }
-    let manifest = serve.manifest();
+    let manifest = target.manifest();
 
     Ok(ChaosBenchReport {
         config: config.clone(),
-        corpus_size: corpus.len(),
+        corpus_size: cases.len(),
         wall,
-        ok,
-        failed,
-        exact,
+        ok: tally.ok,
+        failed: tally.failed,
+        exact: tally.exact,
         fault_hits,
         stats,
         cache,
         health,
         manifest,
-        deltas_committed: deltas_committed.load(Ordering::Relaxed),
-        deltas_failed: deltas_failed.load(Ordering::Relaxed),
+        deltas_committed,
+        deltas_failed,
         final_epoch_exact,
     })
 }
@@ -798,37 +419,6 @@ pub fn run_chaos_bench(config: &ChaosBenchConfig) -> Result<ChaosBenchReport, Se
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn quantize_lands_on_the_integer_grid() {
-        let mut values = vec![0.13, -0.99, 0.51, 1.7, -3.0];
-        quantize(&mut values);
-        for v in &values {
-            assert_eq!(v.fract(), 0.0, "{v} is not an integer");
-            assert!((-8.0..=8.0).contains(v));
-        }
-    }
-
-    #[test]
-    fn corpus_references_are_self_consistent() {
-        let config = ChaosBenchConfig::default();
-        let corpus = build_corpus(&config);
-        assert_eq!(corpus.len(), 6);
-        for case in &corpus {
-            // the references were computed from quantised operands, so
-            // recomputing them must be bit-identical (determinism)
-            let again = spmm::spmm_rowwise_seq(&case.matrix, &case.x).unwrap();
-            assert_eq!(again.data(), case.spmm_ref.data());
-            let v_again = spmv::spmv_rowwise_seq(&case.matrix, &case.v).unwrap();
-            assert_eq!(v_again, case.spmv_ref);
-            let c_again = spgemm::spgemm_gustavson_seq(&case.matrix, &case.b).unwrap();
-            assert!(c_again.same_structure(&case.spgemm_ref));
-            assert_eq!(c_again.values(), case.spgemm_ref.values());
-            assert!(case.matrix.values().iter().all(|v| v.fract() == 0.0));
-            assert!(case.b.values().iter().all(|v| v.fract() == 0.0));
-            assert!(case.v.iter().all(|v| v.fract() == 0.0));
-        }
-    }
 
     #[test]
     fn bad_fault_spec_is_a_prepare_error_not_a_panic() {
@@ -839,32 +429,6 @@ mod tests {
         let err = run_chaos_bench(&config).unwrap_err();
         assert!(matches!(err, ServeError::Prepare(_)), "{err:?}");
         assert!(err.to_string().contains("frobnicate"), "{err}");
-    }
-
-    #[test]
-    fn delta_script_chains_valid_epochs() {
-        let config = ChaosBenchConfig::default();
-        let corpus = build_corpus(&config);
-        let script = build_delta_script(&corpus[0]);
-        assert_eq!(script.epochs.len(), DELTA_EPOCHS + 1);
-        assert_eq!(script.deltas.len(), DELTA_EPOCHS);
-        for e in 0..DELTA_EPOCHS {
-            let (added, removed) = &script.deltas[e];
-            assert!(!added.is_empty() && !removed.is_empty());
-            // added values stay on the integer grid (bit-exactness)
-            assert!(added.iter().all(|&(_, _, v)| v.fract() == 0.0));
-            // replaying the scripted delta reproduces the next epoch
-            let next = script.epochs[e]
-                .matrix
-                .apply_structural_delta(added, removed)
-                .unwrap();
-            assert!(next.same_structure(&script.epochs[e + 1].matrix));
-            assert_eq!(next.values(), script.epochs[e + 1].matrix.values());
-            // a structural delta never changes the shape, so the base
-            // case's operands stay valid for every epoch
-            assert_eq!(next.nrows(), corpus[0].matrix.nrows());
-            assert_eq!(next.ncols(), corpus[0].matrix.ncols());
-        }
     }
 
     // Clean and faulted end-to-end runs live in tests/chaos.rs, where

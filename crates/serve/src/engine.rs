@@ -17,9 +17,7 @@
 //!   blocking on preprocessing it cannot afford. Correct results,
 //!   degraded throughput — never a missed answer.
 
-use crate::batch::{
-    fuse_operands, slice_columns, BatchConfig, BatchScheduler, Collected, FusedBatch,
-};
+use crate::batch::{fusable_width, fuse_operands, slice_member, BatchConfig, BatchScheduler};
 use crate::cache::{CacheStats, PlanCache, PlanCacheConfig};
 use crate::error::ServeError;
 use crate::fingerprint::MatrixFingerprint;
@@ -34,7 +32,7 @@ use spmm_telemetry::{Collector, FanoutRecorder, Recorder, RunManifest, Telemetry
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -662,6 +660,62 @@ pub(crate) struct Job<T> {
     pub(crate) request: Request<T>,
     pub(crate) enqueued: Instant,
     pub(crate) reply: mpsc::Sender<Result<Response<T>, ServeError>>,
+    /// The matrix's fingerprint, computed at most once per job: filled
+    /// in at submission when the caller already hashed the matrix (the
+    /// router does), otherwise on first use.
+    fingerprint: OnceLock<MatrixFingerprint>,
+}
+
+impl<T: Scalar> Job<T> {
+    pub(crate) fn new(
+        request: Request<T>,
+        reply: mpsc::Sender<Result<Response<T>, ServeError>>,
+        fingerprint: Option<MatrixFingerprint>,
+    ) -> Self {
+        Job {
+            request,
+            enqueued: Instant::now(),
+            reply,
+            fingerprint: fingerprint.map(OnceLock::from).unwrap_or_default(),
+        }
+    }
+
+    pub(crate) fn fingerprint(&self) -> MatrixFingerprint {
+        *self
+            .fingerprint
+            .get_or_init(|| MatrixFingerprint::of(&self.request.matrix))
+    }
+}
+
+/// What the plan-acquisition ladder resolved for one structure.
+struct Plan<T> {
+    /// The prepared plan, or `None` for the row-wise fallback.
+    engine: Option<Arc<Engine<T>>>,
+    path: ServePath,
+    /// Preprocessing this acquisition paid (nonzero only when fresh).
+    preprocess: Duration,
+    /// The fallback is due to a quarantined (poisoned) fingerprint.
+    quarantined: bool,
+}
+
+impl<T> Plan<T> {
+    fn cached(engine: Arc<Engine<T>>) -> Self {
+        Plan {
+            engine: Some(engine),
+            path: ServePath::CachedPlan,
+            preprocess: Duration::ZERO,
+            quarantined: false,
+        }
+    }
+
+    fn fallback(quarantined: bool) -> Self {
+        Plan {
+            engine: None,
+            path: ServePath::Fallback,
+            preprocess: Duration::ZERO,
+            quarantined,
+        }
+    }
 }
 
 struct Inner<T> {
@@ -704,284 +758,187 @@ impl<T: Scalar> Inner<T> {
         self.telemetry.counter(name, 1);
     }
 
-    fn execute_on(&self, engine: &Engine<T>, op: &RequestOp<T>) -> Result<Output<T>, ServeError> {
-        let result = match op {
-            RequestOp::Spmm { x } => engine.execute(KernelOp::Spmm { x }),
-            RequestOp::Spmv { x } => engine.execute(KernelOp::Spmv { x: x.as_slice() }),
-            RequestOp::Sddmm { x, y } => engine.execute(KernelOp::Sddmm { x, y }),
-            RequestOp::Spgemm { b } => engine.execute(KernelOp::Spgemm { b }),
-        };
-        result.map_err(ServeError::Execute)
-    }
-
-    fn execute_fallback(
+    /// The plan-acquisition ladder every request goes through. With a
+    /// tight deadline (`remaining` within the preprocessing budget) only
+    /// a resident plan is used and a miss degrades to the fallback: a
+    /// cold request must not start, or wait on, a prepare it cannot
+    /// afford. Otherwise the cache prepares the plan, or waits for the
+    /// one in flight. A fingerprint that cannot get a plan right now —
+    /// quarantined as poisoned, behind an open breaker or inside a
+    /// backoff window — is still served exactly by the row-wise
+    /// fallback, provided the matrix itself is sound. Only an actual
+    /// prepare attempt's error reaches the client.
+    fn acquire_plan(
         &self,
-        m: &CsrMatrix<T>,
-        op: &RequestOp<T>,
-    ) -> Result<Output<T>, ServeError> {
-        let result = match op {
-            RequestOp::Spmm { x } => spmm::spmm_rowwise_par(m, x).map(Output::Dense),
-            RequestOp::Spmv { x } => spmv::spmv_rowwise_par(m, x).map(Output::Vector),
-            RequestOp::Sddmm { x, y } => sddmm::sddmm_rowwise_par(m, x, y).map(Output::Values),
-            RequestOp::Spgemm { b } => spgemm::spgemm_gustavson_par(m, b).map(Output::Sparse),
-        };
-        result.map_err(ServeError::Execute)
-    }
-
-    /// Serves one admitted job end to end.
-    fn process(&self, job: &Job<T>) -> Result<Response<T>, ServeError> {
-        FAULT_SERVE_WORKER
-            .fire()
-            .map_err(|e| ServeError::Execute(SparseError::InvalidStructure(e.to_string())))?;
-        let request = &job.request;
-        let queue_wait = job.enqueued.elapsed();
-        if let Some(deadline) = request.deadline {
-            if queue_wait >= deadline {
-                self.count(&self.deadline_exceeded, "serve.deadline_exceeded");
-                return Err(ServeError::DeadlineExceeded { waited: queue_wait });
-            }
-        }
-        let remaining = request.deadline.map(|d| d.saturating_sub(queue_wait));
-        // a cold request with no room left for preprocessing must not
-        // start (or wait on) a prepare it cannot afford
-        let tight = remaining.is_some_and(|r| r <= self.preprocess_budget);
-        let fp = MatrixFingerprint::of(&request.matrix);
-
-        let (engine, path, preprocess) = if tight {
-            match self.cache.try_get(&fp) {
-                Some(engine) => (Some(engine), ServePath::CachedPlan, Duration::ZERO),
-                None => (None, ServePath::Fallback, Duration::ZERO),
-            }
-        } else {
-            match self
+        fp: MatrixFingerprint,
+        matrix: &CsrMatrix<T>,
+        remaining: Option<Duration>,
+    ) -> Result<Plan<T>, ServeError> {
+        if remaining.is_some_and(|r| r <= self.preprocess_budget) {
+            return Ok(self
                 .cache
-                .get_or_prepare(fp, || Engine::prepare(&request.matrix, &self.engine_config))
-            {
-                Ok((engine, fresh)) => {
-                    if fresh {
-                        let preprocess = engine.preprocessing_time();
-                        (Some(engine), ServePath::FreshPlan, preprocess)
-                    } else {
-                        (Some(engine), ServePath::CachedPlan, Duration::ZERO)
-                    }
+                .try_get(&fp)
+                .map_or_else(|| Plan::fallback(false), Plan::cached));
+        }
+        match self
+            .cache
+            .get_or_prepare(fp, || Engine::prepare(matrix, &self.engine_config))
+        {
+            Ok((engine, true)) => Ok(Plan {
+                preprocess: engine.preprocessing_time(),
+                engine: Some(engine),
+                path: ServePath::FreshPlan,
+                quarantined: false,
+            }),
+            Ok((engine, false)) => Ok(Plan::cached(engine)),
+            Err(
+                err @ (ServeError::PoisonedPlan
+                | ServeError::BreakerOpen { .. }
+                | ServeError::RetryBackoff { .. }),
+            ) => {
+                if matrix.check_invariants().is_err() {
+                    return Err(err);
                 }
-                // The degradation ladder: a fingerprint that cannot get
-                // a tiled plan right now — quarantined as poisoned, or
-                // behind an open breaker / backoff window — is still
-                // served exactly by the row-wise baseline, provided the
-                // matrix itself is sound. Only an actual prepare
-                // attempt's error propagates to the client.
-                Err(
-                    err @ (ServeError::PoisonedPlan
-                    | ServeError::BreakerOpen { .. }
-                    | ServeError::RetryBackoff { .. }),
-                ) => {
-                    if request.matrix.check_invariants().is_err() {
-                        return Err(err);
-                    }
-                    if matches!(err, ServeError::PoisonedPlan) {
-                        self.count(&self.quarantined, "serve.quarantined");
-                    }
-                    (None, ServePath::Fallback, Duration::ZERO)
-                }
-                Err(err) => return Err(err),
+                Ok(Plan::fallback(matches!(err, ServeError::PoisonedPlan)))
             }
-        };
-
-        let service_start = Instant::now();
-        let output = match &engine {
-            Some(engine) => self.execute_on(engine, &request.op)?,
-            None => {
-                self.count(&self.fallbacks, "serve.fallback");
-                self.execute_fallback(&request.matrix, &request.op)?
-            }
-        };
-        Ok(Response {
-            output,
-            path,
-            queue_wait,
-            preprocess,
-            service: service_start.elapsed(),
-        })
+            Err(err) => Err(err),
+        }
     }
 
-    /// Serves a fused batch end to end, returning one result per
-    /// member (in member order). The shared pass is exact: SpMM never
-    /// mixes columns, so each member's slice of the fused output is
-    /// bit-identical to the solo answer on the same service path.
-    fn process_batch(&self, batch: &FusedBatch<T>) -> Vec<Result<Response<T>, ServeError>> {
-        let n = batch.members.len();
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.telemetry.counter("serve.batch.batches", 1);
-        self.batched_requests.fetch_add(n as u64, Ordering::Relaxed);
-        self.telemetry
-            .counter("serve.batch.fused_requests", n as u64);
-        self.telemetry
-            .counter("serve.batch.fused_cols", batch.total_k as u64);
-
-        // the worker fault point fires once per kernel pass — a fused
-        // pass fails (or panics) as a unit, exactly like a solo one
-        if let Err(e) = FAULT_SERVE_WORKER
-            .fire()
-            .map_err(|e| ServeError::Execute(SparseError::InvalidStructure(e.to_string())))
-        {
-            return batch.members.iter().map(|_| Err(e.clone())).collect();
-        }
-
-        let mut results: Vec<Option<Result<Response<T>, ServeError>>> = Vec::new();
-        results.resize_with(n, || None);
-        let queue_waits: Vec<Duration> = batch
-            .members
-            .iter()
-            .map(|m| m.job.enqueued.elapsed())
-            .collect();
-        // members whose deadline elapsed while queued are answered
-        // individually; the survivors share the fused pass
-        let mut live: Vec<usize> = Vec::with_capacity(n);
-        for (idx, member) in batch.members.iter().enumerate() {
-            if let Some(deadline) = member.job.request.deadline {
-                if queue_waits[idx] >= deadline {
-                    self.count(&self.deadline_exceeded, "serve.deadline_exceeded");
-                    results[idx] = Some(Err(ServeError::DeadlineExceeded {
-                        waited: queue_waits[idx],
-                    }));
-                    continue;
+    /// Runs the live jobs of a group on one plan: a single job runs its
+    /// own op's kernel; two or more (SpMM/SpMV over one structure) run
+    /// one fused k-blocked pass. SpMM never mixes columns, so each
+    /// member's slice of the fused output is bit-identical to its solo
+    /// answer on the same service path.
+    fn execute_group(
+        &self,
+        engine: Option<&Engine<T>>,
+        jobs: &[&Job<T>],
+    ) -> Result<Vec<Output<T>>, ServeError> {
+        if let [job] = jobs {
+            let (m, op) = (&job.request.matrix, &job.request.op);
+            let output = match (engine, op) {
+                (Some(e), RequestOp::Spmm { x }) => e.execute(KernelOp::Spmm { x }),
+                (Some(e), RequestOp::Spmv { x }) => e.execute(KernelOp::Spmv { x }),
+                (Some(e), RequestOp::Sddmm { x, y }) => e.execute(KernelOp::Sddmm { x, y }),
+                (Some(e), RequestOp::Spgemm { b }) => e.execute(KernelOp::Spgemm { b }),
+                (None, RequestOp::Spmm { x }) => spmm::spmm_rowwise_par(m, x).map(Output::Dense),
+                (None, RequestOp::Spmv { x }) => spmv::spmv_rowwise_par(m, x).map(Output::Vector),
+                (None, RequestOp::Sddmm { x, y }) => {
+                    sddmm::sddmm_rowwise_par(m, x, y).map(Output::Values)
                 }
-            }
-            live.push(idx);
-        }
-
-        if !live.is_empty() {
-            // the batch's remaining slack is its tightest member's;
-            // plan acquisition follows the same ladder as `process`
-            let remaining = live
-                .iter()
-                .filter_map(|&i| {
-                    batch.members[i]
-                        .job
-                        .request
-                        .deadline
-                        .map(|d| d.saturating_sub(queue_waits[i]))
-                })
-                .min();
-            let tight = remaining.is_some_and(|r| r <= self.preprocess_budget);
-            let head = &batch.members[live[0]].job.request;
-            let fp = MatrixFingerprint::of(&head.matrix);
-            let resolved = if tight {
-                Ok(match self.cache.try_get(&fp) {
-                    Some(engine) => (Some(engine), ServePath::CachedPlan, Duration::ZERO),
-                    None => (None, ServePath::Fallback, Duration::ZERO),
-                })
-            } else {
-                match self
-                    .cache
-                    .get_or_prepare(fp, || Engine::prepare(&head.matrix, &self.engine_config))
-                {
-                    Ok((engine, fresh)) => Ok(if fresh {
-                        let preprocess = engine.preprocessing_time();
-                        (Some(engine), ServePath::FreshPlan, preprocess)
-                    } else {
-                        (Some(engine), ServePath::CachedPlan, Duration::ZERO)
-                    }),
-                    Err(
-                        err @ (ServeError::PoisonedPlan
-                        | ServeError::BreakerOpen { .. }
-                        | ServeError::RetryBackoff { .. }),
-                    ) => {
-                        if head.matrix.check_invariants().is_err() {
-                            Err(err)
-                        } else {
-                            if matches!(err, ServeError::PoisonedPlan) {
-                                for _ in &live {
-                                    self.count(&self.quarantined, "serve.quarantined");
-                                }
-                            }
-                            Ok((None, ServePath::Fallback, Duration::ZERO))
-                        }
-                    }
-                    Err(err) => Err(err),
+                (None, RequestOp::Spgemm { b }) => {
+                    spgemm::spgemm_gustavson_par(m, b).map(Output::Sparse)
                 }
             };
-            match resolved {
-                Err(err) => {
-                    for &i in &live {
-                        results[i] = Some(Err(err.clone()));
+            return output.map(|o| vec![o]).map_err(ServeError::Execute);
+        }
+        let (fused, offsets) = fuse_operands(jobs);
+        let k_block = self
+            .batch
+            .as_ref()
+            .map_or_else(|| BatchConfig::default().k_block, |s| s.config().k_block);
+        let output = match engine {
+            // the plan's microkernel width, when it chose one, overrides
+            // the configured block so the fused pass hits those bodies
+            Some(e) => e.execute(KernelOp::SpmmKBlocked {
+                x: &fused,
+                k_block: e.micro_width().unwrap_or(k_block),
+            }),
+            None => spmm_rowwise_kblocked_auto(&jobs[0].request.matrix, &fused, k_block)
+                .map(Output::Dense),
+        };
+        let Output::Dense(y) = output.map_err(ServeError::Execute)? else {
+            return Err(ServeError::Execute(SparseError::InvalidStructure(
+                "fused SpMM produced a non-dense output".into(),
+            )));
+        };
+        Ok(jobs
+            .iter()
+            .zip(offsets)
+            .map(|(job, offset)| slice_member(&y, offset, &job.request.op))
+            .collect())
+    }
+
+    /// Serves a group of jobs over one structure — a lone job, or jobs
+    /// the batch scheduler fused — returning one result per job, in
+    /// order. Jobs whose deadline passed in the queue are answered
+    /// first; the rest share one [`acquire_plan`](Self::acquire_plan)
+    /// under the tightest remaining deadline among them.
+    fn serve_group(&self, jobs: &[Job<T>]) -> Vec<Result<Response<T>, ServeError>> {
+        if jobs.len() > 1 {
+            let cols: usize = jobs.iter().map(|j| fusable_width(&j.request.op)).sum();
+            self.batches.fetch_add(1, Ordering::Relaxed);
+            self.telemetry.counter("serve.batch.batches", 1);
+            self.batched_requests
+                .fetch_add(jobs.len() as u64, Ordering::Relaxed);
+            self.telemetry
+                .counter("serve.batch.fused_requests", jobs.len() as u64);
+            self.telemetry
+                .counter("serve.batch.fused_cols", cols as u64);
+        }
+        // the worker fault point fires once per kernel pass: a fused
+        // pass fails (or panics) as a unit, exactly like a solo one
+        if let Err(e) = FAULT_SERVE_WORKER.fire() {
+            let err = ServeError::Execute(SparseError::InvalidStructure(e.to_string()));
+            return jobs.iter().map(|_| Err(err.clone())).collect();
+        }
+        let waits: Vec<Duration> = jobs.iter().map(|j| j.enqueued.elapsed()).collect();
+        let mut live = Vec::with_capacity(jobs.len());
+        let mut results = Vec::with_capacity(jobs.len());
+        for (i, (job, &waited)) in jobs.iter().zip(&waits).enumerate() {
+            if job.request.deadline.is_some_and(|d| waited >= d) {
+                self.count(&self.deadline_exceeded, "serve.deadline_exceeded");
+                results.push(Err(ServeError::DeadlineExceeded { waited }));
+            } else {
+                live.push(i);
+                // replaced below, once the live jobs are served
+                results.push(Err(ServeError::WorkerPanicked));
+            }
+        }
+        let Some(&head) = live.first() else {
+            return results;
+        };
+        let remaining = live
+            .iter()
+            .filter_map(|&i| jobs[i].request.deadline.map(|d| d.saturating_sub(waits[i])))
+            .min();
+        let head = &jobs[head];
+        let served = self
+            .acquire_plan(head.fingerprint(), &head.request.matrix, remaining)
+            .and_then(|plan| {
+                for _ in &live {
+                    if plan.quarantined {
+                        self.count(&self.quarantined, "serve.quarantined");
+                    }
+                    if plan.engine.is_none() {
+                        self.count(&self.fallbacks, "serve.fallback");
                     }
                 }
-                Ok((engine, path, preprocess)) => {
-                    let live_members: Vec<&crate::batch::BatchMember<T>> =
-                        live.iter().map(|&i| &batch.members[i]).collect();
-                    let (fused, offsets) = fuse_operands(&live_members);
-                    let k_block = self
-                        .batch
-                        .as_ref()
-                        .map_or_else(|| BatchConfig::default().k_block, |s| s.config().k_block);
-                    let service_start = Instant::now();
-                    let outcome = match &engine {
-                        Some(engine) => {
-                            // the plan's microkernel selection, when it
-                            // made one, overrides the configured block
-                            // width so the fused pass hits the
-                            // specialized bodies
-                            let k_block = engine.micro_width().unwrap_or(k_block);
-                            engine
-                                .execute(KernelOp::SpmmKBlocked { x: &fused, k_block })
-                                .map_err(ServeError::Execute)
-                        }
-                        None => {
-                            for _ in &live {
-                                self.count(&self.fallbacks, "serve.fallback");
-                            }
-                            spmm_rowwise_kblocked_auto(&head.matrix, &fused, k_block)
-                                .map(Output::Dense)
-                                .map_err(ServeError::Execute)
-                        }
-                    };
-                    let service = service_start.elapsed();
-                    match outcome {
-                        Err(err) => {
-                            for &i in &live {
-                                results[i] = Some(Err(err.clone()));
-                            }
-                        }
-                        Ok(Output::Dense(y)) => {
-                            for ((member, &i), &off) in live_members.iter().zip(&live).zip(&offsets)
-                            {
-                                let slice = slice_columns(&y, off, member.k);
-                                // an SpMV member gets its answer back in
-                                // its own shape: the one-column slice as
-                                // a flat vector
-                                let output = if member.vector {
-                                    Output::Vector(slice.data().to_vec())
-                                } else {
-                                    Output::Dense(slice)
-                                };
-                                results[i] = Some(Ok(Response {
-                                    output,
-                                    path,
-                                    queue_wait: queue_waits[i],
-                                    preprocess,
-                                    service,
-                                }));
-                            }
-                        }
-                        Ok(_) => {
-                            let err = ServeError::Execute(SparseError::InvalidStructure(
-                                "fused SpMM produced a non-dense output".into(),
-                            ));
-                            for &i in &live {
-                                results[i] = Some(Err(err.clone()));
-                            }
-                        }
-                    }
+                let members: Vec<&Job<T>> = live.iter().map(|&i| &jobs[i]).collect();
+                let start = Instant::now();
+                let outputs = self.execute_group(plan.engine.as_deref(), &members)?;
+                Ok((plan, outputs, start.elapsed()))
+            });
+        match served {
+            Ok((plan, outputs, service)) => {
+                for (&i, output) in live.iter().zip(outputs) {
+                    results[i] = Ok(Response {
+                        output,
+                        path: plan.path,
+                        queue_wait: waits[i],
+                        preprocess: plan.preprocess,
+                        service,
+                    });
+                }
+            }
+            Err(err) => {
+                for &i in &live {
+                    results[i] = Err(err.clone());
                 }
             }
         }
-
         results
-            .into_iter()
-            .map(|r| r.unwrap_or(Err(ServeError::WorkerPanicked)))
-            .collect()
     }
 
     fn worker_loop(&self) {
@@ -1006,65 +963,36 @@ impl<T: Scalar> Inner<T> {
                 }
             };
             let Some(job) = job else { return };
-            // SpMM and SpMV both fuse (an SpMV member joins as a
-            // one-column operand); SDDMM/SpGEMM are always solo
-            let batchable = matches!(
-                job.request.op,
-                RequestOp::Spmm { .. } | RequestOp::Spmv { .. }
-            );
-            let collected = match &self.batch {
-                Some(sched) if batchable => {
+            let group = match &self.batch {
+                Some(sched) => {
                     let mut queue = lock_clean(&self.queue);
-                    let (collected, skipped) = sched.collect(job, &mut queue);
+                    let (group, skipped) = sched.collect(job, &mut queue);
                     drop(queue);
                     if skipped > 0 {
                         self.batch_deadline_skips
                             .fetch_add(skipped, Ordering::Relaxed);
                         self.telemetry.counter("serve.batch.deadline_skip", skipped);
                     }
-                    collected
+                    group
                 }
-                _ => Collected::Single(job),
+                None => vec![job],
             };
-            match collected {
-                Collected::Single(job) => {
-                    // a panicking kernel (or prepare) must not take the
-                    // worker down with it — the requester sees
-                    // WorkerPanicked instead
-                    let result = match catch_unwind(AssertUnwindSafe(|| self.process(&job))) {
-                        Ok(result) => result,
-                        Err(_) => {
-                            self.count(&self.worker_panics, "serve.worker.panic");
-                            Err(ServeError::WorkerPanicked)
-                        }
-                    };
-                    match &result {
-                        Ok(_) => self.count(&self.completed, "serve.completed"),
-                        Err(_) => self.count(&self.failed, "serve.failed"),
-                    }
-                    let _ = job.reply.send(result);
+            // a panicking kernel (or prepare) must not take the worker
+            // down with it: every member sees WorkerPanicked instead
+            let results = catch_unwind(AssertUnwindSafe(|| self.serve_group(&group)))
+                .unwrap_or_else(|_| {
+                    self.count(&self.worker_panics, "serve.worker.panic");
+                    group
+                        .iter()
+                        .map(|_| Err(ServeError::WorkerPanicked))
+                        .collect()
+                });
+            for (job, result) in group.iter().zip(results) {
+                match &result {
+                    Ok(_) => self.count(&self.completed, "serve.completed"),
+                    Err(_) => self.count(&self.failed, "serve.failed"),
                 }
-                Collected::Fused(batch) => {
-                    let results =
-                        match catch_unwind(AssertUnwindSafe(|| self.process_batch(&batch))) {
-                            Ok(results) => results,
-                            Err(_) => {
-                                self.count(&self.worker_panics, "serve.worker.panic");
-                                batch
-                                    .members
-                                    .iter()
-                                    .map(|_| Err(ServeError::WorkerPanicked))
-                                    .collect()
-                            }
-                        };
-                    for (member, result) in batch.members.iter().zip(results) {
-                        match &result {
-                            Ok(_) => self.count(&self.completed, "serve.completed"),
-                            Err(_) => self.count(&self.failed, "serve.failed"),
-                        }
-                        let _ = member.job.reply.send(result);
-                    }
-                }
+                let _ = job.reply.send(result);
             }
         }
     }
@@ -1204,6 +1132,17 @@ impl<T: Scalar> ServeEngine<T> {
     /// [`ServeError::Overloaded`] when the queue is at capacity or the
     /// engine is shutting down — the request was never enqueued.
     pub fn submit(&self, request: Request<T>) -> Result<Ticket<T>, ServeError> {
+        self.submit_fingerprinted(request, None)
+    }
+
+    /// [`submit`](Self::submit) for a caller that already hashed the
+    /// request's matrix: the job carries `fingerprint` instead of
+    /// recomputing it.
+    pub(crate) fn submit_fingerprinted(
+        &self,
+        request: Request<T>,
+        fingerprint: Option<MatrixFingerprint>,
+    ) -> Result<Ticket<T>, ServeError> {
         let (tx, rx) = mpsc::channel();
         {
             let mut queue = lock_clean(&self.inner.queue);
@@ -1218,11 +1157,7 @@ impl<T: Scalar> ServeEngine<T> {
                     queue_capacity: self.inner.queue_capacity,
                 });
             }
-            queue.push_back(Job {
-                request,
-                enqueued: Instant::now(),
-                reply: tx,
-            });
+            queue.push_back(Job::new(request, tx, fingerprint));
         }
         self.inner.count(&self.inner.submitted, "serve.submitted");
         self.inner.available.notify_one();
@@ -1440,29 +1375,6 @@ mod tests {
     }
 
     #[test]
-    fn cold_then_warm_spmm_paths() {
-        let serve = small_serve(2, 16);
-        let m = generators::uniform_random::<f64>(128, 128, 6, 3);
-        let x = generators::random_dense::<f64>(m.ncols(), 8, 5);
-        let expected = spmm::spmm_rowwise_seq(&m, &x).unwrap();
-
-        let cold = serve.execute(Request::spmm(m.clone(), x.clone())).unwrap();
-        assert_eq!(cold.path, ServePath::FreshPlan);
-        assert!(cold.preprocess > Duration::ZERO);
-
-        let warm = serve.execute(Request::spmm(m, x)).unwrap();
-        assert_eq!(warm.path, ServePath::CachedPlan);
-        assert_eq!(warm.preprocess, Duration::ZERO);
-        let got = warm.output.into_dense().unwrap();
-        assert!(expected.max_abs_diff(&got) < 1e-10);
-
-        let stats = serve.stats();
-        assert_eq!(stats.completed, 2);
-        assert_eq!(stats.fallbacks, 0);
-        assert_eq!(serve.cache_stats().hits, 1);
-    }
-
-    #[test]
     fn sddmm_requests_are_served() {
         let serve = small_serve(2, 16);
         let m = generators::uniform_random::<f64>(96, 80, 5, 9);
@@ -1477,6 +1389,44 @@ mod tests {
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max);
         assert!(diff < 1e-10, "SDDMM deviates by {diff}");
+    }
+
+    #[test]
+    fn sddmm_with_a_y_of_the_wrong_height_is_an_execute_error() {
+        // a plan that reorders rows, so Y goes through the row gather
+        let aspt = spmm_aspt::AsptConfig {
+            panel_height: 16,
+            min_col_nnz: 2,
+            tile_width: 32,
+        };
+        let reorder = spmm_reorder::ReorderConfig::builder().aspt(aspt).build();
+        let config = ServeConfig::builder().workers(1);
+        let serve = ServeEngine::<f64>::start(
+            config
+                .engine(EngineConfig::builder().reorder(reorder).build())
+                .build()
+                .unwrap(),
+        );
+        let m = generators::shuffled_block_diagonal::<f64>(64, 16, 48, 16, 7);
+        let fp = MatrixFingerprint::of(&m);
+        let x = generators::random_dense::<f64>(m.ncols(), 4, 1);
+        // the first request runs on a fresh plan, the second on the cached one
+        for rows in [m.nrows() - 1, m.nrows() + 1] {
+            let y = generators::random_dense::<f64>(rows, 4, 2);
+            let err = serve
+                .execute(Request::sddmm(m.clone(), x.clone(), y))
+                .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ServeError::Execute(SparseError::DimensionMismatch { .. })
+                ),
+                "{rows} rows: {err:?}"
+            );
+            let plan = serve.cache().try_get(&fp).unwrap();
+            assert!(!plan.plan().row_perm.is_identity(), "needs the gather");
+        }
+        assert_eq!(serve.health().worker_panics, 0);
     }
 
     #[test]
@@ -1608,6 +1558,7 @@ mod tests {
                 .build()
                 .unwrap(),
         );
+        assert_eq!(spmm_resp.path, ServePath::CachedPlan);
         let spmm_ref = solo.execute(Request::spmm(m.clone(), x.clone())).unwrap();
         assert_eq!(
             spmm_ref.output.into_dense().unwrap().data(),
@@ -1626,57 +1577,203 @@ mod tests {
         assert!(stats.batches >= 1, "requests never fused: {stats:?}");
         assert!(stats.batched_requests >= 2);
         assert_eq!(stats.failed, 0);
+        let manifest = batched.manifest();
+        assert_eq!(manifest.counters["serve.batch.batches"], stats.batches);
+        assert_eq!(
+            manifest.counters["serve.batch.fused_requests"],
+            stats.batched_requests
+        );
     }
 
-    #[test]
-    fn tight_deadline_cold_miss_degrades_to_fallback() {
-        let serve = small_serve(1, 16);
-        let m = generators::uniform_random::<f64>(128, 128, 6, 11);
-        let x = generators::random_dense::<f64>(m.ncols(), 8, 7);
-        let expected = spmm::spmm_rowwise_seq(&m, &x).unwrap();
+    /// Puts a fresh engine's cache into one ladder state and returns the
+    /// matrix the request carries.
+    type LadderSetup = fn(&ServeEngine<f64>, &spmm_faults::ManualClock) -> Arc<CsrMatrix<f64>>;
 
-        // deadline == budget ⇒ remaining ≤ budget always: the tight
-        // path is taken deterministically, and the cache is cold
-        let deadline = serve.inner.preprocess_budget;
-        let resp = serve
-            .execute(Request::spmm(m.clone(), x.clone()).deadline(deadline))
-            .unwrap();
-        assert_eq!(resp.path, ServePath::Fallback);
-        assert_eq!(resp.preprocess, Duration::ZERO);
-        let got = resp.output.into_dense().unwrap();
-        assert!(expected.max_abs_diff(&got) < 1e-10);
-        assert_eq!(serve.stats().fallbacks, 1);
-        // the fallback did not populate the cache
-        assert_eq!(serve.cache_stats().inserts, 0);
+    fn ladder_matrix() -> Arc<CsrMatrix<f64>> {
+        Arc::new(generators::uniform_random::<f64>(96, 96, 5, 61))
     }
 
+    fn malformed_matrix() -> Arc<CsrMatrix<f64>> {
+        // a decreasing rowptr: Engine::prepare and check_invariants reject it
+        let mut rowptr = vec![0usize; 97];
+        rowptr[1] = 1;
+        Arc::new(CsrMatrix::from_parts_unchecked(
+            96,
+            96,
+            rowptr,
+            vec![0],
+            vec![1.0],
+        ))
+    }
+
+    fn fail_prepare(serve: &ServeEngine<f64>, m: &CsrMatrix<f64>) {
+        let injected = || Err(SparseError::InvalidStructure("injected".into()));
+        let _ = serve
+            .cache()
+            .get_or_prepare(MatrixFingerprint::of(m), injected);
+    }
+
+    fn outcome(result: &Result<Response<f64>, ServeError>) -> String {
+        match result {
+            Ok(resp) => resp.path.to_string(),
+            Err(ServeError::Prepare(_)) => "prepare error".into(),
+            Err(ServeError::RetryBackoff { .. }) => "retry-backoff error".into(),
+            Err(ServeError::DeadlineExceeded { .. }) => "deadline error".into(),
+            Err(other) => format!("{other:?}"),
+        }
+    }
+
+    /// The guarantee the single ladder exists for: every rung answers a
+    /// lone job and each member of a fused pair identically — same path
+    /// or error, same per-member fallback, quarantine and deadline
+    /// counts, and bit-identical outputs.
     #[test]
-    fn overload_rejects_with_queue_snapshot() {
-        // one worker, queue of one: rapid submissions must trip
-        // admission control
-        let serve = small_serve(1, 1);
-        let m = Arc::new(generators::uniform_random::<f64>(512, 512, 24, 3));
-        let x = Arc::new(generators::random_dense::<f64>(m.ncols(), 32, 5));
-        let mut tickets = Vec::new();
-        let mut rejected = 0;
-        for _ in 0..20 {
-            match serve.submit(Request::spmm(m.clone(), x.clone())) {
-                Ok(t) => tickets.push(t),
-                Err(ServeError::Overloaded { queue_capacity, .. }) => {
-                    assert_eq!(queue_capacity, 1);
-                    rejected += 1;
+    fn ladder_serves_a_solo_job_and_a_fused_pair_alike() {
+        // no other test's fault plan may fire inside these prepares
+        let _quiet = spmm_faults::quiesce();
+        let budget = Duration::from_secs(60);
+        let cases: [(&str, LadderSetup, Option<Duration>, &str); 8] = [
+            (
+                "tight deadline, resident plan",
+                |serve, _| {
+                    let m = ladder_matrix();
+                    let x = generators::random_dense::<f64>(96, 4, 1);
+                    serve.execute(Request::spmm(m.clone(), x)).unwrap();
+                    m
+                },
+                Some(budget),
+                "cached-plan",
+            ),
+            (
+                "tight deadline, cold plan",
+                |_, _| ladder_matrix(),
+                Some(budget),
+                "fallback",
+            ),
+            (
+                "poisoned slot",
+                |serve, _| {
+                    let m = ladder_matrix();
+                    let fp = MatrixFingerprint::of(&m);
+                    let poisoner = std::thread::spawn({
+                        let cache = serve.inner.clone();
+                        move || {
+                            cache
+                                .cache
+                                .get_or_prepare(fp, || panic!("injected prepare panic"))
+                        }
+                    });
+                    assert!(poisoner.join().is_err());
+                    m
+                },
+                None,
+                "fallback",
+            ),
+            (
+                "open breaker",
+                |serve, clock| {
+                    let m = ladder_matrix();
+                    fail_prepare(serve, &m);
+                    clock.advance(Duration::from_secs(5));
+                    fail_prepare(serve, &m);
+                    assert_eq!(serve.health().open_breakers, 1);
+                    m
+                },
+                None,
+                "fallback",
+            ),
+            (
+                "retry backoff",
+                |serve, _| {
+                    let m = ladder_matrix();
+                    fail_prepare(serve, &m);
+                    m
+                },
+                None,
+                "fallback",
+            ),
+            (
+                "malformed matrix behind a backoff window",
+                |serve, _| {
+                    let m = malformed_matrix();
+                    fail_prepare(serve, &m);
+                    m
+                },
+                None,
+                "retry-backoff error",
+            ),
+            (
+                "prepare error",
+                |_, _| malformed_matrix(),
+                None,
+                "prepare error",
+            ),
+            (
+                "expired in the queue",
+                |_, _| ladder_matrix(),
+                Some(Duration::ZERO),
+                "deadline error",
+            ),
+        ];
+        for (name, setup, deadline, expected) in cases {
+            let mut runs = Vec::new();
+            for members in [1usize, 2] {
+                let (clock, manual) = ClockHandle::manual();
+                let serve = ServeEngine::<f64>::start(
+                    ServeConfig::builder()
+                        .workers(1)
+                        .preprocess_budget(budget)
+                        .breaker_threshold(2)
+                        .clock(clock)
+                        .batching(BatchConfig::default())
+                        .build()
+                        .unwrap(),
+                );
+                let m = setup(&serve, &manual);
+                let before = serve.stats();
+                let (jobs, _replies): (Vec<Job<f64>>, Vec<_>) = (0..members)
+                    .map(|i| {
+                        let x = generators::random_dense::<f64>(m.ncols(), 4, 7 + i as u64);
+                        let mut request = Request::spmm(m.clone(), x);
+                        if let Some(d) = deadline {
+                            request = request.deadline(d);
+                        }
+                        let (tx, rx) = mpsc::channel();
+                        (Job::new(request, tx, None), rx)
+                    })
+                    .unzip();
+                let results = serve.inner.serve_group(&jobs);
+                let after = serve.stats();
+                let delta = |f: fn(&ServeStats) -> u64| f(&after) - f(&before);
+                let counts = [
+                    ServeStats::fallbacks,
+                    ServeStats::quarantined,
+                    ServeStats::deadline_exceeded,
+                ]
+                .map(delta);
+                for r in &results {
+                    assert_eq!(outcome(r), expected, "{name}, {members} member(s)");
                 }
-                Err(other) => panic!("unexpected error: {other}"),
+                runs.push((results, counts));
+            }
+            let (solo, fused) = (&runs[0], &runs[1]);
+            assert_eq!(
+                solo.1.map(|c| 2 * c),
+                fused.1,
+                "{name}: per-member counts differ"
+            );
+            if let Ok(answer) = &solo.0[0] {
+                let solo_out = answer.output.clone().into_dense().unwrap();
+                let fused_out = fused.0[0]
+                    .as_ref()
+                    .unwrap()
+                    .output
+                    .clone()
+                    .into_dense()
+                    .unwrap();
+                assert_eq!(solo_out.data(), fused_out.data(), "{name}: outputs differ");
             }
         }
-        assert!(rejected > 0, "20 rapid submissions never overloaded q=1");
-        for t in tickets {
-            t.wait().unwrap();
-        }
-        let stats = serve.stats();
-        assert_eq!(stats.rejected, rejected);
-        assert_eq!(stats.submitted + stats.rejected, 20);
-        assert_eq!(stats.completed, stats.submitted);
     }
 
     #[test]
@@ -1693,43 +1790,6 @@ mod tests {
             serve.submit(Request::spmm(m, x)),
             Err(ServeError::Overloaded { .. })
         ));
-    }
-
-    #[test]
-    fn poisoned_fingerprint_is_quarantined_and_served_by_fallback() {
-        let serve = small_serve(2, 16);
-        let m = generators::uniform_random::<f64>(128, 128, 6, 33);
-        let x = generators::random_dense::<f64>(m.ncols(), 8, 5);
-        let expected = spmm::spmm_rowwise_seq(&m, &x).unwrap();
-        let fp = MatrixFingerprint::of(&m);
-
-        // poison the fingerprint's slot exactly like a mid-prepare panic
-        std::thread::scope(|scope| {
-            let poisoner = scope.spawn(|| {
-                let _ = serve
-                    .cache()
-                    .get_or_prepare(fp, || panic!("injected prepare panic"));
-            });
-            assert!(poisoner.join().is_err(), "panic must propagate");
-        });
-        assert_eq!(serve.cache().poisoned_len(), 1);
-
-        // the quarantined structure is served exactly, by fallback
-        for _ in 0..2 {
-            let resp = serve.execute(Request::spmm(m.clone(), x.clone())).unwrap();
-            assert_eq!(resp.path, ServePath::Fallback);
-            let got = resp.output.into_dense().unwrap();
-            assert_eq!(expected.data(), got.data(), "fallback must stay exact");
-        }
-        let stats = serve.stats();
-        assert_eq!(stats.quarantined, 2);
-        assert_eq!(stats.fallbacks, 2);
-        assert_eq!(stats.failed, 0, "quarantine must not surface errors");
-
-        // clear_poisoned recovers the fingerprint for tiled serving
-        assert_eq!(serve.cache().clear_poisoned(), 1);
-        let resp = serve.execute(Request::spmm(m, x)).unwrap();
-        assert_eq!(resp.path, ServePath::FreshPlan);
     }
 
     #[test]
@@ -1767,69 +1827,6 @@ mod tests {
         drop(tx);
         let ticket = Ticket { rx };
         assert_eq!(ticket.wait().unwrap_err(), ServeError::WorkerPanicked);
-    }
-
-    #[test]
-    fn fused_spmm_batches_are_exact_and_counted() {
-        let m = Arc::new(generators::uniform_random::<f64>(128, 128, 6, 77));
-        let xs: Vec<Arc<DenseMatrix<f64>>> = (0..3)
-            .map(|s| Arc::new(generators::random_dense(128, 8, s)))
-            .collect();
-        let decoy_m = Arc::new(generators::uniform_random::<f64>(512, 512, 24, 101));
-        let decoy_x = Arc::new(generators::random_dense::<f64>(512, 4, 9));
-
-        let batched = ServeEngine::start(
-            ServeConfig::builder()
-                .workers(1)
-                .queue_capacity(32)
-                .batching(BatchConfig::default())
-                .build()
-                .unwrap(),
-        );
-        // warm the shared structure so the fused pass runs on a cached
-        // plan, then pin the single worker on a cold decoy while the
-        // hot requests pile up behind it and fuse
-        batched
-            .execute(Request::spmm(m.clone(), xs[0].clone()))
-            .unwrap();
-        let decoy = batched.submit(Request::spmm(decoy_m, decoy_x)).unwrap();
-        let tickets: Vec<_> = xs
-            .iter()
-            .map(|x| batched.submit(Request::spmm(m.clone(), x.clone())).unwrap())
-            .collect();
-        decoy.wait().unwrap();
-        let responses: Vec<Response<f64>> =
-            tickets.into_iter().map(|t| t.wait().unwrap()).collect();
-
-        // an identically configured engine without batching is the
-        // unbatched reference: both serve from a cached ASpT plan, so
-        // the fused slices must match it bit for bit
-        let solo = ServeEngine::start(
-            ServeConfig::builder()
-                .workers(1)
-                .queue_capacity(32)
-                .build()
-                .unwrap(),
-        );
-        for (x, resp) in xs.iter().zip(&responses) {
-            let reference = solo.execute(Request::spmm(m.clone(), x.clone())).unwrap();
-            assert_eq!(
-                reference.output.clone().into_dense().unwrap().data(),
-                resp.output.clone().into_dense().unwrap().data(),
-                "fused slice must be bit-identical to the unbatched answer"
-            );
-            assert_eq!(resp.path, ServePath::CachedPlan);
-        }
-        let stats = batched.stats();
-        assert!(stats.batches >= 1, "requests never fused: {stats:?}");
-        assert!(stats.batched_requests >= 2);
-        assert_eq!(stats.failed, 0);
-        let manifest = batched.manifest();
-        assert_eq!(manifest.counters["serve.batch.batches"], stats.batches);
-        assert_eq!(
-            manifest.counters["serve.batch.fused_requests"],
-            stats.batched_requests
-        );
     }
 
     #[test]
@@ -1890,24 +1887,5 @@ mod tests {
             "warm-loaded plan must answer bit-identically"
         );
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn manifest_counters_match_stats() {
-        let serve = small_serve(2, 16);
-        let m = generators::uniform_random::<f64>(96, 96, 5, 21);
-        let x = generators::random_dense::<f64>(m.ncols(), 8, 4);
-        for _ in 0..3 {
-            serve.execute(Request::spmm(m.clone(), x.clone())).unwrap();
-        }
-        let manifest = serve.manifest();
-        let stats = serve.stats();
-        let cache = serve.cache_stats();
-        assert_eq!(manifest.counters["serve.submitted"], stats.submitted);
-        assert_eq!(manifest.counters["serve.completed"], stats.completed);
-        assert_eq!(manifest.counters["serve.cache.hit"], cache.hits);
-        assert_eq!(manifest.counters["serve.cache.miss"], cache.misses);
-        assert_eq!(cache.hits, 2);
-        assert_eq!(cache.misses, 1);
     }
 }

@@ -34,9 +34,12 @@
 //!   [`PlanStore`] tier, fleet-level stats/health aggregation and
 //!   failover that warm-loads plans from the store instead of
 //!   re-preparing (see the [`router`] module docs).
-//! * [`run_serve_bench`] — the `serve-bench` workload driver: Zipf
-//!   matrix popularity over the generator corpus, concurrent clients,
-//!   and deterministic hit/cold probes for the caching contract.
+//! * [`run_serve_bench`] and [`run_chaos_bench`] — the `serve-bench`
+//!   and `chaos-bench` presets of one traffic driver: Zipf matrix
+//!   popularity over a corpus with quantised operands, concurrent
+//!   clients against one engine or a sharded fleet, deterministic
+//!   probes for the caching contract (serve-bench) and fault schedules
+//!   with bit-exact tallies (chaos-bench).
 //!
 //! ```
 //! use spmm_data::generators;
@@ -59,6 +62,7 @@ pub mod batch;
 pub mod bench;
 pub mod cache;
 pub mod chaos;
+mod driver;
 pub mod engine;
 pub mod error;
 pub mod fingerprint;

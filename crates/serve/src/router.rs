@@ -446,7 +446,7 @@ impl<T: Scalar> ShardRouter<T> {
                 self.failovers.fetch_add(1, Ordering::Relaxed);
                 self.telemetry.counter("serve.router.failover", 1);
             }
-            return self.shards[idx].submit(request);
+            return self.shards[idx].submit_fingerprinted(request, Some(fp));
         }
         self.no_ready_shard.fetch_add(1, Ordering::Relaxed);
         self.telemetry.counter("serve.router.no_ready_shard", 1);

@@ -76,6 +76,8 @@ fn cold_miss_under_deadline_completes_via_rowwise_fallback() {
     );
     assert_eq!(engine.stats().fallbacks, 1);
     assert_eq!(engine.manifest().counters["serve.fallback"], 1);
+    // the fallback did not populate the cache
+    assert_eq!(engine.cache_stats().inserts, 0);
 }
 
 #[test]
@@ -89,7 +91,16 @@ fn admission_control_sheds_load_with_overloaded() {
         match engine.submit(Request::spmm(m.clone(), x.clone())) {
             Ok(t) => accepted.push(t),
             Err(e) => {
-                assert!(matches!(e, ServeError::Overloaded { .. }), "{e}");
+                assert!(
+                    matches!(
+                        e,
+                        ServeError::Overloaded {
+                            queue_capacity: 1,
+                            ..
+                        }
+                    ),
+                    "{e}"
+                );
                 rejections += 1;
             }
         }
@@ -101,6 +112,7 @@ fn admission_control_sheds_load_with_overloaded() {
     let stats = engine.stats();
     assert_eq!(stats.rejected, rejections);
     assert_eq!(stats.submitted + stats.rejected, 24);
+    assert_eq!(stats.completed, stats.submitted);
 }
 
 #[test]

@@ -11,6 +11,7 @@ use std::path::PathBuf;
 /// Usage text shared by `main` and error paths.
 pub const USAGE: &str = "\
 usage:
+  spmm-rr help | --help | -h
   spmm-rr analyze  <matrix.mtx> [--k N] [--device p100|v100]
   spmm-rr profile  <matrix.mtx> [--k N] [--device p100|v100] [--json]
   spmm-rr reorder  <in.mtx> --out <out.mtx> [--order <order.txt>]
@@ -25,7 +26,7 @@ usage:
   spmm-rr serve-bench [--requests N] [--concurrency N] [--workers N]
                       [--cache N] [--zipf S] [--seed N] [--k N] [--json]
                       [--op spmm|spmv|spgemm] [--batch]
-                      [--max-batch-k N] [--k-block N] [--plan-store DIR]
+                      [--max-batch-k N] [--plan-store DIR]
                       [--shards N] [--deltas]
   spmm-rr chaos-bench [--requests N] [--concurrency N] [--workers N]
                       [--cache N] [--zipf S] [--seed N] [--k N] [--json]
@@ -65,7 +66,6 @@ fn flag_spec(cmd: &str) -> Option<&'static [FlagSpec]> {
             ("json", false),
             ("batch", false),
             ("max-batch-k", true),
-            ("k-block", true),
             ("plan-store", true),
             ("shards", true),
             ("deltas", false),
@@ -92,6 +92,8 @@ fn flag_spec(cmd: &str) -> Option<&'static [FlagSpec]> {
 /// A parsed command-line invocation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Invocation {
+    /// `help`, `--help` or `-h`: print [`USAGE`].
+    Help,
     /// `analyze <path> [--k N] [--device D]`
     Analyze {
         /// Matrix Market input path.
@@ -221,6 +223,9 @@ impl Invocation {
     pub fn parse(args: &[String]) -> Result<Self, String> {
         let mut it = args.iter();
         let cmd = it.next().ok_or("missing command")?;
+        if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+            return Ok(Invocation::Help);
+        }
         let spec = flag_spec(cmd).ok_or_else(|| format!("unknown command '{cmd}'"))?;
         let mut positional: Vec<String> = Vec::new();
         let mut flags: std::collections::HashMap<String, String> = std::collections::HashMap::new();
@@ -389,28 +394,13 @@ impl Invocation {
                 if let Some(v) = flags.get("op") {
                     config.op = v.parse().map_err(|e| format!("bad --op value: {e}"))?;
                 }
-                let batching = flags.contains_key("batch")
-                    || flags.contains_key("max-batch-k")
-                    || flags.contains_key("k-block");
-                if batching {
+                if flags.contains_key("batch") || flags.contains_key("max-batch-k") {
                     let mut batch = BatchConfig::default();
                     if let Some(v) = flags.get("max-batch-k") {
                         batch = batch.max_batch_k(
                             v.parse()
                                 .map_err(|_| format!("bad --max-batch-k value '{v}'"))?,
                         );
-                    }
-                    if let Some(v) = flags.get("k-block") {
-                        let kb: usize = v
-                            .parse()
-                            .map_err(|_| format!("bad --k-block value '{v}'"))?;
-                        if kb == 0 {
-                            return Err(
-                                "bad --k-block value '0' (need a block of at least one column)"
-                                    .into(),
-                            );
-                        }
-                        batch = batch.k_block(kb);
                     }
                     config.batch = Some(batch);
                 }
@@ -501,6 +491,7 @@ pub fn generate_matrix(class: &str, scale: usize, seed: u64) -> Result<CsrMatrix
 /// Executes an invocation, returning the textual report.
 pub fn run(inv: &Invocation) -> Result<String, String> {
     match inv {
+        Invocation::Help => Ok(USAGE.to_string()),
         Invocation::Analyze { path, k, device } => {
             let m: CsrMatrix<f32> =
                 mm_io::read_matrix_market_file(path).map_err(|e| e.to_string())?;
@@ -1121,6 +1112,17 @@ mod tests {
     }
 
     #[test]
+    fn parse_help() {
+        for arg in ["help", "--help", "-h"] {
+            let inv = Invocation::parse(&s(&[arg])).unwrap();
+            assert_eq!(inv, Invocation::Help, "{arg}");
+            assert_eq!(run(&inv).unwrap(), USAGE);
+        }
+        // a subcommand's --help is still an unknown flag
+        assert!(Invocation::parse(&s(&["analyze", "--help"])).is_err());
+    }
+
+    #[test]
     fn parse_profile() {
         let inv = Invocation::parse(&s(&["profile", "m.mtx", "--k", "64", "--json"])).unwrap();
         assert_eq!(
@@ -1246,20 +1248,11 @@ mod tests {
             }
             other => panic!("wrong invocation: {other:?}"),
         }
-        // value flags imply batching and override the defaults
-        match Invocation::parse(&s(&[
-            "serve-bench",
-            "--max-batch-k",
-            "96",
-            "--k-block",
-            "24",
-        ]))
-        .unwrap()
-        {
+        // the value flag implies batching and overrides the default
+        match Invocation::parse(&s(&["serve-bench", "--max-batch-k", "96"])).unwrap() {
             Invocation::ServeBench { config, .. } => {
                 let batch = config.batch.expect("value flags imply batching");
                 assert_eq!(batch.max_batch_k, 96);
-                assert_eq!(batch.k_block, 24);
             }
             other => panic!("wrong invocation: {other:?}"),
         }
@@ -1269,12 +1262,9 @@ mod tests {
             other => panic!("wrong invocation: {other:?}"),
         }
         assert!(Invocation::parse(&s(&["serve-bench", "--max-batch-k", "x"])).is_err());
-        assert!(Invocation::parse(&s(&["serve-bench", "--k-block"])).is_err());
-        // a zero-width block is a targeted parse error, not a panic or
-        // a silent clamp to 1
-        let err = Invocation::parse(&s(&["serve-bench", "--k-block", "0"])).unwrap_err();
-        assert!(err.contains("--k-block"), "{err}");
-        assert!(err.contains("at least one column"), "{err}");
+        // the block width is the plan's microkernel width, not a flag
+        let err = Invocation::parse(&s(&["serve-bench", "--k-block", "32"])).unwrap_err();
+        assert!(err.contains("unknown flag --k-block"), "{err}");
         // chaos-bench takes the boolean flag only
         match Invocation::parse(&s(&["chaos-bench", "--batch"])).unwrap() {
             Invocation::ChaosBench { config, .. } => {

@@ -1,6 +1,7 @@
 //! `spmm-rr` — command-line front end for the ASpT-RR pipeline.
 //!
 //! ```text
+//! spmm-rr help | --help | -h
 //! spmm-rr analyze  <matrix.mtx> [--k N] [--device p100|v100]
 //! spmm-rr profile  <matrix.mtx> [--k N] [--device p100|v100] [--json]
 //! spmm-rr reorder  <in.mtx> --out <out.mtx> [--order <order.txt>]

@@ -105,15 +105,15 @@ pub mod prelude {
     pub use spmm_kernels::sddmm::{sddmm_rowwise_par, sddmm_rowwise_seq};
     pub use spmm_kernels::spgemm::{spgemm_clustered, spgemm_gustavson_par, spgemm_gustavson_seq};
     pub use spmm_kernels::spmm::{
-        spmm_aspt, spmm_aspt_kblocked, spmm_rowwise_kblocked, spmm_rowwise_par, spmm_rowwise_seq,
+        spmm_aspt, spmm_aspt_kblocked, spmm_rowwise_par, spmm_rowwise_seq,
     };
     pub use spmm_kernels::spmv::{spmv_aspt, spmv_rowwise_par, spmv_rowwise_seq};
     pub use spmm_kernels::{
         choose_format, choose_variant, choose_variant_for_op, choose_variant_spgemm,
-        micro_width_for, spmm_aspt_kblocked_auto, spmm_rowwise_kblocked_auto, tuned_engine,
-        tuned_execute, Engine, EngineConfig, EngineConfigBuilder, FormatChoice, FormatPayload,
-        FormatTrialReport, Kernel, KernelOp, Output, PrepareReport, TrialReport, Variant,
-        FORMAT_SELECTION_K_CAP, MICRO_WIDTHS,
+        micro_width_for, spmm_aspt_kblocked_auto, tuned_engine, tuned_execute, Engine,
+        EngineConfig, EngineConfigBuilder, FormatChoice, FormatPayload, FormatTrialReport, Kernel,
+        KernelOp, Output, PrepareReport, TrialReport, Variant, FORMAT_SELECTION_K_CAP,
+        MICRO_WIDTHS,
     };
     pub use spmm_lsh::LshConfig;
     pub use spmm_reorder::{

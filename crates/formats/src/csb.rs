@@ -390,54 +390,6 @@ impl<T: Scalar> CsbMatrix<T> {
         Ok(y)
     }
 
-    /// Column-blocked block-row-parallel SpMM for fused multi-RHS
-    /// operands (the batched serve path): each block row sweeps the
-    /// operand in `k_block`-column passes. Per output element the
-    /// accumulation order is identical to [`CsbMatrix::spmm_seq`], so
-    /// results are bit-identical to the unblocked kernels.
-    pub fn spmm_kblocked(
-        &self,
-        x: &DenseMatrix<T>,
-        k_block: usize,
-    ) -> Result<DenseMatrix<T>, SparseError> {
-        self.check_dims(x)?;
-        let k = x.ncols();
-        let kb = k_block.clamp(1, k.max(1));
-        let mut y = DenseMatrix::zeros(self.nrows, k);
-        let mut chunks: Vec<&mut [T]> = Vec::with_capacity(self.nblock_rows);
-        let mut rest: &mut [T] = y.data_mut();
-        for br in 0..self.nblock_rows {
-            let rows = (br * self.beta + self.beta).min(self.nrows) - br * self.beta;
-            let (head, tail) = rest.split_at_mut(rows * k);
-            chunks.push(head);
-            rest = tail;
-        }
-        (0..self.nblock_rows)
-            .into_par_iter()
-            .zip(chunks)
-            .for_each(|(br, y_chunk)| {
-                let mut j0 = 0usize;
-                while j0 < k {
-                    let j1 = (j0 + kb).min(k);
-                    for b in self.blockptr[br]..self.blockptr[br + 1] {
-                        let col_base = self.block_col[b] as usize * self.beta;
-                        for e in self.entryptr[b]..self.entryptr[b + 1] {
-                            let r = self.rel_row[e] as usize;
-                            let c = col_base + self.rel_col[e] as usize;
-                            let v = self.values[e];
-                            let y_row = &mut y_chunk[r * k + j0..r * k + j1];
-                            let x_row = &x.row(c)[j0..j1];
-                            for (yj, &xj) in y_row.iter_mut().zip(x_row) {
-                                *yj = v.mul_add(xj, *yj);
-                            }
-                        }
-                    }
-                    j0 = j1;
-                }
-            });
-        Ok(y)
-    }
-
     fn check_dims(&self, x: &DenseMatrix<T>) -> Result<(), SparseError> {
         if self.ncols != x.nrows() {
             return Err(SparseError::DimensionMismatch {

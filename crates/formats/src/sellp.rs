@@ -408,59 +408,6 @@ impl<T: Scalar> SellPMatrix<T> {
         Ok(y)
     }
 
-    /// Column-blocked slice-parallel SpMM for fused multi-RHS operands
-    /// (the batched serve path): each slice sweeps the operand in
-    /// `k_block`-column passes. Per output element the accumulation
-    /// order is slot-ascending exactly as in [`SellPMatrix::spmm_seq`],
-    /// so results are bit-identical to the unblocked kernels.
-    pub fn spmm_kblocked(
-        &self,
-        x: &DenseMatrix<T>,
-        k_block: usize,
-    ) -> Result<DenseMatrix<T>, SparseError> {
-        self.check_dims(x)?;
-        let k = x.ncols();
-        let kb = k_block.clamp(1, k.max(1));
-        let mut y_perm = DenseMatrix::zeros(self.nrows, k);
-        let mut chunks: Vec<&mut [T]> = Vec::with_capacity(self.slices.len());
-        let mut rest: &mut [T] = y_perm.data_mut();
-        for slice in &self.slices {
-            let (head, tail) = rest.split_at_mut(slice.height * k);
-            chunks.push(head);
-            rest = tail;
-        }
-        self.slices
-            .par_iter()
-            .zip(chunks)
-            .for_each(|(slice, y_chunk)| {
-                let mut j0 = 0usize;
-                while j0 < k {
-                    let j1 = (j0 + kb).min(k);
-                    for r in 0..slice.height {
-                        let y_row = &mut y_chunk[r * k + j0..r * k + j1];
-                        for slot in 0..slice.width {
-                            let c = self.colidx[slice.offset + slot * slice.height + r];
-                            if c == PAD {
-                                continue;
-                            }
-                            let v = self.values[slice.offset + slot * slice.height + r];
-                            let x_row = &x.row(c as usize)[j0..j1];
-                            for (yj, &xj) in y_row.iter_mut().zip(x_row) {
-                                *yj = v.mul_add(xj, *yj);
-                            }
-                        }
-                    }
-                    j0 = j1;
-                }
-            });
-        let mut y = DenseMatrix::zeros(self.nrows, k);
-        for p in 0..self.nrows {
-            let original = self.perm.old_of(p) as usize;
-            y.row_mut(original).copy_from_slice(y_perm.row(p));
-        }
-        Ok(y)
-    }
-
     fn check_dims(&self, x: &DenseMatrix<T>) -> Result<(), SparseError> {
         if self.ncols != x.nrows() {
             return Err(SparseError::DimensionMismatch {

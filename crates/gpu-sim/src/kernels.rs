@@ -246,32 +246,6 @@ pub fn kblock_pass_widths(k: usize, k_block: usize) -> Vec<usize> {
     widths
 }
 
-/// Simulates the column-blocked row-wise SpMM kernel on a fused
-/// multi-RHS operand of total width `k`: one row-wise pass per
-/// [`kblock_pass_widths`] block, combined back to back. Each pass
-/// re-streams the sparse arrays, but its dense working set is only
-/// `k_block` columns wide — the trade batching exploits to keep fused
-/// operands L2-resident.
-pub fn simulate_spmm_rowwise_kblocked<T: Scalar>(
-    m: &CsrMatrix<T>,
-    k: usize,
-    k_block: usize,
-    device: &DeviceConfig,
-) -> SimReport {
-    kblock_pass_widths(k, k_block)
-        .into_iter()
-        .map(|w| {
-            run_blocks(
-                &spmm_rowwise_blocks(m, w, None, DEFAULT_ROWS_PER_BLOCK),
-                w,
-                T::BYTES,
-                device,
-            )
-        })
-        .reduce(|a, b| combine(&a, &b))
-        .unwrap_or_else(|| run_blocks(&[], k.max(1), T::BYTES, device))
-}
-
 /// Simulates the column-blocked ASpT SpMM kernel: dense tiles plus
 /// remainder per column block, every pass combined back to back. The
 /// batched analogue of [`simulate_spmm_aspt`].
@@ -793,18 +767,13 @@ mod tests {
     fn kblocked_simulation_conserves_work() {
         let m = generators::block_diagonal::<f32>(32, 16, 24, 12, 3);
         let d = small_device();
-        let full = simulate_spmm_rowwise(&m, 128, &d);
-        let blocked = simulate_spmm_rowwise_kblocked(&m, 128, 32, &d);
+        let aspt = AsptMatrix::build(&m, &aspt_cfg());
+        let full = simulate_spmm_aspt(&aspt, None, 128, &d);
+        let blocked = simulate_spmm_aspt_kblocked(&aspt, None, 128, 32, &d);
         assert_eq!(full.flops, blocked.flops, "blocking never changes work");
         // four passes issue four times the X-row read requests
         assert_eq!(blocked.traffic.x_row_reads, 4 * full.traffic.x_row_reads);
         // a block width >= k degenerates to the single-pass kernel
-        assert_eq!(simulate_spmm_rowwise_kblocked(&m, 128, 128, &d), full);
-
-        let aspt = AsptMatrix::build(&m, &aspt_cfg());
-        let full = simulate_spmm_aspt(&aspt, None, 128, &d);
-        let blocked = simulate_spmm_aspt_kblocked(&aspt, None, 128, 32, &d);
-        assert_eq!(full.flops, blocked.flops);
         assert_eq!(simulate_spmm_aspt_kblocked(&aspt, None, 128, 256, &d), full);
     }
 
@@ -847,25 +816,6 @@ mod tests {
             resident.traffic.dram_bytes
         );
         assert!(spilled.time_s > resident.time_s);
-    }
-
-    #[test]
-    fn kblocking_cuts_dram_traffic_on_wide_fused_operands() {
-        // the batching trade: at the fused width (k=128, f32 → 4 lines
-        // per X row) the wave's working set blows the 128-line L2 and
-        // row-wise thrashes; 32-wide passes keep rows to one line each,
-        // buying back far more X traffic than the re-streamed sparse
-        // metadata costs.
-        let m = generators::block_diagonal::<f32>(32, 16, 24, 12, 3);
-        let d = small_device();
-        let full = simulate_spmm_rowwise(&m, 128, &d);
-        let blocked = simulate_spmm_rowwise_kblocked(&m, 128, 32, &d);
-        assert!(
-            blocked.traffic.dram_bytes < full.traffic.dram_bytes,
-            "k-blocked {} !< single-pass {}",
-            blocked.traffic.dram_bytes,
-            full.traffic.dram_bytes
-        );
     }
 
     #[test]

@@ -234,53 +234,6 @@ pub fn tuned_engine<T: Scalar>(
     Ok((engine, report))
 }
 
-/// Default candidate widths for [`choose_k_block`] — the microkernel
-/// widths plus powers of two spanning the paper's K sweep (Tables 3/4
-/// use 32–512).
-pub const DEFAULT_K_BLOCK_CANDIDATES: [usize; 5] = [8, 16, 32, 64, 128];
-
-/// Picks the column-block width for the batched (fused multi-RHS)
-/// kernel by simulating [`Engine::simulate_spmm_kblocked`] at each
-/// candidate width for a fused operand of total width `k_total`.
-/// Candidates are clamped to `[1, k_total]` and deduplicated (every
-/// width ≥ `k_total` collapses to the same single-pass kernel).
-/// Returns the winning width plus every candidate's report; ties keep
-/// the earlier candidate. An empty candidate list falls back to
-/// [`DEFAULT_K_BLOCK_CANDIDATES`], so the returned best is always a
-/// simulated width with its report in the trial vec.
-pub fn choose_k_block<T: Scalar>(
-    engine: &Engine<T>,
-    k_total: usize,
-    candidates: &[usize],
-    device: &DeviceConfig,
-) -> (usize, Vec<(usize, SimReport)>) {
-    let candidates: &[usize] = if candidates.is_empty() {
-        &DEFAULT_K_BLOCK_CANDIDATES
-    } else {
-        candidates
-    };
-    let mut trials: Vec<(usize, SimReport)> = Vec::with_capacity(candidates.len());
-    let mut best = k_total.max(1);
-    let mut best_time = f64::INFINITY;
-    for &raw in candidates {
-        let kb = raw.clamp(1, k_total.max(1));
-        if trials.iter().any(|(w, _)| *w == kb) {
-            continue;
-        }
-        let report = engine.simulate_spmm_kblocked(k_total, kb, device);
-        if report.time_s < best_time {
-            best_time = report.time_s;
-            best = kb;
-        }
-        trials.push((kb, report));
-    }
-    debug_assert!(
-        trials.iter().any(|(w, _)| *w == best),
-        "the chosen width must come from a simulated trial"
-    );
-    (best, trials)
-}
-
 /// Plan-time microkernel width selection: simulates the register-
 /// blocked k-blocked kernel ([`Engine::simulate_spmm_kblocked_micro`])
 /// at every eligible width in [`crate::micro::MICRO_WIDTHS`] and
@@ -678,58 +631,6 @@ mod tests {
         // genuinely-zero RR against nonzero competition is infinite,
         // not NaN
         assert_eq!(report(0.0, 1.0).rr_speedup_vs_best_other(), f64::INFINITY);
-    }
-
-    #[test]
-    fn choose_k_block_picks_the_fastest_simulated_width() {
-        let m = generators::block_diagonal::<f32>(32, 16, 24, 12, 3);
-        let config = EngineConfig::builder().reorder(reorder_cfg()).build();
-        let engine = Engine::prepare(&m, &config).unwrap();
-        let (best, trials) = choose_k_block(&engine, 128, &DEFAULT_K_BLOCK_CANDIDATES, &device());
-        assert!(!trials.is_empty());
-        assert!(trials.iter().any(|(w, _)| *w == best));
-        let best_time = trials
-            .iter()
-            .find(|(w, _)| *w == best)
-            .map(|(_, r)| r.time_s)
-            .unwrap();
-        for (w, r) in &trials {
-            assert!(
-                best_time <= r.time_s,
-                "width {w} ({}) beats chosen {best} ({best_time})",
-                r.time_s
-            );
-            // blocking never changes the arithmetic
-            assert_eq!(r.flops, trials[0].1.flops);
-        }
-        // candidates above k_total collapse to one single-pass trial
-        let (_, clamped) = choose_k_block(&engine, 8, &[16, 32, 64], &device());
-        assert_eq!(clamped.len(), 1);
-        assert_eq!(clamped[0].0, 8);
-    }
-
-    #[test]
-    fn choose_k_block_empty_candidates_fall_back_to_defaults() {
-        // regression: an empty candidate list used to crown
-        // `k_total.max(1)` with an empty trial vec — a width that was
-        // never simulated
-        let m = generators::block_diagonal::<f32>(32, 16, 24, 12, 3);
-        let config = EngineConfig::builder().reorder(reorder_cfg()).build();
-        let engine = Engine::prepare(&m, &config).unwrap();
-        let (best, trials) = choose_k_block(&engine, 128, &[], &device());
-        assert!(!trials.is_empty(), "empty candidates must still simulate");
-        assert!(trials.iter().any(|(w, _)| *w == best));
-        let (def_best, def_trials) =
-            choose_k_block(&engine, 128, &DEFAULT_K_BLOCK_CANDIDATES, &device());
-        assert_eq!(best, def_best);
-        assert_eq!(trials.len(), def_trials.len());
-
-        // fully-duplicate-after-clamp candidates dedupe to one
-        // *simulated* trial whose width is the chosen best
-        let (best, trials) = choose_k_block(&engine, 1, &[64, 128], &device());
-        assert_eq!(best, 1);
-        assert_eq!(trials.len(), 1);
-        assert_eq!(trials[0].0, 1);
     }
 
     #[test]

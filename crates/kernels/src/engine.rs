@@ -12,7 +12,7 @@ use spmm_aspt::{dense_ratio_of, AsptMatrix};
 use spmm_faults::FaultPoint;
 use spmm_gpu_sim::kernels::{
     simulate_sddmm_aspt, simulate_spgemm_clustered, simulate_spmm_aspt,
-    simulate_spmm_aspt_kblocked, simulate_spmm_aspt_kblocked_micro, simulate_spmv_aspt,
+    simulate_spmm_aspt_kblocked_micro, simulate_spmv_aspt,
 };
 use spmm_gpu_sim::{DeviceConfig, SimReport};
 use spmm_reorder::{plan_region_recluster_with, plan_reordering_with, ReorderConfig, ReorderPlan};
@@ -26,7 +26,6 @@ use crate::format::{FormatChoice, FormatPayload};
 use crate::micro::spmm_aspt_kblocked_auto;
 use crate::sddmm::sddmm_aspt_auto;
 use crate::spgemm::spgemm_clustered;
-use crate::spmm::spmm_aspt;
 use crate::spmv::spmv_aspt;
 
 /// Fault point at the head of [`Engine::prepare`], after the CSR
@@ -42,6 +41,14 @@ pub static FAULT_KERNEL_EXECUTE: FaultPoint = FaultPoint::new("kernel.execute");
 /// patching: an injected error surfaces like a delta validation
 /// failure, leaving the engine untouched.
 pub static FAULT_KERNEL_DELTA: FaultPoint = FaultPoint::new("kernel.delta");
+
+/// Fires [`FAULT_KERNEL_EXECUTE`], mapping an injected error to an
+/// operand-validation failure.
+fn fire_execute_fault() -> Result<(), SparseError> {
+    FAULT_KERNEL_EXECUTE
+        .fire()
+        .map_err(|e| SparseError::InvalidStructure(e.to_string()))
+}
 
 /// Engine construction options.
 ///
@@ -138,7 +145,8 @@ impl EngineConfigBuilder {
 ///
 /// The underlying [`RunManifest`] has one top-level `prepare` stage
 /// with `plan` (containing the round-1/round-2 LSH and clustering
-/// sub-stages), `permute` and `tile` children, so
+/// sub-stages), `permute` and `tile` children — plus `micro_select`
+/// and `format_select` when a `k_hint` is set — so
 /// [`PrepareReport::total`] — the sum of top-level stage durations —
 /// is exactly what [`Engine::preprocessing_time`] reports.
 #[derive(Debug, Clone, PartialEq)]
@@ -178,14 +186,14 @@ impl PrepareReport {
 }
 
 /// One kernel invocation for the unified [`Engine::execute`] dispatch
-/// entry.
+/// entry: one arm per kernel family.
 ///
-/// Ops borrow their operands (and, for the `*Into` forms, the output
-/// buffer), so constructing one is free. The four named `Engine`
-/// methods are thin wrappers over `execute`; layers that must stay
-/// op-agnostic — the serving layer, the autotuner's
+/// Ops borrow their operands, so constructing one is free. The four
+/// named `Engine` methods are thin wrappers over `execute`; layers that
+/// must stay op-agnostic — the serving layer, the autotuner's
 /// [`crate::autotune::tuned_execute`] — pass a `KernelOp` through
-/// instead of growing a method per kernel.
+/// instead of growing a method per kernel. How a kernel sweeps `k` is
+/// fixed by the plan (its microkernel width), never by the op.
 ///
 /// The enum is `#[non_exhaustive]`: downstream matches need a wildcard
 /// arm, so new kernel families (SpMV and SpGEMM arrived this way) stop
@@ -193,46 +201,18 @@ impl PrepareReport {
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum KernelOp<'a, T> {
-    /// `Y = S · X`, allocating the output (see [`Engine::spmm`]).
+    /// `Y = S · X` (see [`Engine::spmm`]). The serving layer's fused
+    /// multi-RHS pass is this op over the concatenated operand.
     Spmm {
         /// Dense operand, `S.ncols × k`.
         x: &'a DenseMatrix<T>,
     },
-    /// `Y = S · X` into a caller-provided buffer (see
-    /// [`Engine::spmm_into`]).
-    SpmmInto {
-        /// Dense operand, `S.ncols × k`.
-        x: &'a DenseMatrix<T>,
-        /// Output, `S.nrows × k`.
-        y: &'a mut DenseMatrix<T>,
-    },
-    /// Alg 2 SDDMM, allocating the output (see [`Engine::sddmm`]).
+    /// Alg 2 SDDMM (see [`Engine::sddmm`]).
     Sddmm {
         /// Dense operand, `S.ncols × k`.
         x: &'a DenseMatrix<T>,
         /// Dense operand, `S.nrows × k`.
         y: &'a DenseMatrix<T>,
-    },
-    /// `Y = S · X` over `k_block`-wide column blocks of a fused
-    /// multi-RHS operand (the serving layer's batched kernel — see
-    /// [`crate::spmm::spmm_aspt_kblocked`]), allocating the output.
-    /// Bit-identical to [`KernelOp::Spmm`]; the block width only
-    /// bounds the dense working set per sparse traversal pass.
-    SpmmKBlocked {
-        /// Fused dense operand, `S.ncols × k_total`.
-        x: &'a DenseMatrix<T>,
-        /// Column-block width each sparse traversal pass serves.
-        k_block: usize,
-    },
-    /// SDDMM into a caller-provided values buffer (see
-    /// [`Engine::sddmm_into`]).
-    SddmmInto {
-        /// Dense operand, `S.ncols × k`.
-        x: &'a DenseMatrix<T>,
-        /// Dense operand, `S.nrows × k`.
-        y: &'a DenseMatrix<T>,
-        /// Output of length `nnz`, original nonzero order.
-        out: &'a mut [T],
     },
     /// `y = S · x`, the `k = 1` fast path (see [`Engine::spmv`]): the
     /// operand is a flat slice, not a 1-column [`DenseMatrix`], and the
@@ -255,25 +235,19 @@ impl<T: Scalar> KernelOp<'_, T> {
     /// The kernel family this op belongs to (what the §4 trial tunes).
     pub fn op_kind(&self) -> crate::autotune::Kernel {
         match self {
-            KernelOp::Spmm { .. } | KernelOp::SpmmInto { .. } | KernelOp::SpmmKBlocked { .. } => {
-                crate::autotune::Kernel::Spmm
-            }
-            KernelOp::Sddmm { .. } | KernelOp::SddmmInto { .. } => crate::autotune::Kernel::Sddmm,
+            KernelOp::Spmm { .. } => crate::autotune::Kernel::Spmm,
+            KernelOp::Sddmm { .. } => crate::autotune::Kernel::Sddmm,
             KernelOp::Spmv { .. } => crate::autotune::Kernel::Spmv,
             KernelOp::Spgemm { .. } => crate::autotune::Kernel::Spgemm,
         }
     }
 
     /// Dense-operand width `k`, for the ops that have a dense operand:
-    /// `Some(x.ncols())` for the SpMM/SDDMM families, `Some(1)` for
+    /// `Some(x.ncols())` for SpMM and SDDMM, `Some(1)` for
     /// SpMV, `None` for SpGEMM (no dense operand at all).
     pub fn k(&self) -> Option<usize> {
         match self {
-            KernelOp::Spmm { x }
-            | KernelOp::SpmmInto { x, .. }
-            | KernelOp::SpmmKBlocked { x, .. }
-            | KernelOp::Sddmm { x, .. }
-            | KernelOp::SddmmInto { x, .. } => Some(x.ncols()),
+            KernelOp::Spmm { x } | KernelOp::Sddmm { x, .. } => Some(x.ncols()),
             KernelOp::Spmv { .. } => Some(1),
             KernelOp::Spgemm { .. } => None,
         }
@@ -282,7 +256,7 @@ impl<T: Scalar> KernelOp<'_, T> {
 
 /// What [`Engine::execute`] produced, matching the [`KernelOp`] shape:
 /// `Spmm → Dense`, `Sddmm → Values`, `Spmv → Vector`,
-/// `Spgemm → Sparse`, `*Into → Written`.
+/// `Spgemm → Sparse`.
 ///
 /// The enum is `#[non_exhaustive]` (new kernel families bring new
 /// output shapes); prefer the typed `into_*`/`as_*` accessors, which
@@ -298,12 +272,10 @@ pub enum Output<T> {
     Vector(Vec<T>),
     /// A freshly allocated SpGEMM product (original row order).
     Sparse(CsrMatrix<T>),
-    /// The op wrote into its caller-provided buffer.
-    Written,
 }
 
 impl<T> Output<T> {
-    /// The dense result, if this was a [`KernelOp::Spmm`]-family op.
+    /// The dense result, if this was a [`KernelOp::Spmm`].
     pub fn into_dense(self) -> Option<DenseMatrix<T>> {
         match self {
             Output::Dense(y) => Some(y),
@@ -422,7 +394,8 @@ pub struct Engine<T> {
     /// [`crate::micro::MICRO_WIDTHS`]), chosen during
     /// [`Engine::prepare`] when a `k_hint` is given and restored by the
     /// plan-store codec on warm start — re-selection never runs twice
-    /// for the same plan. `None` runs the generic k-blocked kernels.
+    /// for the same plan. SpMM sweeps `k` in blocks of this width;
+    /// `None` sweeps the whole of `k` in one block.
     micro_width: Option<usize>,
     /// Plan-selected physical layout for the SpMM family
     /// ([`crate::format::FormatPayload`] over the reordered matrix),
@@ -462,8 +435,12 @@ impl<T: Scalar> Engine<T> {
         if let Some(k) = config.k_hint {
             telemetry.meta("k_hint", &k.to_string());
         }
-        let (plan, reordered, nnz_map, aspt) = {
-            let _prepare = telemetry.span("prepare");
+        // every stage, plan-time selection included, runs under the
+        // `prepare` root, so the report taken after it closes is the
+        // whole of the preprocessing cost
+        let root = telemetry.clone();
+        let mut engine = {
+            let _prepare = root.span("prepare");
             let plan = {
                 let _span = telemetry.span("plan");
                 plan_reordering_with(m, &config.reorder, &telemetry)
@@ -476,59 +453,61 @@ impl<T: Scalar> Engine<T> {
                 let _span = telemetry.span("tile");
                 AsptMatrix::build_with(&reordered, &config.reorder.aspt, &telemetry)
             };
-            (plan, reordered, nnz_map, aspt)
+            let mut engine = Self {
+                plan: Arc::new(plan),
+                aspt: Arc::new(aspt),
+                reordered: Arc::new(reordered),
+                nnz_map: Arc::new(nnz_map),
+                report: PrepareReport {
+                    manifest: RunManifest::default(),
+                },
+                original_ncols: m.ncols(),
+                k_hint: config.k_hint,
+                collector,
+                telemetry,
+                user_telemetry: config.telemetry.clone(),
+                reorder_config: config.reorder,
+                delta_drift_threshold: config.delta_drift_threshold,
+                micro_width: None,
+                format: None,
+            };
+            if let Some(k) = engine.k_hint {
+                engine.select(k);
+            }
+            engine
         };
-        let report = PrepareReport {
-            manifest: collector.manifest(),
+        engine.report = PrepareReport {
+            manifest: engine.collector.manifest(),
         };
-        telemetry.meta(
+        engine.telemetry.meta(
             "preprocessing_ns",
-            &report.manifest.total_duration_ns().to_string(),
+            &engine.report.manifest.total_duration_ns().to_string(),
         );
-        let mut engine = Self {
-            plan: Arc::new(plan),
-            aspt: Arc::new(aspt),
-            reordered: Arc::new(reordered),
-            nnz_map: Arc::new(nnz_map),
-            report,
-            original_ncols: m.ncols(),
-            k_hint: config.k_hint,
-            collector,
-            telemetry,
-            user_telemetry: config.telemetry.clone(),
-            reorder_config: config.reorder,
-            delta_drift_threshold: config.delta_drift_threshold,
-            micro_width: None,
-            format: None,
-        };
-        // plan-time microkernel selection (§4 trial-and-error, one
-        // level below the variant choice): simulate the register-
-        // blocked widths once here, record the winner, and let the
-        // plan-store codec carry it so warm starts never re-select
-        if let Some(k) = engine.k_hint {
-            let _span = engine.telemetry.span("prepare.micro_select");
-            engine.micro_width =
-                crate::autotune::choose_micro_width(&engine, k, &DeviceConfig::p100());
-            if let Some(w) = engine.micro_width {
-                engine.telemetry.meta("micro_width", &w.to_string());
+        Ok(engine)
+    }
+
+    /// Plan-time selection at dense width `k`, recorded in the plan so
+    /// the plan-store codec carries it and warm starts never re-select.
+    fn select(&mut self, k: usize) {
+        let device = DeviceConfig::p100();
+        // microkernel width (§4 trial-and-error, one level below the
+        // variant choice): simulate the register-blocked widths once
+        {
+            let _span = self.telemetry.span("micro_select");
+            self.micro_width = crate::autotune::choose_micro_width(self, k, &device);
+            if let Some(w) = self.micro_width {
+                self.telemetry.meta("micro_width", &w.to_string());
             }
         }
-        // plan-time format selection (the zoo): race SELL-C-σ / CSB
-        // layouts of the reordered matrix against the incumbent ASpT
-        // configuration on the transaction model; a challenger is
-        // adopted only on a strict win, and the plan-store codec
-        // carries the built payload so warm starts never re-select
-        if let Some(k) = engine.k_hint {
-            let _span = engine.telemetry.span("prepare.format_select");
-            let (payload, trial) =
-                crate::autotune::choose_format(&engine, k, &DeviceConfig::p100());
-            engine.format = payload.map(Arc::new);
-            engine.telemetry.meta("format", &trial.chosen.label());
-            engine
-                .telemetry
-                .gauge("tune.format.speedup", trial.speedup_vs_incumbent());
-        }
-        Ok(engine)
+        // format (the zoo): race SELL-C-σ / CSB layouts of the reordered
+        // matrix against the incumbent ASpT configuration on the
+        // transaction model; a challenger is adopted only on a strict win
+        let _span = self.telemetry.span("format_select");
+        let (payload, trial) = crate::autotune::choose_format(self, k, &device);
+        self.format = payload.map(Arc::new);
+        self.telemetry.meta("format", &trial.chosen.label());
+        self.telemetry
+            .gauge("tune.format.speedup", trial.speedup_vs_incumbent());
     }
 
     /// Rehydrates an engine from previously prepared parts — the plan
@@ -634,15 +613,15 @@ impl<T: Scalar> Engine<T> {
 
     /// The plan-selected microkernel width, if one was chosen (during
     /// [`Engine::prepare`] with a `k_hint`, or restored from a stored
-    /// plan). `None` means the generic k-blocked kernels run.
+    /// plan). `None` means SpMM sweeps the whole of `k` in one block.
     pub fn micro_width(&self) -> Option<usize> {
         self.micro_width
     }
 
     /// Overrides the microkernel width — the plan-store codec's hook
     /// for restoring a recorded choice without re-running selection.
-    /// Widths outside [`crate::micro::MICRO_WIDTHS`] simply route to
-    /// the generic kernels at dispatch.
+    /// Widths outside [`crate::micro::MICRO_WIDTHS`] run the generic
+    /// blocked kernel at that width; every width gives the same bits.
     pub fn set_micro_width(&mut self, width: Option<usize>) {
         self.micro_width = width;
     }
@@ -695,7 +674,8 @@ impl<T: Scalar> Engine<T> {
     }
 
     /// Wall-clock preprocessing time (reorder planning + permutation +
-    /// tiling), the sum of the [`Engine::report`] stage durations.
+    /// tiling + plan-time selection), the sum of the [`Engine::report`]
+    /// stage durations.
     pub fn preprocessing_time(&self) -> Duration {
         self.report.total()
     }
@@ -738,9 +718,10 @@ impl<T: Scalar> Engine<T> {
             .then_some(&self.plan.remainder_order)
     }
 
-    /// The unified dispatch entry: every kernel invocation — the four
-    /// named methods below, the serving layer, the autotuner — funnels
-    /// through here, so new ops plug in without widening every layer.
+    /// The unified dispatch entry: the four named methods below, the
+    /// serving layer and the autotuner funnel through here, so new ops
+    /// plug in without widening every layer. (The caller-buffer forms
+    /// `spmm_into`/`sddmm_into` call the same private bodies.)
     ///
     /// ```
     /// use spmm_data::generators;
@@ -757,31 +738,14 @@ impl<T: Scalar> Engine<T> {
     /// # Errors
     /// Fails on operand shape mismatches, like the named methods.
     pub fn execute(&self, op: KernelOp<'_, T>) -> Result<Output<T>, SparseError> {
-        FAULT_KERNEL_EXECUTE
-            .fire()
-            .map_err(|e| SparseError::InvalidStructure(e.to_string()))?;
+        fire_execute_fault()?;
         match op {
             KernelOp::Spmm { x } => {
-                let mut y = DenseMatrix::zeros(self.aspt.nrows(), x.ncols());
-                self.spmm_into_impl(x, &mut y)?;
-                Ok(Output::Dense(y))
-            }
-            KernelOp::SpmmInto { x, y } => {
-                self.spmm_into_impl(x, y)?;
-                Ok(Output::Written)
-            }
-            KernelOp::SpmmKBlocked { x, k_block } => {
-                let _span = self.telemetry.span("exec.spmm");
-                self.record_exec_counters();
-                // format routing: the chosen layout's column-blocked
-                // kernel is bit-identical to its own whole-k kernel,
-                // so the batch path gives the same answers as the
-                // unbatched one for whichever format won
-                let y_reord = match self.format.as_deref() {
-                    Some(f) => f.spmm_kblocked(x, k_block)?,
-                    None => spmm_aspt_kblocked_auto(&self.aspt, x, k_block)?,
-                };
-                let mut y = DenseMatrix::zeros(self.aspt.nrows(), x.ncols());
+                let y_reord = self.spmm_reordered(x)?;
+                if self.plan.row_perm.is_identity() {
+                    return Ok(Output::Dense(y_reord));
+                }
+                let mut y = DenseMatrix::zeros(y_reord.nrows(), y_reord.ncols());
                 self.unpermute_rows(&y_reord, &mut y);
                 Ok(Output::Dense(y))
             }
@@ -793,23 +757,6 @@ impl<T: Scalar> Engine<T> {
                 let mut out = vec![T::ZERO; vals_reord.len()];
                 self.scatter_to_source_order(vals_reord, &mut out);
                 Ok(Output::Values(out))
-            }
-            KernelOp::SddmmInto { x, y, out } => {
-                if out.len() != self.nnz_map.len() {
-                    return Err(SparseError::DimensionMismatch {
-                        expected: format!("output of length nnz ({})", self.nnz_map.len()),
-                        got: format!("{}", out.len()),
-                    });
-                }
-                // write the caller's buffer directly — no intermediate
-                // source-order allocation
-                let vals_reord = self.sddmm_reordered_vals(x, y)?;
-                if self.plan.row_perm.is_identity() {
-                    out.copy_from_slice(&vals_reord);
-                } else {
-                    self.scatter_to_source_order(vals_reord, out);
-                }
-                Ok(Output::Written)
             }
             KernelOp::Spmv { x } => {
                 let _span = self.telemetry.span("exec.spmv");
@@ -850,41 +797,46 @@ impl<T: Scalar> Engine<T> {
         }
     }
 
-    /// Like [`Self::spmm`], writing into a caller-provided output —
-    /// iterative applications reuse one allocation across iterations.
-    /// Wrapper over [`Engine::execute`].
+    /// Like [`Self::spmm`], writing the result into a caller-provided
+    /// output. The kernel still allocates its reordered-row-space
+    /// result on every call and copies it into `y`, so this saves
+    /// nothing over [`Self::spmm`] today (ROADMAP item 7).
     ///
     /// # Errors
     /// Fails on operand shape mismatches (`y` must be
     /// `S.nrows × x.ncols`).
     pub fn spmm_into(&self, x: &DenseMatrix<T>, y: &mut DenseMatrix<T>) -> Result<(), SparseError> {
-        self.execute(KernelOp::SpmmInto { x, y }).map(|_| ())
-    }
-
-    fn spmm_into_impl(
-        &self,
-        x: &DenseMatrix<T>,
-        y: &mut DenseMatrix<T>,
-    ) -> Result<(), SparseError> {
+        fire_execute_fault()?;
         if y.nrows() != self.aspt.nrows() || y.ncols() != x.ncols() {
             return Err(SparseError::DimensionMismatch {
                 expected: format!("Y of {} x {}", self.aspt.nrows(), x.ncols()),
                 got: format!("{} x {}", y.nrows(), y.ncols()),
             });
         }
-        let _span = self.telemetry.span("exec.spmm");
-        self.record_exec_counters();
-        // format routing: the zoo kernels fold each row in ascending-
-        // column order (bit-exact vs the row-wise reference); the ASpT
-        // path folds tiles before the remainder. On exactly-
-        // representable operands — the serving layer's exactness bars —
-        // every path agrees bit for bit.
-        let y_reord = match self.format.as_deref() {
-            Some(f) => f.spmm(x)?,
-            None => spmm_aspt(&self.aspt, x)?,
-        };
+        let y_reord = self.spmm_reordered(x)?;
         self.unpermute_rows(&y_reord, y);
         Ok(())
+    }
+
+    /// The one SpMM kernel call, in reordered row space: the plan's
+    /// format payload when one was chosen, otherwise the ASpT kernel
+    /// swept in blocks of the plan's microkernel width (the whole of
+    /// `k` in one block when the plan has none).
+    fn spmm_reordered(&self, x: &DenseMatrix<T>) -> Result<DenseMatrix<T>, SparseError> {
+        let _span = self.telemetry.span("exec.spmm");
+        self.record_exec_counters();
+        // the zoo kernels fold each row in ascending-column order
+        // (bit-exact vs the row-wise reference); the ASpT path folds
+        // tiles before the remainder. On exactly-representable
+        // operands — the serving layer's exactness bars — every path
+        // agrees bit for bit.
+        match self.format.as_deref() {
+            Some(f) => f.spmm(x),
+            None => {
+                let width = self.micro_width.unwrap_or(x.ncols()).max(1);
+                spmm_aspt_kblocked_auto(&self.aspt, x, width)
+            }
+        }
     }
 
     /// Scatters a reordered-row-space result back into the caller's
@@ -901,8 +853,8 @@ impl<T: Scalar> Engine<T> {
     }
 
     /// Like [`Self::sddmm`], writing into a caller-provided output
-    /// buffer of length `nnz` (original nonzero order). Wrapper over
-    /// [`Engine::execute`].
+    /// buffer of length `nnz` (original nonzero order) with no
+    /// source-order intermediate.
     ///
     /// # Errors
     /// Fails on operand shape mismatches or a wrong output length.
@@ -912,7 +864,20 @@ impl<T: Scalar> Engine<T> {
         y: &DenseMatrix<T>,
         out: &mut [T],
     ) -> Result<(), SparseError> {
-        self.execute(KernelOp::SddmmInto { x, y, out }).map(|_| ())
+        fire_execute_fault()?;
+        if out.len() != self.nnz_map.len() {
+            return Err(SparseError::DimensionMismatch {
+                expected: format!("output of length nnz ({})", self.nnz_map.len()),
+                got: format!("{}", out.len()),
+            });
+        }
+        let vals_reord = self.sddmm_reordered_vals(x, y)?;
+        if self.plan.row_perm.is_identity() {
+            out.copy_from_slice(&vals_reord);
+        } else {
+            self.scatter_to_source_order(vals_reord, out);
+        }
+        Ok(())
     }
 
     /// Alg 2 SDDMM; the returned values parallel the *original*
@@ -1043,28 +1008,9 @@ impl<T: Scalar> Engine<T> {
         }
     }
 
-    /// Simulated performance of the column-blocked SpMM kernel on a
-    /// fused multi-RHS operand of total width `k` (the batched
-    /// execution path, [`KernelOp::SpmmKBlocked`]) — how the autotuner
-    /// and the serving layer model fused traffic.
-    pub fn simulate_spmm_kblocked(
-        &self,
-        k: usize,
-        k_block: usize,
-        device: &DeviceConfig,
-    ) -> SimReport {
-        let _span = self.telemetry.span("sim.spmm_kblocked");
-        let report =
-            simulate_spmm_aspt_kblocked(&self.aspt, self.remainder_order(), k, k_block, device);
-        report
-            .traffic
-            .record_to(&self.telemetry, "sim.spmm_kblocked");
-        report
-    }
-
     /// Simulated performance of the *register-blocked microkernel*
-    /// variant of the column-blocked SpMM kernel: the same pass
-    /// structure as [`Engine::simulate_spmm_kblocked`], plus spill
+    /// variant of the column-blocked SpMM kernel: `k_block`-wide passes
+    /// over a fused operand of total width `k`, plus spill
     /// traffic when `2 · k_block` accumulator/operand registers per
     /// thread exceed the modeled register file. This is what
     /// [`crate::autotune::choose_micro_width`] ranks at plan time.
@@ -1467,24 +1413,39 @@ mod tests {
     #[test]
     fn prepare_report_breaks_down_preprocessing_time() {
         let m = generators::shuffled_block_diagonal::<f64>(64, 16, 48, 16, 3);
-        let engine = Engine::prepare(&m, &cfg()).unwrap();
+        // a k_hint runs plan-time selection, which must count as
+        // preprocessing: both selection stages sit inside the root
+        let config = EngineConfig::builder()
+            .reorder(cfg().reorder)
+            .k_hint(64)
+            .build();
+        let engine = Engine::prepare(&m, &config).unwrap();
         let report = engine.report();
-        // the report's total IS preprocessing_time (same sum)
+        // the report's total IS preprocessing_time (same sum), and the
+        // root is the only top-level stage
         assert_eq!(report.total(), engine.preprocessing_time());
-        // stage tree: prepare → {plan, permute, tile}
-        for path in ["prepare", "prepare/plan", "prepare/permute", "prepare/tile"] {
+        assert_eq!(report.manifest().stages.len(), 1);
+        let stages = [
+            "prepare/plan",
+            "prepare/permute",
+            "prepare/tile",
+            "prepare/micro_select",
+            "prepare/format_select",
+        ];
+        for path in stages {
             assert!(
                 report.stage_duration(path).is_some(),
                 "missing stage {path}"
             );
         }
-        // children sum to (at most) the root, and cover most of it
-        let children: Duration = ["prepare/plan", "prepare/permute", "prepare/tile"]
+        // children sum to (at most) the root
+        let children: Duration = stages
             .iter()
             .map(|p| report.stage_duration(p).unwrap())
             .sum();
         let root = report.stage_duration("prepare").unwrap();
         assert!(children <= root);
+        assert_eq!(root, engine.preprocessing_time());
         // pipeline counters flowed through: this fixture reorders, so
         // round 1 ran the LSH funnel
         let manifest = report.manifest();
@@ -1632,31 +1593,12 @@ mod tests {
             .unwrap();
         assert_eq!(spmm, engine.spmm(&x).unwrap());
 
-        let mut buf = DenseMatrix::zeros(m.nrows(), 4);
-        assert_eq!(
-            engine
-                .execute(KernelOp::SpmmInto { x: &x, y: &mut buf })
-                .unwrap(),
-            Output::Written
-        );
-        assert_eq!(buf, spmm);
-
         let sddmm = engine
             .execute(KernelOp::Sddmm { x: &x, y: &y })
             .unwrap()
             .into_values()
             .unwrap();
         assert_eq!(sddmm, engine.sddmm(&x, &y).unwrap());
-
-        let mut vals = vec![0.0f64; m.nnz()];
-        engine
-            .execute(KernelOp::SddmmInto {
-                x: &x,
-                y: &y,
-                out: &mut vals,
-            })
-            .unwrap();
-        assert_eq!(vals, sddmm);
 
         // op introspection used by the autotuner routing
         assert_eq!(
@@ -1737,36 +1679,6 @@ mod tests {
         assert!(out.clone().into_sparse().is_none());
         assert!(out.clone().into_values().is_none());
         assert!(out.into_dense().is_some());
-    }
-
-    #[test]
-    fn kblocked_op_is_bit_identical_to_spmm_op() {
-        // the reordered path: unpermutation must compose with blocking
-        let m = generators::shuffled_block_diagonal::<f64>(64, 16, 48, 16, 3);
-        let engine = Engine::prepare(&m, &cfg()).unwrap();
-        assert!(engine.plan().needs_reordering());
-        let x = generators::random_dense::<f64>(m.ncols(), 24, 7);
-        let plain = engine.spmm(&x).unwrap();
-        for kb in [1, 5, 8, 24, 64] {
-            let blocked = engine
-                .execute(KernelOp::SpmmKBlocked { x: &x, k_block: kb })
-                .unwrap()
-                .into_dense()
-                .unwrap();
-            assert_eq!(plain.data(), blocked.data(), "k_block={kb}");
-        }
-        // op introspection routes the batched op like any SpMM
-        let op = KernelOp::SpmmKBlocked { x: &x, k_block: 8 };
-        assert_eq!(op.op_kind(), crate::autotune::Kernel::Spmm);
-        assert_eq!(op.k(), Some(24));
-        // shape mismatch is a structured error
-        let bad = generators::random_dense::<f64>(m.ncols() + 1, 4, 1);
-        assert!(engine
-            .execute(KernelOp::SpmmKBlocked {
-                x: &bad,
-                k_block: 8
-            })
-            .is_err());
     }
 
     #[test]

@@ -164,19 +164,6 @@ impl<T: Scalar> FormatPayload<T> {
         }
     }
 
-    /// Column-blocked parallel SpMM (the batched serve path),
-    /// bit-identical to [`FormatPayload::spmm`].
-    pub fn spmm_kblocked(
-        &self,
-        x: &DenseMatrix<T>,
-        k_block: usize,
-    ) -> Result<DenseMatrix<T>, SparseError> {
-        match self {
-            FormatPayload::Sell { matrix, .. } => matrix.spmm_kblocked(x, k_block),
-            FormatPayload::Csb(csb) => csb.spmm_kblocked(x, k_block),
-        }
-    }
-
     /// Simulated SpMM performance of the format kernel on the gpu-sim
     /// transaction model — what the trial ranks.
     pub fn simulate_spmm(&self, k: usize, device: &DeviceConfig) -> SimReport {
@@ -279,11 +266,6 @@ mod tests {
                 reference.data(),
                 "{choice} must be bit-exact vs the row-wise reference"
             );
-            // k-blocked sweeps, including k % k_block != 0
-            for kb in [1usize, 4, 11, 16] {
-                let yb = payload.spmm_kblocked(&x, kb).unwrap();
-                assert_eq!(yb.data(), reference.data(), "{choice} k_block {kb}");
-            }
         }
     }
 }

@@ -44,6 +44,4 @@ pub use autotune::{
 };
 pub use engine::{Engine, EngineConfig, EngineConfigBuilder, KernelOp, Output, PrepareReport};
 pub use format::{FormatChoice, FormatPayload};
-pub use micro::{
-    micro_width_for, spmm_aspt_kblocked_auto, spmm_rowwise_kblocked_auto, MICRO_WIDTHS,
-};
+pub use micro::{micro_width_for, spmm_aspt_kblocked_auto, MICRO_WIDTHS};

@@ -15,8 +15,7 @@
 //! sequential `mul_add` chain in the same nonzero order as the generic
 //! kernels — columns never mix, blocking only partitions columns — so
 //! every specialized kernel is bit-identical to its generic
-//! counterpart (and the rowwise ones to
-//! [`spmm_rowwise_seq`](crate::spmm::spmm_rowwise_seq)). The
+//! counterpart. The
 //! SDDMM dot product keeps a *single* accumulator chain with a fixed
 //! `KB`-element trip count per chunk ([`dot` in
 //! `crate::sddmm`](crate::sddmm) order preserved); a lane-parallel
@@ -24,16 +23,16 @@
 //! deliberately not used.
 //!
 //! Widths are selected at plan time ([`crate::autotune::choose_micro_width`])
-//! and recorded in the `.spmmplan` codec; execution goes through the
-//! [`spmm_aspt_kblocked_auto`]/[`spmm_rowwise_kblocked_auto`]
-//! dispatchers, which fall back to the generic slice path for any other
+//! and recorded in the `.spmmplan` codec; every prepared SpMM goes
+//! through the [`spmm_aspt_kblocked_auto`] dispatcher at the plan's
+//! width, which falls back to the generic slice path for any other
 //! width. The trailing `k % KB` columns always take the generic path.
 
 use rayon::prelude::*;
 use spmm_aspt::AsptMatrix;
-use spmm_sparse::{CsrMatrix, DenseMatrix, Scalar, SparseError};
+use spmm_sparse::{DenseMatrix, Scalar, SparseError};
 
-use crate::spmm::{axpy, check_dims, panel_chunks, spmm_aspt_kblocked, spmm_rowwise_kblocked};
+use crate::spmm::{axpy, panel_chunks, spmm_aspt_kblocked};
 
 /// K-block widths with monomorphized kernel bodies, in ascending order.
 pub const MICRO_WIDTHS: [usize; 3] = [8, 16, 32];
@@ -68,40 +67,6 @@ fn axpy_run_micro<T: Scalar, const KB: usize>(
         }
     }
     *y_arr = acc;
-}
-
-/// Monomorphized column-blocked row-parallel SpMM at width `KB`.
-/// Bit-identical to [`spmm_rowwise_kblocked`] at the same width.
-fn spmm_rowwise_kblocked_micro<T: Scalar, const KB: usize>(
-    s: &CsrMatrix<T>,
-    x: &DenseMatrix<T>,
-) -> Result<DenseMatrix<T>, SparseError> {
-    let (m, k) = check_dims(s, x)?;
-    let mut y = DenseMatrix::zeros(m, k);
-    if k == 0 {
-        return Ok(y);
-    }
-    let full_end = k - k % KB;
-    y.data_mut()
-        .par_chunks_mut(k)
-        .enumerate()
-        .for_each(|(i, y_row)| {
-            let (cols, vals) = s.row(i);
-            if cols.is_empty() {
-                return;
-            }
-            let mut c0 = 0;
-            while c0 < full_end {
-                axpy_run_micro::<T, KB>(&mut y_row[c0..c0 + KB], cols, vals, x, c0);
-                c0 += KB;
-            }
-            if c0 < k {
-                for (&c, &v) in cols.iter().zip(vals) {
-                    axpy(&mut y_row[c0..k], v, &x.row(c as usize)[c0..k]);
-                }
-            }
-        });
-    Ok(y)
 }
 
 /// Monomorphized column-blocked ASpT SpMM at width `KB`: the same
@@ -190,23 +155,6 @@ fn spmm_aspt_kblocked_micro<T: Scalar, const KB: usize>(
     Ok(y)
 }
 
-/// Width-dispatching row-parallel k-blocked SpMM: routes the widths in
-/// [`MICRO_WIDTHS`] to their monomorphized bodies and everything else
-/// to the generic [`spmm_rowwise_kblocked`]. Bit-identical to the
-/// generic kernel (and to `spmm_rowwise_seq`) for every width.
-pub fn spmm_rowwise_kblocked_auto<T: Scalar>(
-    s: &CsrMatrix<T>,
-    x: &DenseMatrix<T>,
-    k_block: usize,
-) -> Result<DenseMatrix<T>, SparseError> {
-    match k_block {
-        8 => spmm_rowwise_kblocked_micro::<T, 8>(s, x),
-        16 => spmm_rowwise_kblocked_micro::<T, 16>(s, x),
-        32 => spmm_rowwise_kblocked_micro::<T, 32>(s, x),
-        _ => spmm_rowwise_kblocked(s, x, k_block),
-    }
-}
-
 /// Width-dispatching ASpT k-blocked SpMM: routes the widths in
 /// [`MICRO_WIDTHS`] to their monomorphized bodies and everything else
 /// to the generic [`spmm_aspt_kblocked`]. Bit-identical to the generic
@@ -253,7 +201,7 @@ mod tests {
     use spmm_aspt::AsptConfig;
     use spmm_data::generators;
 
-    use crate::spmm::{spmm_aspt, spmm_rowwise_seq};
+    use crate::spmm::spmm_aspt;
 
     #[test]
     fn micro_width_for_matches_the_specialized_set() {
@@ -262,21 +210,6 @@ mod tests {
         assert_eq!(micro_width_for(32), Some(32));
         for other in [0, 1, 7, 9, 24, 64, 128] {
             assert_eq!(micro_width_for(other), None, "width {other}");
-        }
-    }
-
-    #[test]
-    fn rowwise_micro_is_bit_identical_to_seq() {
-        let s = generators::power_law::<f64>(80, 64, 600, 0.85, 7);
-        // 37 exercises partial trailing blocks at every width; 32 an
-        // exact multiple for KB=8/16/32
-        for k in [5, 32, 37] {
-            let x = generators::random_dense::<f64>(64, k, 11);
-            let reference = spmm_rowwise_seq(&s, &x).unwrap();
-            for kb in MICRO_WIDTHS {
-                let micro = spmm_rowwise_kblocked_auto(&s, &x, kb).unwrap();
-                assert_eq!(reference.data(), micro.data(), "k={k} kb={kb}");
-            }
         }
     }
 
@@ -299,31 +232,15 @@ mod tests {
     }
 
     #[test]
-    fn auto_dispatch_falls_back_to_generic_for_other_widths() {
-        let s = generators::uniform_random::<f64>(40, 32, 5, 3);
-        let x = generators::random_dense::<f64>(32, 20, 9);
-        let reference = spmm_rowwise_seq(&s, &x).unwrap();
-        for kb in [1, 7, 64] {
-            let y = spmm_rowwise_kblocked_auto(&s, &x, kb).unwrap();
-            assert_eq!(reference.data(), y.data(), "fallback kb={kb}");
-        }
-    }
-
-    #[test]
     fn micro_handles_degenerate_shapes() {
         let s = generators::banded::<f64>(10, 2, 3, 1);
         let empty_x = DenseMatrix::<f64>::zeros(10, 0);
-        for kb in MICRO_WIDTHS {
-            let y = spmm_rowwise_kblocked_auto(&s, &empty_x, kb).unwrap();
-            assert_eq!((y.nrows(), y.ncols()), (10, 0));
-        }
         let aspt = AsptMatrix::build(&s, &AsptConfig::default());
         for kb in MICRO_WIDTHS {
             let y = spmm_aspt_kblocked_auto(&aspt, &empty_x, kb).unwrap();
             assert_eq!((y.nrows(), y.ncols()), (10, 0));
         }
         let bad_x = generators::random_dense::<f64>(4, 3, 1);
-        assert!(spmm_rowwise_kblocked_auto(&s, &bad_x, 8).is_err());
         assert!(spmm_aspt_kblocked_auto(&aspt, &bad_x, 8).is_err());
     }
 

@@ -82,50 +82,6 @@ pub fn spmm_rowwise_par<T: Scalar>(
     Ok(y)
 }
 
-/// Column-blocked row-parallel SpMM for fused multi-RHS operands:
-/// tiles `X`/`Y` over `k_block`-wide column blocks so each sparse
-/// traversal pass touches only an `X` working set of
-/// `X.nrows × k_block` elements. The block loop runs *inside* each
-/// row's task, so rayon forks and joins exactly once regardless of how
-/// many passes `k / k_block` implies. Per output element the
-/// accumulation order is exactly that of [`spmm_rowwise_seq`] — columns
-/// never mix — so the result is bit-identical to the unblocked kernels.
-///
-/// `k_block = 0` is rejected at the configuration boundaries (the
-/// serving `BatchConfig` builder and the CLI parse); here it is a
-/// debug assertion, clamped to 1 in release builds.
-pub fn spmm_rowwise_kblocked<T: Scalar>(
-    s: &CsrMatrix<T>,
-    x: &DenseMatrix<T>,
-    k_block: usize,
-) -> Result<DenseMatrix<T>, SparseError> {
-    debug_assert!(
-        k_block > 0,
-        "k_block = 0 (zero block width is rejected at the config/CLI boundary)"
-    );
-    let (m, k) = check_dims(s, x)?;
-    let kb = k_block.max(1);
-    let mut y = DenseMatrix::zeros(m, k);
-    if k == 0 {
-        return Ok(y);
-    }
-    y.data_mut()
-        .par_chunks_mut(k)
-        .enumerate()
-        .for_each(|(i, y_row)| {
-            let (cols, vals) = s.row(i);
-            let mut c0 = 0;
-            while c0 < k {
-                let c1 = (c0 + kb).min(k);
-                for (&c, &v) in cols.iter().zip(vals) {
-                    axpy(&mut y_row[c0..c1], v, &x.row(c as usize)[c0..c1]);
-                }
-                c0 = c1;
-            }
-        });
-    Ok(y)
-}
-
 /// ASpT-structured SpMM: dense tiles accumulate per panel (mirroring
 /// the shared-memory kernel), the remainder accumulates row-wise into
 /// the same output. Panels own disjoint output row ranges, so panel
@@ -171,28 +127,21 @@ pub fn spmm_aspt<T: Scalar>(
     Ok(y)
 }
 
-/// Column-blocked ASpT SpMM — the batched multi-RHS kernel. Processes
-/// the fused operand one `k_block`-wide column block at a time; each
-/// pass runs the same dense-tile + remainder traversal as [`spmm_aspt()`]
-/// restricted to that block's columns. The output split and the rayon
-/// fork/join happen once: the block loop runs inside each panel's task,
-/// so pass count never multiplies scheduling overhead. The per-element
-/// accumulation order matches `spmm_aspt` exactly (blocking only
-/// partitions columns, never reorders nonzeros), so the output is
-/// bit-identical while the dense working set per pass stays bounded.
-///
-/// `k_block = 0` is rejected at the configuration boundaries (the
-/// serving `BatchConfig` builder and the CLI parse); here it is a
-/// debug assertion, clamped to 1 in release builds.
+/// Column-blocked ASpT SpMM — the kernel every prepared SpMM runs.
+/// Processes the operand one `k_block`-wide column block at a time;
+/// each pass runs the same dense-tile + remainder traversal as
+/// [`spmm_aspt()`] restricted to that block's columns. The output split
+/// and the rayon fork/join happen once: the block loop runs inside each
+/// panel's task, so pass count never multiplies scheduling overhead.
+/// The per-element accumulation order matches `spmm_aspt` exactly
+/// (blocking only partitions columns, never reorders nonzeros), so the
+/// output is bit-identical for every width; `k_block ≥ k` is one pass
+/// over the whole operand. A zero `k_block` is clamped to 1.
 pub fn spmm_aspt_kblocked<T: Scalar>(
     aspt: &AsptMatrix<T>,
     x: &DenseMatrix<T>,
     k_block: usize,
 ) -> Result<DenseMatrix<T>, SparseError> {
-    debug_assert!(
-        k_block > 0,
-        "k_block = 0 (zero block width is rejected at the config/CLI boundary)"
-    );
     if aspt.ncols() != x.nrows() {
         return Err(SparseError::DimensionMismatch {
             expected: format!("S.ncols ({}) == X.nrows", aspt.ncols()),
@@ -353,21 +302,6 @@ mod tests {
     }
 
     #[test]
-    fn kblocked_rowwise_is_bit_identical_for_any_block() {
-        let s = generators::power_law::<f64>(64, 48, 400, 0.9, 3);
-        let x = generators::random_dense::<f64>(48, 37, 5);
-        let reference = spmm_rowwise_seq(&s, &x).unwrap();
-        for kb in [1, 2, 7, 16, 37, 64] {
-            let blocked = spmm_rowwise_kblocked(&s, &x, kb).unwrap();
-            assert_eq!(
-                reference.data(),
-                blocked.data(),
-                "k_block={kb} must be bit-identical"
-            );
-        }
-    }
-
-    #[test]
     fn kblocked_aspt_is_bit_identical_for_any_block() {
         let s = generators::block_diagonal::<f32>(5, 12, 20, 8, 17);
         let x = generators::random_dense::<f32>(s.ncols(), 33, 19);
@@ -387,38 +321,25 @@ mod tests {
 
     #[test]
     fn kblocked_handles_degenerate_shapes() {
-        // k_block == 1 degenerates to column-at-a-time; k == 0 produces
-        // an empty output
+        // k == 0 produces an empty output; a zero block width is
+        // clamped to one column
         let s = generators::banded::<f64>(10, 2, 3, 1);
-        let x = generators::random_dense::<f64>(10, 5, 2);
-        let reference = spmm_rowwise_seq(&s, &x).unwrap();
-        assert_eq!(
-            reference.data(),
-            spmm_rowwise_kblocked(&s, &x, 1).unwrap().data()
-        );
-        let empty_x = DenseMatrix::<f64>::zeros(10, 0);
-        let y = spmm_rowwise_kblocked(&s, &empty_x, 8).unwrap();
-        assert_eq!((y.nrows(), y.ncols()), (10, 0));
         let aspt = AsptMatrix::build(&s, &AsptConfig::default());
+        let empty_x = DenseMatrix::<f64>::zeros(10, 0);
         let y = spmm_aspt_kblocked(&aspt, &empty_x, 8).unwrap();
         assert_eq!((y.nrows(), y.ncols()), (10, 0));
-        assert!(spmm_aspt_kblocked(&aspt, &generators::random_dense::<f64>(4, 3, 1), 2).is_err());
-        assert!(spmm_rowwise_kblocked(&s, &generators::random_dense::<f64>(4, 3, 1), 2).is_err());
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "k_block = 0")]
-    fn zero_k_block_is_a_debug_assertion() {
-        let s = generators::banded::<f64>(10, 2, 3, 1);
         let x = generators::random_dense::<f64>(10, 5, 2);
-        let _ = spmm_rowwise_kblocked(&s, &x, 0);
+        assert_eq!(
+            spmm_aspt(&aspt, &x).unwrap().data(),
+            spmm_aspt_kblocked(&aspt, &x, 0).unwrap().data()
+        );
+        assert!(spmm_aspt_kblocked(&aspt, &generators::random_dense::<f64>(4, 3, 1), 2).is_err());
     }
 
     /// Regression for the fused single-pass restructure: the k-blocked
-    /// kernels (which used to fork/join per column block) stay
-    /// bit-identical to their unblocked references on every Quick
-    /// corpus class.
+    /// kernel (which used to fork/join per column block) stays
+    /// bit-identical to its unblocked reference on every Quick corpus
+    /// class.
     #[test]
     fn kblocked_fused_pass_is_bit_identical_on_quick_corpus() {
         use spmm_data::corpus::{Corpus, CorpusProfile};
@@ -426,16 +347,9 @@ mod tests {
         for cm in corpus.iter() {
             let s = &cm.matrix;
             let x = generators::random_dense::<f32>(s.ncols(), 21, 29);
-            let seq = spmm_rowwise_seq(s, &x).unwrap();
             let aspt = AsptMatrix::build(s, &AsptConfig::default());
             let tiled = spmm_aspt(&aspt, &x).unwrap();
             for kb in [1, 8, 21, 64] {
-                assert_eq!(
-                    seq.data(),
-                    spmm_rowwise_kblocked(s, &x, kb).unwrap().data(),
-                    "rowwise k_block={kb} deviates on {}",
-                    cm.name
-                );
                 assert_eq!(
                     tiled.data(),
                     spmm_aspt_kblocked(&aspt, &x, kb).unwrap().data(),

@@ -7,9 +7,10 @@
 //! *same* matrix concurrently (the plan-cache working-set assumption),
 //! their `X` operands can be concatenated column-wise and served by a
 //! single sparse traversal — one pass over `rowptr`/`colidx`/values
-//! amortised over every member's columns. The fused pass runs the
-//! k-blocked kernel variants so the wider dense working set stays
-//! cache-resident (see `spmm_kernels::spmm_rowwise_kblocked`).
+//! amortised over every member's columns. The fused pass is an
+//! ordinary [`KernelOp::Spmm`](spmm_kernels::KernelOp::Spmm) over the
+//! concatenated operand, swept in blocks of the plan's microkernel
+//! width like any other SpMM.
 //!
 //! Fusion is exact, not approximate: SpMM never mixes columns, so each
 //! member's slice of the fused output is bit-identical to the answer
@@ -44,18 +45,11 @@ pub struct BatchConfig {
     /// candidate that would push the batch past this stays queued.
     /// Default 128.
     pub max_batch_k: usize,
-    /// Column-block width for the fused pass: the k-blocked kernels
-    /// sweep the fused operand in blocks of this many columns so the
-    /// dense working set stays cache-resident. Default 32.
-    pub k_block: usize,
 }
 
 impl Default for BatchConfig {
     fn default() -> Self {
-        BatchConfig {
-            max_batch_k: 128,
-            k_block: 32,
-        }
+        BatchConfig { max_batch_k: 128 }
     }
 }
 
@@ -63,26 +57,6 @@ impl BatchConfig {
     /// Sets the fused-operand column cap (clamped to at least 1).
     pub fn max_batch_k(mut self, max_batch_k: usize) -> Self {
         self.max_batch_k = max_batch_k.max(1);
-        self
-    }
-
-    /// Sets the column-block width of the fused pass.
-    ///
-    /// # Panics
-    /// Panics when `k_block` is 0 — a zero-width column block can never
-    /// make progress, and silently coercing it to 1 used to hide the
-    /// caller's bug. ([`ServeConfigBuilder::build`] reports the same
-    /// condition as a structured [`ServeError::InvalidConfig`] for
-    /// configs assembled without this setter.)
-    ///
-    /// [`ServeConfigBuilder::build`]: crate::ServeConfigBuilder::build
-    /// [`ServeError::InvalidConfig`]: crate::ServeError::InvalidConfig
-    pub fn k_block(mut self, k_block: usize) -> Self {
-        assert!(
-            k_block > 0,
-            "BatchConfig::k_block must be at least 1 (a zero-width column block never progresses)"
-        );
-        self.k_block = k_block;
         self
     }
 }
@@ -141,10 +115,6 @@ pub(crate) struct BatchScheduler {
 impl BatchScheduler {
     pub(crate) fn new(config: BatchConfig) -> Self {
         BatchScheduler { config }
-    }
-
-    pub(crate) fn config(&self) -> BatchConfig {
-        self.config
     }
 
     /// Collects companions for `head` from `queue` (called with the

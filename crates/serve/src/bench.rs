@@ -421,9 +421,8 @@ impl ServeBenchReport {
         ));
         if let Some(batch) = &c.batch {
             out.push_str(&format!(
-                "  batching: max_batch_k={} k_block={}   stream: {} batches / {} fused requests ({} deadline skips)\n",
+                "  batching: max_batch_k={}   stream: {} batches / {} fused requests ({} deadline skips)\n",
                 batch.max_batch_k,
-                batch.k_block,
                 s.batches,
                 s.batched_requests,
                 s.batch_deadline_skips

@@ -207,8 +207,8 @@ impl ChaosBenchReport {
         ));
         if let Some(batch) = &c.batch {
             out.push_str(&format!(
-                "  batching: max_batch_k={} k_block={}   {} batches / {} fused requests\n",
-                batch.max_batch_k, batch.k_block, s.batches, s.batched_requests
+                "  batching: max_batch_k={}   {} batches / {} fused requests\n",
+                batch.max_batch_k, s.batches, s.batched_requests
             ));
         }
         let counter = |name: &str| self.manifest.counters.get(name).copied().unwrap_or(0);

@@ -24,9 +24,7 @@ use crate::fingerprint::MatrixFingerprint;
 use crate::lock_clean;
 use crate::store::PlanStore;
 use spmm_faults::{ClockHandle, FaultPoint};
-use spmm_kernels::{
-    sddmm, spgemm, spmm, spmm_rowwise_kblocked_auto, spmv, Engine, EngineConfig, KernelOp, Output,
-};
+use spmm_kernels::{sddmm, spgemm, spmm, spmv, Engine, EngineConfig, KernelOp, Output};
 use spmm_sparse::{CsrMatrix, DenseMatrix, Scalar, SparseError};
 use spmm_telemetry::{Collector, FanoutRecorder, Recorder, RunManifest, TelemetryHandle};
 use std::collections::VecDeque;
@@ -41,6 +39,28 @@ use std::time::{Duration, Instant};
 /// action exercises the worker's `catch_unwind` boundary
 /// ([`ServeError::WorkerPanicked`]).
 pub static FAULT_SERVE_WORKER: FaultPoint = FaultPoint::new("serve.worker");
+
+/// The one kernel dispatch of the serving path: `op` on the prepared
+/// plan when there is one, otherwise on the row-wise baseline over the
+/// original CSR `m` (the fallback path).
+fn run_op<T: Scalar>(
+    engine: Option<&Engine<T>>,
+    m: &CsrMatrix<T>,
+    op: KernelOp<'_, T>,
+) -> Result<Output<T>, ServeError> {
+    match (engine, op) {
+        (Some(e), op) => e.execute(op),
+        (None, KernelOp::Spmm { x }) => spmm::spmm_rowwise_par(m, x).map(Output::Dense),
+        (None, KernelOp::Spmv { x }) => spmv::spmv_rowwise_par(m, x).map(Output::Vector),
+        (None, KernelOp::Sddmm { x, y }) => sddmm::sddmm_rowwise_par(m, x, y).map(Output::Values),
+        (None, KernelOp::Spgemm { b }) => spgemm::spgemm_gustavson_par(m, b).map(Output::Sparse),
+        (None, op) => Err(SparseError::InvalidStructure(format!(
+            "no row-wise fallback for {:?}",
+            op.op_kind()
+        ))),
+    }
+    .map_err(ServeError::Execute)
+}
 
 /// Construction options for [`ServeEngine`].
 #[derive(Debug, Clone)]
@@ -245,8 +265,7 @@ impl ServeConfigBuilder {
     /// is zero — an engine started with either would deadlock (no
     /// worker can ever drain the queue, or no request can ever be
     /// admitted) — or when batching is enabled with a zero
-    /// `batch.k_block` / `batch.max_batch_k`, either of which would
-    /// leave the fused pass unable to make progress.
+    /// `batch.max_batch_k`, which could never admit a member.
     pub fn build(self) -> Result<ServeConfig, ServeError> {
         if self.config.workers == 0 {
             return Err(ServeError::InvalidConfig {
@@ -263,15 +282,7 @@ impl ServeConfigBuilder {
             });
         }
         if let Some(batch) = &self.config.batch {
-            // a zero-width column block can never sweep the fused
-            // operand; a zero column cap can never admit a member
-            if batch.k_block == 0 {
-                return Err(ServeError::InvalidConfig {
-                    field: "batch.k_block",
-                    value: 0,
-                    minimum: 1,
-                });
-            }
+            // a zero column cap can never admit a member
             if batch.max_batch_k == 0 {
                 return Err(ServeError::InvalidConfig {
                     field: "batch.max_batch_k",
@@ -805,50 +816,29 @@ impl<T: Scalar> Inner<T> {
         }
     }
 
-    /// Runs the live jobs of a group on one plan: a single job runs its
-    /// own op's kernel; two or more (SpMM/SpMV over one structure) run
-    /// one fused k-blocked pass. SpMM never mixes columns, so each
-    /// member's slice of the fused output is bit-identical to its solo
-    /// answer on the same service path.
+    /// Runs the live jobs of a group on one plan with one kernel call: a
+    /// lone job runs its own op; two or more (SpMM/SpMV over one
+    /// structure) run one [`KernelOp::Spmm`] over their concatenated
+    /// operands. SpMM never mixes columns, so each member's slice of the
+    /// fused output is bit-identical to its solo answer on the same
+    /// service path.
     fn execute_group(
         &self,
         engine: Option<&Engine<T>>,
         jobs: &[&Job<T>],
     ) -> Result<Vec<Output<T>>, ServeError> {
+        let m = &jobs[0].request.matrix;
         if let [job] = jobs {
-            let (m, op) = (&job.request.matrix, &job.request.op);
-            let output = match (engine, op) {
-                (Some(e), RequestOp::Spmm { x }) => e.execute(KernelOp::Spmm { x }),
-                (Some(e), RequestOp::Spmv { x }) => e.execute(KernelOp::Spmv { x }),
-                (Some(e), RequestOp::Sddmm { x, y }) => e.execute(KernelOp::Sddmm { x, y }),
-                (Some(e), RequestOp::Spgemm { b }) => e.execute(KernelOp::Spgemm { b }),
-                (None, RequestOp::Spmm { x }) => spmm::spmm_rowwise_par(m, x).map(Output::Dense),
-                (None, RequestOp::Spmv { x }) => spmv::spmv_rowwise_par(m, x).map(Output::Vector),
-                (None, RequestOp::Sddmm { x, y }) => {
-                    sddmm::sddmm_rowwise_par(m, x, y).map(Output::Values)
-                }
-                (None, RequestOp::Spgemm { b }) => {
-                    spgemm::spgemm_gustavson_par(m, b).map(Output::Sparse)
-                }
+            let op = match &job.request.op {
+                RequestOp::Spmm { x } => KernelOp::Spmm { x },
+                RequestOp::Spmv { x } => KernelOp::Spmv { x },
+                RequestOp::Sddmm { x, y } => KernelOp::Sddmm { x, y },
+                RequestOp::Spgemm { b } => KernelOp::Spgemm { b },
             };
-            return output.map(|o| vec![o]).map_err(ServeError::Execute);
+            return run_op(engine, m, op).map(|o| vec![o]);
         }
         let (fused, offsets) = fuse_operands(jobs);
-        let k_block = self
-            .batch
-            .as_ref()
-            .map_or_else(|| BatchConfig::default().k_block, |s| s.config().k_block);
-        let output = match engine {
-            // the plan's microkernel width, when it chose one, overrides
-            // the configured block so the fused pass hits those bodies
-            Some(e) => e.execute(KernelOp::SpmmKBlocked {
-                x: &fused,
-                k_block: e.micro_width().unwrap_or(k_block),
-            }),
-            None => spmm_rowwise_kblocked_auto(&jobs[0].request.matrix, &fused, k_block)
-                .map(Output::Dense),
-        };
-        let Output::Dense(y) = output.map_err(ServeError::Execute)? else {
+        let Output::Dense(y) = run_op(engine, m, KernelOp::Spmm { x: &fused })? else {
             return Err(ServeError::Execute(SparseError::InvalidStructure(
                 "fused SpMM produced a non-dense output".into(),
             )));
@@ -1333,26 +1323,10 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_zero_width_batch_blocks() {
-        // assembled without the (panicking) setter, the zero block is
-        // still caught at build time with a structured error
-        let batch = BatchConfig {
-            k_block: 0,
-            ..BatchConfig::default()
-        };
-        let err = ServeConfig::builder().batching(batch).build().unwrap_err();
-        assert_eq!(
-            err,
-            ServeError::InvalidConfig {
-                field: "batch.k_block",
-                value: 0,
-                minimum: 1,
-            }
-        );
-        let batch = BatchConfig {
-            max_batch_k: 0,
-            ..BatchConfig::default()
-        };
+    fn builder_rejects_a_zero_batch_cap() {
+        // assembled without the (clamping) setter, the zero cap is
+        // caught at build time with a structured error
+        let batch = BatchConfig { max_batch_k: 0 };
         let err = ServeConfig::builder().batching(batch).build().unwrap_err();
         assert_eq!(
             err,
@@ -1366,12 +1340,6 @@ mod tests {
             .batching(BatchConfig::default())
             .build()
             .is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "k_block must be at least 1")]
-    fn zero_k_block_panics_in_the_setter() {
-        let _ = BatchConfig::default().k_block(0);
     }
 
     #[test]
@@ -1632,7 +1600,7 @@ mod tests {
         // no other test's fault plan may fire inside these prepares
         let _quiet = spmm_faults::quiesce();
         let budget = Duration::from_secs(60);
-        let cases: [(&str, LadderSetup, Option<Duration>, &str); 8] = [
+        let cases: [(&str, LadderSetup, Option<Duration>, &str); 9] = [
             (
                 "tight deadline, resident plan",
                 |serve, _| {
@@ -1642,6 +1610,20 @@ mod tests {
                     m
                 },
                 Some(budget),
+                "cached-plan",
+            ),
+            (
+                "resident plan with a micro width",
+                |serve, _| {
+                    let m = ladder_matrix();
+                    let mut plan = Engine::prepare(&m, &EngineConfig::default()).unwrap();
+                    plan.set_micro_width(Some(8));
+                    assert!(serve
+                        .cache()
+                        .insert_ready(MatrixFingerprint::of(&m), Arc::new(plan)));
+                    m
+                },
+                None,
                 "cached-plan",
             ),
             (
@@ -1733,7 +1715,7 @@ mod tests {
                 let before = serve.stats();
                 let (jobs, _replies): (Vec<Job<f64>>, Vec<_>) = (0..members)
                     .map(|i| {
-                        let x = generators::random_dense::<f64>(m.ncols(), 4, 7 + i as u64);
+                        let x = generators::random_dense::<f64>(m.ncols(), 5, 7 + i as u64);
                         let mut request = Request::spmm(m.clone(), x);
                         if let Some(d) = deadline {
                             request = request.deadline(d);

@@ -4,7 +4,7 @@
 //!
 //! All operands are quantised onto a small integer grid, so every
 //! partial sum is exactly representable and summation order cannot
-//! change a result: the fused k-blocked pass, the tiled solo pass and
+//! change a result: the fused pass, the tiled solo pass and
 //! `spmm_rowwise_seq` must agree exactly. Fusion is forced
 //! deterministically with the single-worker + cold-decoy pattern: the
 //! lone worker is pinned preparing a cold structure while the test's
@@ -56,7 +56,7 @@ fn random_batch_compositions_stay_bit_identical_to_solo_references() {
             ServeConfig::builder()
                 .workers(1)
                 .queue_capacity(128)
-                .batching(BatchConfig::default().max_batch_k(48).k_block(16))
+                .batching(BatchConfig::default().max_batch_k(48))
                 .build()
                 .unwrap(),
         );
@@ -175,4 +175,87 @@ fn fused_and_unbatched_engines_agree_bit_for_bit() {
         assert_eq!(fused.data(), reference.data());
     }
     assert!(batched.stats().batches >= 1, "{:?}", batched.stats());
+}
+
+/// Queues `xs` against `m` behind a cold decoy on a single-worker
+/// engine, so they coalesce into one group, and returns the responses.
+fn pinned_group(
+    engine: &ServeEngine<f64>,
+    m: &Arc<CsrMatrix<f64>>,
+    xs: &[DenseMatrix<f64>],
+    deadline: Option<Duration>,
+) -> Vec<Response<f64>> {
+    let decoy = engine
+        .submit(Request::spmm(
+            quantized_matrix(512, 512, 24, 0xDEC0DE),
+            quantized_x(512, 4, 0xDEC0DF),
+        ))
+        .unwrap();
+    let tickets: Vec<_> = xs
+        .iter()
+        .map(|x| {
+            let mut request = Request::spmm(m.clone(), x.clone());
+            if let Some(d) = deadline {
+                request = request.deadline(d);
+            }
+            engine.submit(request).unwrap()
+        })
+        .collect();
+    decoy.wait().unwrap();
+    tickets.into_iter().map(|t| t.wait().unwrap()).collect()
+}
+
+#[test]
+fn fused_groups_stay_exact_on_a_micro_width_plan_and_on_the_fallback() {
+    let m = quantized_matrix(96, 96, 5, 0x1111);
+    // widths 5 + 11 + 7 = 23: not a multiple of the plan's micro width
+    let xs: Vec<DenseMatrix<f64>> = [5, 11, 7]
+        .iter()
+        .enumerate()
+        .map(|(i, &k)| quantized_x(96, k, 0x2000 + i as u64))
+        .collect();
+    let start = || {
+        ServeEngine::<f64>::start(
+            ServeConfig::builder()
+                .workers(1)
+                .preprocess_budget(Duration::from_secs(60))
+                .batching(BatchConfig::default())
+                .build()
+                .unwrap(),
+        )
+    };
+
+    // a resident plan that carries a micro width: the fused pass runs
+    // the 8-wide microkernel over the concatenated operand
+    let planned = start();
+    let mut plan = Engine::prepare(&m, &EngineConfig::default()).unwrap();
+    plan.set_micro_width(Some(8));
+    assert!(planned
+        .cache()
+        .insert_ready(MatrixFingerprint::of(&m), Arc::new(plan)));
+    let on_plan = pinned_group(&planned, &m, &xs, None);
+
+    // a cold structure under a deadline inside the preprocessing
+    // budget: the fused group is served by the row-wise fallback
+    let cold = start();
+    let on_fallback = pinned_group(&cold, &m, &xs, Some(Duration::from_secs(60)));
+
+    for (engine, responses, path) in [
+        (&planned, on_plan, ServePath::CachedPlan),
+        (&cold, on_fallback, ServePath::Fallback),
+    ] {
+        for (x, response) in xs.iter().zip(responses) {
+            assert_eq!(response.path, path);
+            let reference = spmm_rowwise_seq(&m, x).unwrap();
+            assert_eq!(
+                response.output.into_dense().unwrap().data(),
+                reference.data(),
+                "{path:?} member of width {} deviates",
+                x.ncols()
+            );
+        }
+        let stats = engine.stats();
+        assert_eq!(stats.batches, 1, "{path:?}: {stats:?}");
+        assert_eq!(stats.batched_requests, 3, "{path:?}: {stats:?}");
+    }
 }

@@ -67,20 +67,17 @@ proptest! {
         }
     }
 
-    /// Zoo SpMM kernels (whole-k and column-blocked, including
-    /// k % k_block != 0) are bit-exact against the row-wise reference.
+    /// Zoo SpMM kernels are bit-exact against the row-wise reference.
     #[test]
     fn zoo_spmm_is_bit_exact_vs_rowwise(
         m in sparse_matrix::<f64>(32, 200),
         k in 1usize..18,
-        k_block in 1usize..7,
     ) {
         let x = generators::random_dense::<f64>(m.ncols(), k, 97);
         let reference = spmm_rowwise_seq(&m, &x).unwrap();
         for choice in zoo_choices() {
             let Ok(Some(p)) = FormatPayload::build(choice, &m) else { continue };
             prop_assert_eq!(p.spmm(&x).unwrap().data(), reference.data());
-            prop_assert_eq!(p.spmm_kblocked(&x, k_block).unwrap().data(), reference.data());
         }
     }
 }
@@ -99,13 +96,6 @@ fn zoo_handles_degenerate_shapes_bit_exactly() {
             };
             assert_eq!(p.to_csr(), *m, "{choice} roundtrip");
             assert_eq!(p.spmm(&x).unwrap().data(), reference.data(), "{choice}");
-            for kb in [1, 3, k] {
-                assert_eq!(
-                    p.spmm_kblocked(&x, kb).unwrap().data(),
-                    reference.data(),
-                    "{choice} kb={kb}"
-                );
-            }
         }
         // uncapped direct SELL layout — these shapes exceed the
         // autotuner's padding cap, but the kernel itself must still be
@@ -113,7 +103,6 @@ fn zoo_handles_degenerate_shapes_bit_exactly() {
         let sell = SellPMatrix::from_csr(m, 4, 0);
         assert_eq!(sell.to_csr(), *m, "uncapped SELL roundtrip");
         assert_eq!(sell.spmm_par(&x).unwrap().data(), reference.data());
-        assert_eq!(sell.spmm_kblocked(&x, 3).unwrap().data(), reference.data());
     }
     // empty rows interleaved with populated ones
     let coo = CooMatrix::from_entries(
@@ -156,12 +145,6 @@ fn zoo_handles_degenerate_shapes_bit_exactly() {
             continue;
         };
         assert_eq!(p.spmm(&x32).unwrap().data(), reference.data(), "{choice}");
-        // k % k_block != 0 on the f32 path too
-        assert_eq!(
-            p.spmm_kblocked(&x32, 2).unwrap().data(),
-            reference.data(),
-            "{choice}"
-        );
     }
 }
 

@@ -5,14 +5,14 @@
 //! panels with no nonzeros at all, and operand widths that leave a
 //! partial trailing block.
 //!
-//! Two distinct bit-equality bars, matching the kernels' contracts:
+//! Two bit-equality bars, matching the kernels' contracts:
 //!
-//! * `spmm_rowwise_kblocked_auto` ≡ `spmm_rowwise_seq` — row-wise
-//!   kernels keep CSR nonzero order, so they are bit-equal to the
-//!   sequential reference;
 //! * `spmm_aspt_kblocked_auto` ≡ `spmm_aspt` ≡ `spmm_aspt_kblocked` —
 //!   ASpT kernels accumulate tiles before the remainder, so their bar
-//!   is the ASpT family itself, not the CSR-ordered reference.
+//!   is the ASpT family itself, not the CSR-ordered reference;
+//! * `Engine::spmm` ≡ `spmm_rowwise_seq` on integer-valued operands,
+//!   where every summation order is exact — whatever micro width the
+//!   plan carries.
 
 use proptest::prelude::*;
 use spmm_rr::kernels::spmm::spmm_aspt_kblocked;
@@ -77,13 +77,6 @@ fn check_all_widths<T: Scalar>(seed: u64) {
         for &kb in MICRO_WIDTHS.iter() {
             for k in [kb, kb + 1, 37] {
                 let x = generators::random_dense::<T>(m.ncols(), k, seed ^ (k as u64));
-                let seq = spmm_rowwise_seq(&m, &x).unwrap();
-                let rowwise = spmm_rowwise_kblocked_auto(&m, &x, kb).unwrap();
-                assert_eq!(
-                    bits(&rowwise),
-                    bits(&seq),
-                    "rowwise micro kb={kb} k={k} diverged on {label}"
-                );
                 let aspt_ref = spmm_aspt(&aspt, &x).unwrap();
                 let aspt_generic = spmm_aspt_kblocked(&aspt, &x, kb).unwrap();
                 let aspt_micro = spmm_aspt_kblocked_auto(&aspt, &x, kb).unwrap();
@@ -112,32 +105,31 @@ fn every_width_is_bit_identical_in_f64() {
     check_all_widths::<f64>(202);
 }
 
-/// Engine-level contract: `SpmmKBlocked` routed through the specialized
-/// bodies answers bit-identically to the unblocked ASpT execution and
-/// to a non-specialized block width — the block partition (and the
-/// microkernel behind it) must never change a single output bit.
+/// Engine-level contract: `Engine::spmm` sweeps `k` in blocks of the
+/// plan's micro width, and no width — none, or any specialized one,
+/// dividing `k` or not, `k = 0` included — changes a single output
+/// bit. Operands sit on an integer grid so the sequential reference is
+/// exact whatever order the tiles accumulate in.
 #[test]
 fn engine_kblocked_execution_is_width_invariant() {
-    let m = generators::shuffled_block_diagonal::<f32>(64, 16, 48, 16, 43);
-    let config = EngineConfig::builder().k_hint(48).build();
-    let engine = Engine::prepare(&m, &config).unwrap();
+    let quantize = |v: &mut [f32]| v.iter_mut().for_each(|x| *x = (*x * 8.0).round());
+    let mut m = generators::shuffled_block_diagonal::<f32>(64, 16, 48, 16, 43);
+    quantize(m.values_mut());
+    let mut engine = Engine::prepare(&m, &EngineConfig::default()).unwrap();
     assert!(
-        engine.micro_width().is_some(),
-        "plan-time selection must pick a width for k_hint = 48"
+        engine.plan().needs_reordering(),
+        "unpermute must be exercised"
     );
-    let x = generators::random_dense::<f32>(m.ncols(), 48, 47);
-    let unblocked = engine.spmm(&x).unwrap();
-    for kb in [8usize, 16, 32, 7, 48] {
-        let out = engine
-            .execute(KernelOp::SpmmKBlocked { x: &x, k_block: kb })
-            .unwrap();
-        match out {
-            Output::Dense(y) => assert_eq!(
-                bits(&y),
-                bits(&unblocked),
-                "k_block = {kb} changed the engine's answer"
-            ),
-            other => panic!("unexpected output {other:?}"),
+    assert_eq!(engine.format_choice(), FormatChoice::Csr);
+    for k in [0usize, 1, 7, 8, 20, 48] {
+        let mut x = generators::random_dense::<f32>(m.ncols(), k, 47 ^ k as u64);
+        quantize(x.data_mut());
+        let reference = bits(&spmm_rowwise_seq(&m, &x).unwrap());
+        for width in [None, Some(8), Some(16), Some(32)] {
+            engine.set_micro_width(width);
+            let y = engine.spmm(&x).unwrap();
+            assert_eq!((y.nrows(), y.ncols()), (m.nrows(), k));
+            assert_eq!(bits(&y), reference, "micro width {width:?} at k = {k}");
         }
     }
 }
@@ -187,9 +179,6 @@ proptest! {
         let m = CsrMatrix::from_coo(&coo);
         let kb = MICRO_WIDTHS[width_idx];
         let x = generators::random_dense::<f64>(m.ncols(), k, 7);
-        let seq = spmm_rowwise_seq(&m, &x).unwrap();
-        let rowwise = spmm_rowwise_kblocked_auto(&m, &x, kb).unwrap();
-        prop_assert_eq!(bits(&rowwise), bits(&seq));
         let aspt = AsptMatrix::build(&m, &AsptConfig::default());
         let generic = spmm_aspt_kblocked(&aspt, &x, kb).unwrap();
         let micro = spmm_aspt_kblocked_auto(&aspt, &x, kb).unwrap();

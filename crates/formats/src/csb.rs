@@ -12,7 +12,7 @@
 
 use rayon::prelude::*;
 use spmm_gpu_sim::{BlockTrace, DeviceConfig, SimReport};
-use spmm_sparse::{CooMatrix, CsrMatrix, DenseMatrix, Scalar, SparseError};
+use spmm_sparse::{fma_kernel, CooMatrix, CsrMatrix, DenseMatrix, Scalar, SparseError};
 
 /// A sparse matrix in CSB layout.
 #[derive(Debug, Clone, PartialEq)]
@@ -336,58 +336,12 @@ impl<T: Scalar> CsbMatrix<T> {
 
     /// Sequential SpMM `Y = S · X`.
     pub fn spmm_seq(&self, x: &DenseMatrix<T>) -> Result<DenseMatrix<T>, SparseError> {
-        self.check_dims(x)?;
-        let k = x.ncols();
-        let mut y = DenseMatrix::zeros(self.nrows, k);
-        for br in 0..self.nblock_rows {
-            let row_base = br * self.beta;
-            for b in self.blockptr[br]..self.blockptr[br + 1] {
-                let col_base = self.block_col[b] as usize * self.beta;
-                for e in self.entryptr[b]..self.entryptr[b + 1] {
-                    let r = row_base + self.rel_row[e] as usize;
-                    let c = col_base + self.rel_col[e] as usize;
-                    let v = self.values[e];
-                    let y_row = y.row_mut(r);
-                    for (yj, &xj) in y_row.iter_mut().zip(x.row(c)) {
-                        *yj = v.mul_add(xj, *yj);
-                    }
-                }
-            }
-        }
-        Ok(y)
+        spmm_seq_kernel(self, x)
     }
 
     /// Block-row-parallel SpMM (block rows own disjoint output rows).
     pub fn spmm_par(&self, x: &DenseMatrix<T>) -> Result<DenseMatrix<T>, SparseError> {
-        self.check_dims(x)?;
-        let k = x.ncols();
-        let mut y = DenseMatrix::zeros(self.nrows, k);
-        let mut chunks: Vec<&mut [T]> = Vec::with_capacity(self.nblock_rows);
-        let mut rest: &mut [T] = y.data_mut();
-        for br in 0..self.nblock_rows {
-            let rows = (br * self.beta + self.beta).min(self.nrows) - br * self.beta;
-            let (head, tail) = rest.split_at_mut(rows * k);
-            chunks.push(head);
-            rest = tail;
-        }
-        (0..self.nblock_rows)
-            .into_par_iter()
-            .zip(chunks)
-            .for_each(|(br, y_chunk)| {
-                for b in self.blockptr[br]..self.blockptr[br + 1] {
-                    let col_base = self.block_col[b] as usize * self.beta;
-                    for e in self.entryptr[b]..self.entryptr[b + 1] {
-                        let r = self.rel_row[e] as usize;
-                        let c = col_base + self.rel_col[e] as usize;
-                        let v = self.values[e];
-                        let y_row = &mut y_chunk[r * k..(r + 1) * k];
-                        for (yj, &xj) in y_row.iter_mut().zip(x.row(c)) {
-                            *yj = v.mul_add(xj, *yj);
-                        }
-                    }
-                }
-            });
-        Ok(y)
+        spmm_par_kernel(self, x)
     }
 
     fn check_dims(&self, x: &DenseMatrix<T>) -> Result<(), SparseError> {
@@ -432,6 +386,72 @@ impl<T: Scalar> CsbMatrix<T> {
     /// Simulated SpMM performance.
     pub fn simulate_spmm(&self, k: usize, device: &DeviceConfig) -> SimReport {
         spmm_gpu_sim::run_blocks(&self.spmm_blocks(k), k, T::BYTES, device)
+    }
+}
+
+fma_kernel! {
+    /// The dispatched body of [`CsbMatrix::spmm_seq`].
+    fn spmm_seq_kernel<T: Scalar>(
+        m: &CsbMatrix<T>,
+        x: &DenseMatrix<T>,
+    ) -> Result<DenseMatrix<T>, SparseError> {
+        m.check_dims(x)?;
+        let k = x.ncols();
+        let mut y = DenseMatrix::zeros(m.nrows, k);
+        for br in 0..m.nblock_rows {
+            let row_base = br * m.beta;
+            for b in m.blockptr[br]..m.blockptr[br + 1] {
+                let col_base = m.block_col[b] as usize * m.beta;
+                for e in m.entryptr[b]..m.entryptr[b + 1] {
+                    let r = row_base + m.rel_row[e] as usize;
+                    let c = col_base + m.rel_col[e] as usize;
+                    let v = m.values[e];
+                    let y_row = y.row_mut(r);
+                    for (yj, &xj) in y_row.iter_mut().zip(x.row(c)) {
+                        *yj = v.mul_add(xj, *yj);
+                    }
+                }
+            }
+        }
+        Ok(y)
+    }
+}
+
+fma_kernel! {
+    /// The dispatched body of [`CsbMatrix::spmm_par`].
+    fn spmm_par_kernel<T: Scalar>(
+        m: &CsbMatrix<T>,
+        x: &DenseMatrix<T>,
+    ) -> Result<DenseMatrix<T>, SparseError> {
+        m.check_dims(x)?;
+        let k = x.ncols();
+        let mut y = DenseMatrix::zeros(m.nrows, k);
+        let mut chunks: Vec<&mut [T]> = Vec::with_capacity(m.nblock_rows);
+        let mut rest: &mut [T] = y.data_mut();
+        for br in 0..m.nblock_rows {
+            let rows = (br * m.beta + m.beta).min(m.nrows) - br * m.beta;
+            let (head, tail) = rest.split_at_mut(rows * k);
+            chunks.push(head);
+            rest = tail;
+        }
+        (0..m.nblock_rows)
+            .into_par_iter()
+            .zip(chunks)
+            .for_each(|(br, y_chunk)| {
+                for b in m.blockptr[br]..m.blockptr[br + 1] {
+                    let col_base = m.block_col[b] as usize * m.beta;
+                    for e in m.entryptr[b]..m.entryptr[b + 1] {
+                        let r = m.rel_row[e] as usize;
+                        let c = col_base + m.rel_col[e] as usize;
+                        let v = m.values[e];
+                        let y_row = &mut y_chunk[r * k..(r + 1) * k];
+                        for (yj, &xj) in y_row.iter_mut().zip(x.row(c)) {
+                            *yj = v.mul_add(xj, *yj);
+                        }
+                    }
+                }
+            });
+        Ok(y)
     }
 }
 

@@ -8,7 +8,7 @@
 
 use rayon::prelude::*;
 use spmm_gpu_sim::{BlockTrace, DeviceConfig, SimReport};
-use spmm_sparse::{CsrMatrix, DenseMatrix, Scalar, SparseError};
+use spmm_sparse::{fma_kernel, CsrMatrix, DenseMatrix, Scalar, SparseError};
 
 /// Sentinel column index marking a padding slot.
 pub const PAD: u32 = u32::MAX;
@@ -136,46 +136,12 @@ impl<T: Scalar> EllMatrix<T> {
 
     /// Sequential SpMM `Y = E · X`.
     pub fn spmm_seq(&self, x: &DenseMatrix<T>) -> Result<DenseMatrix<T>, SparseError> {
-        self.check_dims(x)?;
-        let k = x.ncols();
-        let mut y = DenseMatrix::zeros(self.nrows, k);
-        for i in 0..self.nrows {
-            let y_row = y.row_mut(i);
-            for slot in 0..self.width {
-                let c = self.colidx[slot * self.nrows + i];
-                if c == PAD {
-                    continue;
-                }
-                let v = self.values[slot * self.nrows + i];
-                for (yj, &xj) in y_row.iter_mut().zip(x.row(c as usize)) {
-                    *yj = v.mul_add(xj, *yj);
-                }
-            }
-        }
-        Ok(y)
+        spmm_seq_kernel(self, x)
     }
 
     /// Row-parallel SpMM.
     pub fn spmm_par(&self, x: &DenseMatrix<T>) -> Result<DenseMatrix<T>, SparseError> {
-        self.check_dims(x)?;
-        let k = x.ncols();
-        let mut y = DenseMatrix::zeros(self.nrows, k);
-        y.data_mut()
-            .par_chunks_mut(k)
-            .enumerate()
-            .for_each(|(i, y_row)| {
-                for slot in 0..self.width {
-                    let c = self.colidx[slot * self.nrows + i];
-                    if c == PAD {
-                        continue;
-                    }
-                    let v = self.values[slot * self.nrows + i];
-                    for (yj, &xj) in y_row.iter_mut().zip(x.row(c as usize)) {
-                        *yj = v.mul_add(xj, *yj);
-                    }
-                }
-            });
-        Ok(y)
+        spmm_par_kernel(self, x)
     }
 
     fn check_dims(&self, x: &DenseMatrix<T>) -> Result<(), SparseError> {
@@ -223,6 +189,61 @@ impl<T: Scalar> EllMatrix<T> {
     pub fn simulate_spmm(&self, k: usize, device: &DeviceConfig) -> SimReport {
         let blocks = self.spmm_blocks(k, spmm_gpu_sim::kernels::DEFAULT_ROWS_PER_BLOCK);
         spmm_gpu_sim::run_blocks(&blocks, k, T::BYTES, device)
+    }
+}
+
+fma_kernel! {
+    /// The dispatched body of [`EllMatrix::spmm_seq`].
+    fn spmm_seq_kernel<T: Scalar>(
+        m: &EllMatrix<T>,
+        x: &DenseMatrix<T>,
+    ) -> Result<DenseMatrix<T>, SparseError> {
+        m.check_dims(x)?;
+        let k = x.ncols();
+        let mut y = DenseMatrix::zeros(m.nrows, k);
+        for i in 0..m.nrows {
+            let y_row = y.row_mut(i);
+            for slot in 0..m.width {
+                let c = m.colidx[slot * m.nrows + i];
+                if c == PAD {
+                    continue;
+                }
+                let v = m.values[slot * m.nrows + i];
+                for (yj, &xj) in y_row.iter_mut().zip(x.row(c as usize)) {
+                    *yj = v.mul_add(xj, *yj);
+                }
+            }
+        }
+        Ok(y)
+    }
+}
+
+fma_kernel! {
+    /// The dispatched body of [`EllMatrix::spmm_par`].
+    fn spmm_par_kernel<T: Scalar>(
+        m: &EllMatrix<T>,
+        x: &DenseMatrix<T>,
+    ) -> Result<DenseMatrix<T>, SparseError> {
+        m.check_dims(x)?;
+        let k = x.ncols();
+        let mut y = DenseMatrix::zeros(m.nrows, k);
+        // k = 0 leaves no data to chunk; a zero chunk size would panic
+        y.data_mut()
+            .par_chunks_mut(k.max(1))
+            .enumerate()
+            .for_each(|(i, y_row)| {
+                for slot in 0..m.width {
+                    let c = m.colidx[slot * m.nrows + i];
+                    if c == PAD {
+                        continue;
+                    }
+                    let v = m.values[slot * m.nrows + i];
+                    for (yj, &xj) in y_row.iter_mut().zip(x.row(c as usize)) {
+                        *yj = v.mul_add(xj, *yj);
+                    }
+                }
+            });
+        Ok(y)
     }
 }
 

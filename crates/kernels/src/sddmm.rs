@@ -6,7 +6,9 @@
 
 use rayon::prelude::*;
 use spmm_aspt::AsptMatrix;
-use spmm_sparse::{CsrMatrix, DenseMatrix, Scalar, SparseError};
+use spmm_sparse::{fma_kernel, CsrMatrix, DenseMatrix, Scalar, SparseError};
+
+use crate::micro::dot_chunked;
 
 fn check_dims<T: Scalar>(
     s_nrows: usize,
@@ -35,7 +37,7 @@ fn check_dims<T: Scalar>(
     Ok(())
 }
 
-#[inline]
+#[inline(always)]
 fn dot<T: Scalar>(a: &[T], b: &[T]) -> T {
     debug_assert_eq!(a.len(), b.len());
     let mut acc = T::ZERO;
@@ -45,42 +47,46 @@ fn dot<T: Scalar>(a: &[T], b: &[T]) -> T {
     acc
 }
 
-/// Sequential Alg 2 reference.
-pub fn sddmm_rowwise_seq<T: Scalar>(
-    s: &CsrMatrix<T>,
-    x: &DenseMatrix<T>,
-    y: &DenseMatrix<T>,
-) -> Result<Vec<T>, SparseError> {
-    check_dims(s.nrows(), s.ncols(), x, y)?;
-    let mut out = Vec::with_capacity(s.nnz());
-    for i in 0..s.nrows() {
-        let y_row = y.row(i);
-        let (cols, vals) = s.row(i);
-        for (&c, &v) in cols.iter().zip(vals) {
-            out.push(dot(y_row, x.row(c as usize)) * v);
-        }
-    }
-    Ok(out)
-}
-
-/// Row-parallel Alg 2 (order of the output matches `s.values()`).
-pub fn sddmm_rowwise_par<T: Scalar>(
-    s: &CsrMatrix<T>,
-    x: &DenseMatrix<T>,
-    y: &DenseMatrix<T>,
-) -> Result<Vec<T>, SparseError> {
-    check_dims(s.nrows(), s.ncols(), x, y)?;
-    let out: Vec<T> = (0..s.nrows())
-        .into_par_iter()
-        .flat_map_iter(|i| {
+fma_kernel! {
+    /// Sequential Alg 2 reference.
+    pub fn sddmm_rowwise_seq<T: Scalar>(
+        s: &CsrMatrix<T>,
+        x: &DenseMatrix<T>,
+        y: &DenseMatrix<T>,
+    ) -> Result<Vec<T>, SparseError> {
+        check_dims(s.nrows(), s.ncols(), x, y)?;
+        let mut out = Vec::with_capacity(s.nnz());
+        for i in 0..s.nrows() {
             let y_row = y.row(i);
             let (cols, vals) = s.row(i);
-            cols.iter()
-                .zip(vals)
-                .map(move |(&c, &v)| dot(y_row, x.row(c as usize)) * v)
-        })
-        .collect();
-    Ok(out)
+            for (&c, &v) in cols.iter().zip(vals) {
+                out.push(dot(y_row, x.row(c as usize)) * v);
+            }
+        }
+        Ok(out)
+    }
+}
+
+fma_kernel! {
+    /// Row-parallel Alg 2 (order of the output matches `s.values()`).
+    pub fn sddmm_rowwise_par<T: Scalar>(
+        s: &CsrMatrix<T>,
+        x: &DenseMatrix<T>,
+        y: &DenseMatrix<T>,
+    ) -> Result<Vec<T>, SparseError> {
+        check_dims(s.nrows(), s.ncols(), x, y)?;
+        let out: Vec<T> = (0..s.nrows())
+            .into_par_iter()
+            .flat_map_iter(|i| {
+                let y_row = y.row(i);
+                let (cols, vals) = s.row(i);
+                cols.iter()
+                    .zip(vals)
+                    .map(move |(&c, &v)| dot(y_row, x.row(c as usize)) * v)
+            })
+            .collect();
+        Ok(out)
+    }
 }
 
 /// ASpT-structured SDDMM. The output stays in the *source CSR order* of
@@ -93,7 +99,7 @@ pub fn sddmm_aspt<T: Scalar>(
     y: &DenseMatrix<T>,
     src_rowptr: &[usize],
 ) -> Result<Vec<T>, SparseError> {
-    sddmm_aspt_with(aspt, x, y, src_rowptr, dot)
+    sddmm_aspt_with::<T, 0>(aspt, x, y, src_rowptr)
 }
 
 /// [`sddmm_aspt`] with a plan-selected microkernel dot product:
@@ -108,71 +114,84 @@ pub fn sddmm_aspt_auto<T: Scalar>(
     src_rowptr: &[usize],
     micro_width: Option<usize>,
 ) -> Result<Vec<T>, SparseError> {
-    use crate::micro::dot_chunked;
     match micro_width {
-        Some(8) => sddmm_aspt_with(aspt, x, y, src_rowptr, dot_chunked::<T, 8>),
-        Some(16) => sddmm_aspt_with(aspt, x, y, src_rowptr, dot_chunked::<T, 16>),
-        Some(32) => sddmm_aspt_with(aspt, x, y, src_rowptr, dot_chunked::<T, 32>),
+        Some(8) => sddmm_aspt_with::<T, 8>(aspt, x, y, src_rowptr),
+        Some(16) => sddmm_aspt_with::<T, 16>(aspt, x, y, src_rowptr),
+        Some(32) => sddmm_aspt_with::<T, 32>(aspt, x, y, src_rowptr),
         _ => sddmm_aspt(aspt, x, y, src_rowptr),
     }
 }
 
-/// The shared ASpT SDDMM body, generic over the inner-product kernel so
-/// the monomorphized chunked dot and the plain slice dot run the exact
-/// same traversal and scatter.
-fn sddmm_aspt_with<T: Scalar, D>(
-    aspt: &AsptMatrix<T>,
-    x: &DenseMatrix<T>,
-    y: &DenseMatrix<T>,
-    src_rowptr: &[usize],
-    dot: D,
-) -> Result<Vec<T>, SparseError>
-where
-    D: Fn(&[T], &[T]) -> T + Sync,
-{
-    check_dims(aspt.nrows(), aspt.ncols(), x, y)?;
-    let nnz = aspt.nnz();
-    let mut out = vec![T::ZERO; nnz];
-
-    // slice the output by panel source ranges
-    let mut chunks: Vec<(usize, &mut [T])> = Vec::with_capacity(aspt.panels().len());
-    let mut rest: &mut [T] = &mut out;
-    let mut base = 0usize;
-    for panel in aspt.panels() {
-        let end = src_rowptr[panel.row_end];
-        let (head, tail) = rest.split_at_mut(end - base);
-        chunks.push((base, head));
-        rest = tail;
-        base = end;
+/// The inner product of `sddmm_aspt_with::<T, W>`: the chunked dot at
+/// width `W`, the plain slice dot at `W = 0`. `W` is a constant, so each
+/// instance keeps one arm. A const parameter rather than an `Fn` value,
+/// because a dot passed as a value is called through a shim compiled
+/// without the dispatched copy's target features.
+#[inline(always)]
+fn dot_w<T: Scalar, const W: usize>(a: &[T], b: &[T]) -> T {
+    if W == 0 {
+        dot(a, b)
+    } else {
+        dot_chunked::<T, W>(a, b)
     }
+}
 
-    let remainder = aspt.remainder();
-    aspt.panels()
-        .par_iter()
-        .zip(chunks)
-        .for_each(|(panel, (base, out_chunk))| {
-            let panel_rows = panel.row_end - panel.row_start;
-            for tile in &panel.tiles {
-                for rel in 0..panel_rows {
-                    let y_row = y.row(panel.row_start + rel);
-                    for e in tile.rowptr[rel]..tile.rowptr[rel + 1] {
-                        let c = tile.colidx[e] as usize;
-                        let src = tile.src_idx[e] as usize;
-                        out_chunk[src - base] = dot(y_row, x.row(c)) * tile.values[e];
+fma_kernel! {
+    /// The shared ASpT SDDMM body at dot width `W` (see [`dot_w`]), so
+    /// the chunked dot and the plain slice dot run the exact same
+    /// traversal and scatter.
+    fn sddmm_aspt_with<T: Scalar, const W: usize>(
+        aspt: &AsptMatrix<T>,
+        x: &DenseMatrix<T>,
+        y: &DenseMatrix<T>,
+        src_rowptr: &[usize],
+    ) -> Result<Vec<T>, SparseError> {
+        check_dims(aspt.nrows(), aspt.ncols(), x, y)?;
+        let nnz = aspt.nnz();
+        let mut out = vec![T::ZERO; nnz];
+
+        // slice the output by panel source ranges
+        let mut chunks: Vec<(usize, &mut [T])> = Vec::with_capacity(aspt.panels().len());
+        let mut rest: &mut [T] = &mut out;
+        let mut base = 0usize;
+        for panel in aspt.panels() {
+            let end = src_rowptr[panel.row_end];
+            let (head, tail) = rest.split_at_mut(end - base);
+            chunks.push((base, head));
+            rest = tail;
+            base = end;
+        }
+
+        let remainder = aspt.remainder();
+        aspt.panels()
+            .par_iter()
+            .zip(chunks)
+            .for_each(|(panel, (base, out_chunk))| {
+                let panel_rows = panel.row_end - panel.row_start;
+                for tile in &panel.tiles {
+                    for rel in 0..panel_rows {
+                        let y_row = y.row(panel.row_start + rel);
+                        for e in tile.rowptr[rel]..tile.rowptr[rel + 1] {
+                            let c = tile.colidx[e] as usize;
+                            let src = tile.src_idx[e] as usize;
+                            out_chunk[src - base] =
+                                dot_w::<T, W>(y_row, x.row(c)) * tile.values[e];
+                        }
                     }
                 }
-            }
-            for r in panel.rows() {
-                let y_row = y.row(r);
-                let (lo, hi) = (remainder.rowptr()[r], remainder.rowptr()[r + 1]);
-                for e in lo..hi {
-                    let c = remainder.colidx()[e] as usize;
-                    let src = aspt.remainder_src()[e] as usize;
-                    out_chunk[src - base] = dot(y_row, x.row(c)) * remainder.values()[e];
+                for r in panel.rows() {
+                    let y_row = y.row(r);
+                    let (lo, hi) = (remainder.rowptr()[r], remainder.rowptr()[r + 1]);
+                    for e in lo..hi {
+                        let c = remainder.colidx()[e] as usize;
+                        let src = aspt.remainder_src()[e] as usize;
+                        out_chunk[src - base] =
+                            dot_w::<T, W>(y_row, x.row(c)) * remainder.values()[e];
+                    }
                 }
-            }
-        });
-    Ok(out)
+            });
+        Ok(out)
+    }
 }
 
 #[cfg(test)]

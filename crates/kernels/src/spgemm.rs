@@ -18,7 +18,7 @@
 //! [`spgemm_gustavson_par`] and [`spgemm_clustered`].
 
 use rayon::prelude::*;
-use spmm_sparse::{CsrMatrix, Scalar, SparseError};
+use spmm_sparse::{fma_kernel, CsrMatrix, Scalar, SparseError};
 
 fn check_dims<T: Scalar>(a: &CsrMatrix<T>, b: &CsrMatrix<T>) -> Result<(), SparseError> {
     if a.ncols() != b.nrows() {
@@ -33,7 +33,7 @@ fn check_dims<T: Scalar>(a: &CsrMatrix<T>, b: &CsrMatrix<T>) -> Result<(), Spars
 /// One Gustavson row: scatter `Σ a[i,p] · B[p, :]` into the dense
 /// accumulator, recording first-touched columns. Shared by every
 /// variant so the floating-point fold order is identical everywhere.
-#[inline]
+#[inline(always)]
 fn accumulate_row<T: Scalar>(
     a_cols: &[u32],
     a_vals: &[T],
@@ -91,43 +91,19 @@ fn assemble<T: Scalar>(nrows: usize, ncols: usize, rows: Vec<(Vec<u32>, Vec<T>)>
         .expect("Gustavson emits sorted, in-bounds, duplicate-free columns")
 }
 
-/// Sequential naive per-row Gustavson — the reference every other
-/// variant (and the serving layer's exactness checks) compare against.
-/// Allocates a fresh dense accumulator for every row, the baseline the
-/// clustered variant's reuse is measured over.
-pub fn spgemm_gustavson_seq<T: Scalar>(
-    a: &CsrMatrix<T>,
-    b: &CsrMatrix<T>,
-) -> Result<CsrMatrix<T>, SparseError> {
-    check_dims(a, b)?;
-    let mut rows = Vec::with_capacity(a.nrows());
-    for i in 0..a.nrows() {
-        // naive: per-row allocation, no reuse across rows
-        let mut acc = vec![T::ZERO; b.ncols()];
-        let mut present = vec![false; b.ncols()];
-        let mut touched = Vec::new();
-        let (a_cols, a_vals) = a.row(i);
-        accumulate_row(a_cols, a_vals, b, &mut acc, &mut present, &mut touched);
-        let mut cols = Vec::with_capacity(touched.len());
-        let mut vals = Vec::with_capacity(touched.len());
-        drain_row(&mut acc, &mut present, &mut touched, &mut cols, &mut vals);
-        rows.push((cols, vals));
-    }
-    Ok(assemble(a.nrows(), b.ncols(), rows))
-}
-
-/// Row-parallel naive Gustavson: one rayon task (and one fresh
-/// accumulator) per row. Bit-identical to [`spgemm_gustavson_seq`] —
-/// rows are independent and the per-row fold order is shared. This is
-/// the serving layer's fallback kernel.
-pub fn spgemm_gustavson_par<T: Scalar>(
-    a: &CsrMatrix<T>,
-    b: &CsrMatrix<T>,
-) -> Result<CsrMatrix<T>, SparseError> {
-    check_dims(a, b)?;
-    let rows: Vec<(Vec<u32>, Vec<T>)> = (0..a.nrows())
-        .into_par_iter()
-        .map(|i| {
+fma_kernel! {
+    /// Sequential naive per-row Gustavson — the reference every other
+    /// variant (and the serving layer's exactness checks) compare against.
+    /// Allocates a fresh dense accumulator for every row, the baseline the
+    /// clustered variant's reuse is measured over.
+    pub fn spgemm_gustavson_seq<T: Scalar>(
+        a: &CsrMatrix<T>,
+        b: &CsrMatrix<T>,
+    ) -> Result<CsrMatrix<T>, SparseError> {
+        check_dims(a, b)?;
+        let mut rows = Vec::with_capacity(a.nrows());
+        for i in 0..a.nrows() {
+            // naive: per-row allocation, no reuse across rows
             let mut acc = vec![T::ZERO; b.ncols()];
             let mut present = vec![false; b.ncols()];
             let mut touched = Vec::new();
@@ -136,54 +112,84 @@ pub fn spgemm_gustavson_par<T: Scalar>(
             let mut cols = Vec::with_capacity(touched.len());
             let mut vals = Vec::with_capacity(touched.len());
             drain_row(&mut acc, &mut present, &mut touched, &mut cols, &mut vals);
-            (cols, vals)
-        })
-        .collect();
-    Ok(assemble(a.nrows(), b.ncols(), rows))
+            rows.push((cols, vals));
+        }
+        Ok(assemble(a.nrows(), b.ncols(), rows))
+    }
 }
 
-/// Cluster-wise Gustavson: rows are processed in panels of
-/// `panel_height` (the ASpT panel grouping the reordering pipeline
-/// already produces — similar rows are adjacent). Each panel task owns
-/// ONE dense accumulator, reset between rows via the touched-columns
-/// list and never reallocated, so similar rows amortize both the
-/// allocation and the clear. Bit-identical to
-/// [`spgemm_gustavson_seq`]: reuse changes *when* slots are cleared,
-/// never the fold order.
-pub fn spgemm_clustered<T: Scalar>(
-    a: &CsrMatrix<T>,
-    b: &CsrMatrix<T>,
-    panel_height: usize,
-) -> Result<CsrMatrix<T>, SparseError> {
-    check_dims(a, b)?;
-    let h = panel_height.max(1);
-    let npanels = a.nrows().div_ceil(h);
-    let panels: Vec<Vec<(Vec<u32>, Vec<T>)>> = (0..npanels)
-        .into_par_iter()
-        .map(|p| {
-            let row_start = p * h;
-            let row_end = (row_start + h).min(a.nrows());
-            // one accumulator per panel, shared by every row in it
-            let mut acc = vec![T::ZERO; b.ncols()];
-            let mut present = vec![false; b.ncols()];
-            let mut touched = Vec::new();
-            let mut rows = Vec::with_capacity(row_end - row_start);
-            for i in row_start..row_end {
+fma_kernel! {
+    /// Row-parallel naive Gustavson: one rayon task (and one fresh
+    /// accumulator) per row. Bit-identical to [`spgemm_gustavson_seq`] —
+    /// rows are independent and the per-row fold order is shared. This is
+    /// the serving layer's fallback kernel.
+    pub fn spgemm_gustavson_par<T: Scalar>(
+        a: &CsrMatrix<T>,
+        b: &CsrMatrix<T>,
+    ) -> Result<CsrMatrix<T>, SparseError> {
+        check_dims(a, b)?;
+        let rows: Vec<(Vec<u32>, Vec<T>)> = (0..a.nrows())
+            .into_par_iter()
+            .map(|i| {
+                let mut acc = vec![T::ZERO; b.ncols()];
+                let mut present = vec![false; b.ncols()];
+                let mut touched = Vec::new();
                 let (a_cols, a_vals) = a.row(i);
                 accumulate_row(a_cols, a_vals, b, &mut acc, &mut present, &mut touched);
                 let mut cols = Vec::with_capacity(touched.len());
                 let mut vals = Vec::with_capacity(touched.len());
                 drain_row(&mut acc, &mut present, &mut touched, &mut cols, &mut vals);
-                rows.push((cols, vals));
-            }
-            rows
-        })
-        .collect();
-    Ok(assemble(
-        a.nrows(),
-        b.ncols(),
-        panels.into_iter().flatten().collect(),
-    ))
+                (cols, vals)
+            })
+            .collect();
+        Ok(assemble(a.nrows(), b.ncols(), rows))
+    }
+}
+
+fma_kernel! {
+    /// Cluster-wise Gustavson: rows are processed in panels of
+    /// `panel_height` (the ASpT panel grouping the reordering pipeline
+    /// already produces — similar rows are adjacent). Each panel task owns
+    /// ONE dense accumulator, reset between rows via the touched-columns
+    /// list and never reallocated, so similar rows amortize both the
+    /// allocation and the clear. Bit-identical to
+    /// [`spgemm_gustavson_seq`]: reuse changes *when* slots are cleared,
+    /// never the fold order.
+    pub fn spgemm_clustered<T: Scalar>(
+        a: &CsrMatrix<T>,
+        b: &CsrMatrix<T>,
+        panel_height: usize,
+    ) -> Result<CsrMatrix<T>, SparseError> {
+        check_dims(a, b)?;
+        let h = panel_height.max(1);
+        let npanels = a.nrows().div_ceil(h);
+        let panels: Vec<Vec<(Vec<u32>, Vec<T>)>> = (0..npanels)
+            .into_par_iter()
+            .map(|p| {
+                let row_start = p * h;
+                let row_end = (row_start + h).min(a.nrows());
+                // one accumulator per panel, shared by every row in it
+                let mut acc = vec![T::ZERO; b.ncols()];
+                let mut present = vec![false; b.ncols()];
+                let mut touched = Vec::new();
+                let mut rows = Vec::with_capacity(row_end - row_start);
+                for i in row_start..row_end {
+                    let (a_cols, a_vals) = a.row(i);
+                    accumulate_row(a_cols, a_vals, b, &mut acc, &mut present, &mut touched);
+                    let mut cols = Vec::with_capacity(touched.len());
+                    let mut vals = Vec::with_capacity(touched.len());
+                    drain_row(&mut acc, &mut present, &mut touched, &mut cols, &mut vals);
+                    rows.push((cols, vals));
+                }
+                rows
+            })
+            .collect();
+        Ok(assemble(
+            a.nrows(),
+            b.ncols(),
+            panels.into_iter().flatten().collect(),
+        ))
+    }
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 
 use rayon::prelude::*;
 use spmm_aspt::AsptMatrix;
-use spmm_sparse::{CsrMatrix, DenseMatrix, Scalar, SparseError};
+use spmm_sparse::{fma_kernel, CsrMatrix, DenseMatrix, Scalar, SparseError};
 
 pub(crate) fn check_dims<T: Scalar>(
     s: &CsrMatrix<T>,
@@ -18,7 +18,7 @@ pub(crate) fn check_dims<T: Scalar>(
 }
 
 /// `y_row += v * x_row` over a full row of width `k`.
-#[inline]
+#[inline(always)]
 pub(crate) fn axpy<T: Scalar>(y_row: &mut [T], v: T, x_row: &[T]) {
     debug_assert_eq!(y_row.len(), x_row.len());
     for (y, &x) in y_row.iter_mut().zip(x_row) {
@@ -44,148 +44,157 @@ pub(crate) fn panel_chunks<'a, T: Scalar>(
     chunks
 }
 
-/// Sequential row-wise SpMM — the Alg 1 reference every other kernel is
-/// checked against.
-pub fn spmm_rowwise_seq<T: Scalar>(
-    s: &CsrMatrix<T>,
-    x: &DenseMatrix<T>,
-) -> Result<DenseMatrix<T>, SparseError> {
-    let (m, k) = check_dims(s, x)?;
-    let mut y = DenseMatrix::zeros(m, k);
-    for i in 0..m {
-        let (cols, vals) = s.row(i);
-        let y_row = y.row_mut(i);
-        for (&c, &v) in cols.iter().zip(vals) {
-            axpy(y_row, v, x.row(c as usize));
-        }
-    }
-    Ok(y)
-}
-
-/// Row-parallel SpMM: each rayon task owns one output row, mirroring
-/// the GPU's warp-per-row mapping.
-pub fn spmm_rowwise_par<T: Scalar>(
-    s: &CsrMatrix<T>,
-    x: &DenseMatrix<T>,
-) -> Result<DenseMatrix<T>, SparseError> {
-    let (m, k) = check_dims(s, x)?;
-    let mut y = DenseMatrix::zeros(m, k);
-    y.data_mut()
-        .par_chunks_mut(k)
-        .enumerate()
-        .for_each(|(i, y_row)| {
+fma_kernel! {
+    /// Sequential row-wise SpMM — the Alg 1 reference every other kernel is
+    /// checked against.
+    pub fn spmm_rowwise_seq<T: Scalar>(
+        s: &CsrMatrix<T>,
+        x: &DenseMatrix<T>,
+    ) -> Result<DenseMatrix<T>, SparseError> {
+        let (m, k) = check_dims(s, x)?;
+        let mut y = DenseMatrix::zeros(m, k);
+        for i in 0..m {
             let (cols, vals) = s.row(i);
+            let y_row = y.row_mut(i);
             for (&c, &v) in cols.iter().zip(vals) {
                 axpy(y_row, v, x.row(c as usize));
             }
-        });
-    Ok(y)
+        }
+        Ok(y)
+    }
 }
 
-/// ASpT-structured SpMM: dense tiles accumulate per panel (mirroring
-/// the shared-memory kernel), the remainder accumulates row-wise into
-/// the same output. Panels own disjoint output row ranges, so panel
-/// parallelism is safe.
-pub fn spmm_aspt<T: Scalar>(
-    aspt: &AsptMatrix<T>,
-    x: &DenseMatrix<T>,
-) -> Result<DenseMatrix<T>, SparseError> {
-    if aspt.ncols() != x.nrows() {
-        return Err(SparseError::DimensionMismatch {
-            expected: format!("S.ncols ({}) == X.nrows", aspt.ncols()),
-            got: format!("{}", x.nrows()),
-        });
-    }
-    let k = x.ncols();
-    let mut y = DenseMatrix::zeros(aspt.nrows(), k);
-    let chunks = panel_chunks(aspt, y.data_mut(), k);
-    let remainder = aspt.remainder();
-    aspt.panels()
-        .par_iter()
-        .zip(chunks)
-        .for_each(|(panel, y_chunk)| {
-            let panel_rows = panel.row_end - panel.row_start;
-            // dense tiles: conceptually the staged-X kernel
-            for tile in &panel.tiles {
-                for rel in 0..panel_rows {
-                    let y_row = &mut y_chunk[rel * k..(rel + 1) * k];
-                    for e in tile.rowptr[rel]..tile.rowptr[rel + 1] {
-                        axpy(y_row, tile.values[e], x.row(tile.colidx[e] as usize));
-                    }
-                }
-            }
-            // sparse remainder rows of this panel
-            for r in panel.rows() {
-                let rel = r - panel.row_start;
-                let y_row = &mut y_chunk[rel * k..(rel + 1) * k];
-                let (cols, vals) = remainder.row(r);
+fma_kernel! {
+    /// Row-parallel SpMM: each rayon task owns one output row, mirroring
+    /// the GPU's warp-per-row mapping.
+    pub fn spmm_rowwise_par<T: Scalar>(
+        s: &CsrMatrix<T>,
+        x: &DenseMatrix<T>,
+    ) -> Result<DenseMatrix<T>, SparseError> {
+        let (m, k) = check_dims(s, x)?;
+        let mut y = DenseMatrix::zeros(m, k);
+        // k = 0 leaves no data to chunk; a zero chunk size would panic
+        y.data_mut()
+            .par_chunks_mut(k.max(1))
+            .enumerate()
+            .for_each(|(i, y_row)| {
+                let (cols, vals) = s.row(i);
                 for (&c, &v) in cols.iter().zip(vals) {
                     axpy(y_row, v, x.row(c as usize));
                 }
-            }
-        });
-    Ok(y)
+            });
+        Ok(y)
+    }
 }
 
-/// Column-blocked ASpT SpMM — the kernel every prepared SpMM runs.
-/// Processes the operand one `k_block`-wide column block at a time;
-/// each pass runs the same dense-tile + remainder traversal as
-/// [`spmm_aspt()`] restricted to that block's columns. The output split
-/// and the rayon fork/join happen once: the block loop runs inside each
-/// panel's task, so pass count never multiplies scheduling overhead.
-/// The per-element accumulation order matches `spmm_aspt` exactly
-/// (blocking only partitions columns, never reorders nonzeros), so the
-/// output is bit-identical for every width; `k_block ≥ k` is one pass
-/// over the whole operand. A zero `k_block` is clamped to 1.
-pub fn spmm_aspt_kblocked<T: Scalar>(
-    aspt: &AsptMatrix<T>,
-    x: &DenseMatrix<T>,
-    k_block: usize,
-) -> Result<DenseMatrix<T>, SparseError> {
-    if aspt.ncols() != x.nrows() {
-        return Err(SparseError::DimensionMismatch {
-            expected: format!("S.ncols ({}) == X.nrows", aspt.ncols()),
-            got: format!("{}", x.nrows()),
-        });
-    }
-    let k = x.ncols();
-    let kb = k_block.max(1);
-    let mut y = DenseMatrix::zeros(aspt.nrows(), k);
-    let chunks = panel_chunks(aspt, y.data_mut(), k);
-    let remainder = aspt.remainder();
-
-    aspt.panels()
-        .par_iter()
-        .zip(chunks)
-        .for_each(|(panel, y_chunk)| {
-            let panel_rows = panel.row_end - panel.row_start;
-            let mut c0 = 0;
-            while c0 < k {
-                let c1 = (c0 + kb).min(k);
+fma_kernel! {
+    /// ASpT-structured SpMM: dense tiles accumulate per panel (mirroring
+    /// the shared-memory kernel), the remainder accumulates row-wise into
+    /// the same output. Panels own disjoint output row ranges, so panel
+    /// parallelism is safe.
+    pub fn spmm_aspt<T: Scalar>(
+        aspt: &AsptMatrix<T>,
+        x: &DenseMatrix<T>,
+    ) -> Result<DenseMatrix<T>, SparseError> {
+        if aspt.ncols() != x.nrows() {
+            return Err(SparseError::DimensionMismatch {
+                expected: format!("S.ncols ({}) == X.nrows", aspt.ncols()),
+                got: format!("{}", x.nrows()),
+            });
+        }
+        let k = x.ncols();
+        let mut y = DenseMatrix::zeros(aspt.nrows(), k);
+        let chunks = panel_chunks(aspt, y.data_mut(), k);
+        let remainder = aspt.remainder();
+        aspt.panels()
+            .par_iter()
+            .zip(chunks)
+            .for_each(|(panel, y_chunk)| {
+                let panel_rows = panel.row_end - panel.row_start;
+                // dense tiles: conceptually the staged-X kernel
                 for tile in &panel.tiles {
                     for rel in 0..panel_rows {
-                        let y_row = &mut y_chunk[rel * k + c0..rel * k + c1];
+                        let y_row = &mut y_chunk[rel * k..(rel + 1) * k];
                         for e in tile.rowptr[rel]..tile.rowptr[rel + 1] {
-                            axpy(
-                                y_row,
-                                tile.values[e],
-                                &x.row(tile.colidx[e] as usize)[c0..c1],
-                            );
+                            axpy(y_row, tile.values[e], x.row(tile.colidx[e] as usize));
                         }
                     }
                 }
+                // sparse remainder rows of this panel
                 for r in panel.rows() {
                     let rel = r - panel.row_start;
-                    let y_row = &mut y_chunk[rel * k + c0..rel * k + c1];
+                    let y_row = &mut y_chunk[rel * k..(rel + 1) * k];
                     let (cols, vals) = remainder.row(r);
                     for (&c, &v) in cols.iter().zip(vals) {
-                        axpy(y_row, v, &x.row(c as usize)[c0..c1]);
+                        axpy(y_row, v, x.row(c as usize));
                     }
                 }
-                c0 = c1;
-            }
-        });
-    Ok(y)
+            });
+        Ok(y)
+    }
+}
+
+fma_kernel! {
+    /// Column-blocked ASpT SpMM — the kernel every prepared SpMM runs.
+    /// Processes the operand one `k_block`-wide column block at a time;
+    /// each pass runs the same dense-tile + remainder traversal as
+    /// [`spmm_aspt()`] restricted to that block's columns. The output split
+    /// and the rayon fork/join happen once: the block loop runs inside each
+    /// panel's task, so pass count never multiplies scheduling overhead.
+    /// The per-element accumulation order matches `spmm_aspt` exactly
+    /// (blocking only partitions columns, never reorders nonzeros), so the
+    /// output is bit-identical for every width; `k_block ≥ k` is one pass
+    /// over the whole operand. A zero `k_block` is clamped to 1.
+    pub fn spmm_aspt_kblocked<T: Scalar>(
+        aspt: &AsptMatrix<T>,
+        x: &DenseMatrix<T>,
+        k_block: usize,
+    ) -> Result<DenseMatrix<T>, SparseError> {
+        if aspt.ncols() != x.nrows() {
+            return Err(SparseError::DimensionMismatch {
+                expected: format!("S.ncols ({}) == X.nrows", aspt.ncols()),
+                got: format!("{}", x.nrows()),
+            });
+        }
+        let k = x.ncols();
+        let kb = k_block.max(1);
+        let mut y = DenseMatrix::zeros(aspt.nrows(), k);
+        let chunks = panel_chunks(aspt, y.data_mut(), k);
+        let remainder = aspt.remainder();
+
+        aspt.panels()
+            .par_iter()
+            .zip(chunks)
+            .for_each(|(panel, y_chunk)| {
+                let panel_rows = panel.row_end - panel.row_start;
+                let mut c0 = 0;
+                while c0 < k {
+                    let c1 = (c0 + kb).min(k);
+                    for tile in &panel.tiles {
+                        for rel in 0..panel_rows {
+                            let y_row = &mut y_chunk[rel * k + c0..rel * k + c1];
+                            for e in tile.rowptr[rel]..tile.rowptr[rel + 1] {
+                                axpy(
+                                    y_row,
+                                    tile.values[e],
+                                    &x.row(tile.colidx[e] as usize)[c0..c1],
+                                );
+                            }
+                        }
+                    }
+                    for r in panel.rows() {
+                        let rel = r - panel.row_start;
+                        let y_row = &mut y_chunk[rel * k + c0..rel * k + c1];
+                        let (cols, vals) = remainder.row(r);
+                        for (&c, &v) in cols.iter().zip(vals) {
+                            axpy(y_row, v, &x.row(c as usize)[c0..c1]);
+                        }
+                    }
+                    c0 = c1;
+                }
+            });
+        Ok(y)
+    }
 }
 
 #[cfg(test)]

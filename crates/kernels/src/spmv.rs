@@ -11,7 +11,7 @@
 
 use rayon::prelude::*;
 use spmm_aspt::AsptMatrix;
-use spmm_sparse::{CsrMatrix, Scalar, SparseError};
+use spmm_sparse::{fma_kernel, CsrMatrix, Scalar, SparseError};
 
 fn check_dims<T: Scalar>(ncols: usize, x: &[T]) -> Result<(), SparseError> {
     if ncols != x.len() {
@@ -23,82 +23,88 @@ fn check_dims<T: Scalar>(ncols: usize, x: &[T]) -> Result<(), SparseError> {
     Ok(())
 }
 
-/// Sequential row-wise SpMV — the reference every other variant (and
-/// the serving layer's exactness checks) compare against. Accumulation
-/// per output element mirrors [`crate::spmm::spmm_rowwise_seq`] with
-/// `k = 1`: one `mul_add` per nonzero, in row traversal order.
-pub fn spmv_rowwise_seq<T: Scalar>(s: &CsrMatrix<T>, x: &[T]) -> Result<Vec<T>, SparseError> {
-    check_dims(s.ncols(), x)?;
-    let mut y = vec![T::ZERO; s.nrows()];
-    for (i, out) in y.iter_mut().enumerate() {
-        let (cols, vals) = s.row(i);
-        for (&c, &v) in cols.iter().zip(vals) {
-            *out = v.mul_add(x[c as usize], *out);
-        }
-    }
-    Ok(y)
-}
-
-/// Row-parallel SpMV: each rayon task owns one output element,
-/// mirroring the GPU's warp-per-row mapping. Bit-identical to
-/// [`spmv_rowwise_seq`] (rows are independent).
-pub fn spmv_rowwise_par<T: Scalar>(s: &CsrMatrix<T>, x: &[T]) -> Result<Vec<T>, SparseError> {
-    check_dims(s.ncols(), x)?;
-    let mut y = vec![T::ZERO; s.nrows()];
-    y.par_iter_mut().enumerate().for_each(|(i, out)| {
-        let (cols, vals) = s.row(i);
-        for (&c, &v) in cols.iter().zip(vals) {
-            *out = v.mul_add(x[c as usize], *out);
-        }
-    });
-    Ok(y)
-}
-
-/// ASpT-structured SpMV: dense tiles accumulate per panel (the staged-X
-/// kernel with a one-element stage), the sparse remainder accumulates
-/// row-wise into the same output. The per-element accumulation order —
-/// tiles in panel order, then the remainder row — is exactly that of
-/// [`crate::spmm::spmm_aspt`], so the result is bit-identical to the
-/// SpMM kernel on an `n × 1` operand.
-pub fn spmv_aspt<T: Scalar>(aspt: &AsptMatrix<T>, x: &[T]) -> Result<Vec<T>, SparseError> {
-    check_dims(aspt.ncols(), x)?;
-    let mut y = vec![T::ZERO; aspt.nrows()];
-
-    // slice the output into per-panel chunks (panels cover consecutive
-    // disjoint row ranges)
-    let mut chunks: Vec<&mut [T]> = Vec::with_capacity(aspt.panels().len());
-    let mut rest: &mut [T] = &mut y;
-    for panel in aspt.panels() {
-        let (head, tail) = rest.split_at_mut(panel.row_end - panel.row_start);
-        chunks.push(head);
-        rest = tail;
-    }
-
-    let remainder = aspt.remainder();
-    aspt.panels()
-        .par_iter()
-        .zip(chunks)
-        .for_each(|(panel, y_chunk)| {
-            let panel_rows = panel.row_end - panel.row_start;
-            // dense tiles: conceptually the staged-x kernel
-            for tile in &panel.tiles {
-                for (rel, out) in y_chunk.iter_mut().enumerate().take(panel_rows) {
-                    for e in tile.rowptr[rel]..tile.rowptr[rel + 1] {
-                        *out = tile.values[e].mul_add(x[tile.colidx[e] as usize], *out);
-                    }
-                }
+fma_kernel! {
+    /// Sequential row-wise SpMV — the reference every other variant (and
+    /// the serving layer's exactness checks) compare against. Accumulation
+    /// per output element mirrors [`crate::spmm::spmm_rowwise_seq`] with
+    /// `k = 1`: one `mul_add` per nonzero, in row traversal order.
+    pub fn spmv_rowwise_seq<T: Scalar>(s: &CsrMatrix<T>, x: &[T]) -> Result<Vec<T>, SparseError> {
+        check_dims(s.ncols(), x)?;
+        let mut y = vec![T::ZERO; s.nrows()];
+        for (i, out) in y.iter_mut().enumerate() {
+            let (cols, vals) = s.row(i);
+            for (&c, &v) in cols.iter().zip(vals) {
+                *out = v.mul_add(x[c as usize], *out);
             }
-            // sparse remainder rows of this panel
-            for r in panel.rows() {
-                let rel = r - panel.row_start;
-                let out = &mut y_chunk[rel];
-                let (cols, vals) = remainder.row(r);
-                for (&c, &v) in cols.iter().zip(vals) {
-                    *out = v.mul_add(x[c as usize], *out);
-                }
+        }
+        Ok(y)
+    }
+}
+
+fma_kernel! {
+    /// Row-parallel SpMV: each rayon task owns one output element,
+    /// mirroring the GPU's warp-per-row mapping. Bit-identical to
+    /// [`spmv_rowwise_seq`] (rows are independent).
+    pub fn spmv_rowwise_par<T: Scalar>(s: &CsrMatrix<T>, x: &[T]) -> Result<Vec<T>, SparseError> {
+        check_dims(s.ncols(), x)?;
+        let mut y = vec![T::ZERO; s.nrows()];
+        y.par_iter_mut().enumerate().for_each(|(i, out)| {
+            let (cols, vals) = s.row(i);
+            for (&c, &v) in cols.iter().zip(vals) {
+                *out = v.mul_add(x[c as usize], *out);
             }
         });
-    Ok(y)
+        Ok(y)
+    }
+}
+
+fma_kernel! {
+    /// ASpT-structured SpMV: dense tiles accumulate per panel (the staged-X
+    /// kernel with a one-element stage), the sparse remainder accumulates
+    /// row-wise into the same output. The per-element accumulation order —
+    /// tiles in panel order, then the remainder row — is exactly that of
+    /// [`crate::spmm::spmm_aspt`], so the result is bit-identical to the
+    /// SpMM kernel on an `n × 1` operand.
+    pub fn spmv_aspt<T: Scalar>(aspt: &AsptMatrix<T>, x: &[T]) -> Result<Vec<T>, SparseError> {
+        check_dims(aspt.ncols(), x)?;
+        let mut y = vec![T::ZERO; aspt.nrows()];
+
+        // slice the output into per-panel chunks (panels cover consecutive
+        // disjoint row ranges)
+        let mut chunks: Vec<&mut [T]> = Vec::with_capacity(aspt.panels().len());
+        let mut rest: &mut [T] = &mut y;
+        for panel in aspt.panels() {
+            let (head, tail) = rest.split_at_mut(panel.row_end - panel.row_start);
+            chunks.push(head);
+            rest = tail;
+        }
+
+        let remainder = aspt.remainder();
+        aspt.panels()
+            .par_iter()
+            .zip(chunks)
+            .for_each(|(panel, y_chunk)| {
+                let panel_rows = panel.row_end - panel.row_start;
+                // dense tiles: conceptually the staged-x kernel
+                for tile in &panel.tiles {
+                    for (rel, out) in y_chunk.iter_mut().enumerate().take(panel_rows) {
+                        for e in tile.rowptr[rel]..tile.rowptr[rel + 1] {
+                            *out = tile.values[e].mul_add(x[tile.colidx[e] as usize], *out);
+                        }
+                    }
+                }
+                // sparse remainder rows of this panel
+                for r in panel.rows() {
+                    let rel = r - panel.row_start;
+                    let out = &mut y_chunk[rel];
+                    let (cols, vals) = remainder.row(r);
+                    for (&c, &v) in cols.iter().zip(vals) {
+                        *out = v.mul_add(x[c as usize], *out);
+                    }
+                }
+            });
+        Ok(y)
+    }
 }
 
 #[cfg(test)]

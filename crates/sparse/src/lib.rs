@@ -20,6 +20,8 @@
 //! * [`mm_io`] — Matrix Market exchange-format reader/writer so real
 //!   SuiteSparse / Network Repository matrices can be loaded when
 //!   available.
+//! * [`simd`] — [`fma_kernel!`], which compiles a multiply-add kernel
+//!   twice (AVX2+FMA and portable) and picks the copy per call.
 //!
 //! Column indices are stored as `u32` and row pointers as `usize`,
 //! following the "smaller integers" guidance for hot index data: matrices
@@ -35,6 +37,7 @@ pub mod error;
 pub mod mm_io;
 pub mod perm;
 pub mod scalar;
+pub mod simd;
 pub mod similarity;
 pub mod stats;
 

@@ -50,7 +50,13 @@ pub trait Scalar:
     fn abs(self) -> Self;
     /// Square root.
     fn sqrt(self) -> Self;
-    /// Fused multiply-add `self * a + b`.
+    /// Fused multiply-add `self * a + b`, rounded once.
+    ///
+    /// Without the `fma` target feature (the x86_64 default) this is a
+    /// call into the software `fma` routine, one per element. Kernels
+    /// get the hardware instruction by running inside
+    /// [`fma_kernel!`](crate::fma_kernel); outside such a kernel every
+    /// call is that library call.
     fn mul_add(self, a: Self, b: Self) -> Self;
     /// `true` if the value is finite (not NaN/±inf).
     fn is_finite(self) -> bool;

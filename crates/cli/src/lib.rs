@@ -179,10 +179,10 @@ pub enum Invocation {
         json: bool,
     },
     /// `formatbench [--k N] [--reps N] [--seed N] [--json]` — run the
-    /// plan-time format trial over every Quick-corpus class and report,
-    /// per class, the simulated speedup of the chosen format over the
-    /// incumbent CSR/ASpT configuration (≥ 1 by construction: the trial
-    /// never adopts a regressing format).
+    /// simulated format trial over every Quick-corpus class and report,
+    /// per class, the gpu-sim model's speedup of the chosen format over
+    /// the incumbent CSR/ASpT configuration (≥ 1 by construction: the
+    /// trial never adopts a regressing format).
     Formatbench {
         /// Dense-operand width the trial is ranked at.
         k: usize,
@@ -904,39 +904,32 @@ pub fn microbench(k: usize, reps: usize, seed: u64, json: bool) -> Result<String
 }
 
 /// What the stored plan executes with, for `plan load` / `plan verify`
-/// output: the chosen variant, the physical format and the microkernel
-/// width.
+/// output: the chosen variant and the microkernel width.
 fn plan_choices<T: Scalar>(engine: &Engine<T>) -> String {
-    let variant = match engine.format_choice() {
-        FormatChoice::SellCSigma { .. } => "sell-c-sigma",
-        FormatChoice::Csb { .. } => "csb",
-        FormatChoice::Csr => {
-            if engine.plan().needs_reordering() {
-                "aspt-rr"
-            } else {
-                "aspt-nr"
-            }
-        }
+    let variant = if engine.plan().needs_reordering() {
+        "aspt-rr"
+    } else {
+        "aspt-nr"
     };
     format!(
-        "variant {variant}, format {}, micro width {}",
-        engine.format_choice().label(),
+        "variant {variant}, micro width {}",
         engine
             .micro_width()
             .map_or_else(|| "generic".to_string(), |w| w.to_string()),
     )
 }
 
-/// The `formatbench` report body: run the plan-time format trial
+/// The `formatbench` report body: run the simulated format trial
 /// ([`choose_format`]) over every Quick-corpus class at width `k` and
-/// report, per class, the chosen format and its simulated speedup over
+/// report, per class, the chosen format and its gpu-sim model speedup over
 /// the incumbent CSR/ASpT configuration — ≥ 1 by construction, because
 /// the trial only adopts strictly faster challengers. Each chosen
 /// format's kernel is also cross-checked bit-for-bit against the
 /// sequential row-wise reference, and wall-clock columns (best of
-/// `reps`) show the measured CPU cost of both paths for context. With
-/// `json`, emits the run manifest whose `format.speedup.*` gauges the
-/// CI perf-smoke gate reads.
+/// `reps`) show the measured CPU cost of both paths for context (the
+/// engine itself runs only the ASpT path). With `json`, emits the run
+/// manifest whose `format.speedup.*` gauges — model output, labelled so
+/// by the `output` meta — the CI perf-smoke gate reads.
 ///
 /// # Errors
 /// Fails when preparation rejects a corpus matrix or a chosen format's
@@ -951,6 +944,7 @@ pub fn formatbench(k: usize, reps: usize, seed: u64, json: bool) -> Result<Strin
     let collector = Arc::new(Collector::new());
     let telemetry = TelemetryHandle::new(collector.clone());
     telemetry.meta("bench", "formatbench");
+    telemetry.meta("output", "gpu-sim model");
     telemetry.meta("corpus", "quick");
     telemetry.meta("k", &k.to_string());
     telemetry.meta("reps", &reps.to_string());
@@ -972,7 +966,7 @@ pub fn formatbench(k: usize, reps: usize, seed: u64, json: bool) -> Result<Strin
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "format zoo bench: Quick corpus by class, K = {k}, trial on the simulated transaction model"
+        "format zoo bench (gpu-sim model output): Quick corpus by class, K = {k}, trial on the simulated transaction model"
     );
     let _ = writeln!(
         out,

@@ -33,8 +33,7 @@ pub enum Kernel {
     Spgemm,
 }
 
-/// One of the execution strategies the paper compares, plus the format
-/// zoo's physical-layout variants.
+/// One of the execution strategies the paper compares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Variant {
     /// Row-wise kernel on the original matrix (the cuSPARSE-like
@@ -44,12 +43,6 @@ pub enum Variant {
     AsptNr,
     /// ASpT with row reordering (this paper).
     AsptRr,
-    /// SELL-C-σ physical layout over the (possibly reordered) matrix,
-    /// chosen by plan-time format selection ([`choose_format`]).
-    SellCSigma,
-    /// CSB physical layout over the (possibly reordered) matrix,
-    /// chosen by plan-time format selection ([`choose_format`]).
-    Csb,
 }
 
 /// Simulated outcomes of the trial.
@@ -234,14 +227,16 @@ pub fn tuned_engine<T: Scalar>(
     Ok((engine, report))
 }
 
-/// Plan-time microkernel width selection: simulates the register-
+/// Simulated microkernel width selection: simulates the register-
 /// blocked k-blocked kernel ([`Engine::simulate_spmm_kblocked_micro`])
 /// at every eligible width in [`crate::micro::MICRO_WIDTHS`] and
 /// returns the fastest, or `None` when `k_total` is narrower than every
 /// specialized width (the generic path runs). The fused width each
 /// trial simulates is capped at [`MICRO_SELECTION_K_CAP`] so selection
 /// cost stays bounded while every candidate still divides the trial
-/// operand evenly.
+/// operand evenly. [`Engine::prepare`] does not run this trial: it
+/// takes [`crate::micro::widest_micro_width`], the width this trial
+/// returns on every matrix it has been run on.
 pub fn choose_micro_width<T: Scalar>(
     engine: &Engine<T>,
     k_total: usize,
@@ -280,7 +275,7 @@ pub const MICRO_SELECTION_K_CAP: usize = 96;
 /// cost stays bounded.
 pub const FORMAT_SELECTION_K_CAP: usize = 96;
 
-/// Outcome of the plan-time format trial: the incumbent ASpT/CSR
+/// Outcome of the simulated format trial: the incumbent ASpT/CSR
 /// configuration raced against every applicable format-zoo candidate
 /// on the gpu-sim transaction model.
 #[derive(Debug, Clone)]
@@ -317,7 +312,7 @@ impl FormatTrialReport {
     }
 }
 
-/// Plan-time format selection — the §4 trial widened to physical
+/// Simulated format selection — the §4 trial widened to physical
 /// layouts. Builds every applicable format-zoo candidate over the
 /// engine's *reordered* matrix (SELL-C-σ at the σ candidates, CSB at
 /// the β candidates), simulates each against the incumbent ASpT
@@ -332,7 +327,8 @@ impl FormatTrialReport {
 ///
 /// A challenger must be *strictly* faster than both the incumbent and
 /// every other candidate; ties keep CSR. The autotuner therefore never
-/// picks a format that regresses on the simulated metric.
+/// picks a format that regresses on the simulated metric. The engine
+/// never runs the returned payload: this is a simulator tool.
 pub fn choose_format<T: Scalar>(
     engine: &Engine<T>,
     k_total: usize,

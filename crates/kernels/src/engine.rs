@@ -22,8 +22,8 @@ use spmm_telemetry::{Collector, FanoutRecorder, Recorder, RunManifest, Telemetry
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::format::{FormatChoice, FormatPayload};
-use crate::micro::spmm_aspt_kblocked_auto;
+use crate::format::FormatPayload;
+use crate::micro::{spmm_aspt_kblocked_auto, widest_micro_width};
 use crate::sddmm::sddmm_aspt_auto;
 use crate::spgemm::spgemm_clustered;
 use crate::spmv::spmv_aspt;
@@ -70,8 +70,9 @@ pub struct EngineConfig {
     /// policy).
     pub reorder: ReorderConfig,
     /// Expected dense-operand width `k`, when the caller knows it up
-    /// front. Used as the default for profiling/simulation and recorded
-    /// in the run manifest; it does not change kernel results.
+    /// front. Sets the plan's microkernel width
+    /// ([`crate::micro::widest_micro_width`]) and is recorded in the run
+    /// manifest; it does not change kernel results.
     pub k_hint: Option<usize>,
     /// Telemetry sink. The engine always keeps an internal collector
     /// for its [`PrepareReport`]; when this handle is enabled, every
@@ -145,8 +146,7 @@ impl EngineConfigBuilder {
 ///
 /// The underlying [`RunManifest`] has one top-level `prepare` stage
 /// with `plan` (containing the round-1/round-2 LSH and clustering
-/// sub-stages), `permute` and `tile` children — plus `micro_select`
-/// and `format_select` when a `k_hint` is set — so
+/// sub-stages), `permute` and `tile` children, so
 /// [`PrepareReport::total`] — the sum of top-level stage durations —
 /// is exactly what [`Engine::preprocessing_time`] reports.
 #[derive(Debug, Clone, PartialEq)]
@@ -390,21 +390,12 @@ pub struct Engine<T> {
     reorder_config: ReorderConfig,
     /// Jaccard drift threshold for [`Engine::apply_delta`].
     delta_drift_threshold: f64,
-    /// Plan-selected microkernel width (one of
-    /// [`crate::micro::MICRO_WIDTHS`]), chosen during
-    /// [`Engine::prepare`] when a `k_hint` is given and restored by the
-    /// plan-store codec on warm start — re-selection never runs twice
-    /// for the same plan. SpMM sweeps `k` in blocks of this width;
-    /// `None` sweeps the whole of `k` in one block.
+    /// The plan's microkernel width (one of
+    /// [`crate::micro::MICRO_WIDTHS`]): [`widest_micro_width`] of the
+    /// `k_hint` at [`Engine::prepare`], restored by the plan-store codec
+    /// on warm start. SpMM sweeps `k` in blocks of this width; `None`
+    /// sweeps the whole of `k` in one block.
     micro_width: Option<usize>,
-    /// Plan-selected physical layout for the SpMM family
-    /// ([`crate::format::FormatPayload`] over the reordered matrix),
-    /// chosen during [`Engine::prepare`] when a `k_hint` is given and
-    /// restored by the plan-store codec on warm start — like
-    /// `micro_width`, re-selection never runs twice for the same plan.
-    /// `None` executes the incumbent CSR/ASpT path. Shared behind `Arc`
-    /// so clones and the serving layer's cached plans reuse one layout.
-    format: Option<Arc<FormatPayload<T>>>,
 }
 
 impl<T: Scalar> Engine<T> {
@@ -435,10 +426,13 @@ impl<T: Scalar> Engine<T> {
         if let Some(k) = config.k_hint {
             telemetry.meta("k_hint", &k.to_string());
         }
-        // every stage, plan-time selection included, runs under the
-        // `prepare` root, so the report taken after it closes is the
-        // whole of the preprocessing cost
+        // every stage runs under the `prepare` root, so the report taken
+        // after it closes is the whole of the preprocessing cost
         let root = telemetry.clone();
+        let micro_width = config.k_hint.and_then(widest_micro_width);
+        if let Some(w) = micro_width {
+            telemetry.meta("micro_width", &w.to_string());
+        }
         let mut engine = {
             let _prepare = root.span("prepare");
             let plan = {
@@ -453,7 +447,7 @@ impl<T: Scalar> Engine<T> {
                 let _span = telemetry.span("tile");
                 AsptMatrix::build_with(&reordered, &config.reorder.aspt, &telemetry)
             };
-            let mut engine = Self {
+            Self {
                 plan: Arc::new(plan),
                 aspt: Arc::new(aspt),
                 reordered: Arc::new(reordered),
@@ -468,13 +462,8 @@ impl<T: Scalar> Engine<T> {
                 user_telemetry: config.telemetry.clone(),
                 reorder_config: config.reorder,
                 delta_drift_threshold: config.delta_drift_threshold,
-                micro_width: None,
-                format: None,
-            };
-            if let Some(k) = engine.k_hint {
-                engine.select(k);
+                micro_width,
             }
-            engine
         };
         engine.report = PrepareReport {
             manifest: engine.collector.manifest(),
@@ -484,30 +473,6 @@ impl<T: Scalar> Engine<T> {
             &engine.report.manifest.total_duration_ns().to_string(),
         );
         Ok(engine)
-    }
-
-    /// Plan-time selection at dense width `k`, recorded in the plan so
-    /// the plan-store codec carries it and warm starts never re-select.
-    fn select(&mut self, k: usize) {
-        let device = DeviceConfig::p100();
-        // microkernel width (§4 trial-and-error, one level below the
-        // variant choice): simulate the register-blocked widths once
-        {
-            let _span = self.telemetry.span("micro_select");
-            self.micro_width = crate::autotune::choose_micro_width(self, k, &device);
-            if let Some(w) = self.micro_width {
-                self.telemetry.meta("micro_width", &w.to_string());
-            }
-        }
-        // format (the zoo): race SELL-C-σ / CSB layouts of the reordered
-        // matrix against the incumbent ASpT configuration on the
-        // transaction model; a challenger is adopted only on a strict win
-        let _span = self.telemetry.span("format_select");
-        let (payload, trial) = crate::autotune::choose_format(self, k, &device);
-        self.format = payload.map(Arc::new);
-        self.telemetry.meta("format", &trial.chosen.label());
-        self.telemetry
-            .gauge("tune.format.speedup", trial.speedup_vs_incumbent());
     }
 
     /// Rehydrates an engine from previously prepared parts — the plan
@@ -607,51 +572,33 @@ impl<T: Scalar> Engine<T> {
             reorder_config,
             delta_drift_threshold: 0.5,
             micro_width: None,
-            format: None,
         })
     }
 
-    /// The plan-selected microkernel width, if one was chosen (during
-    /// [`Engine::prepare`] with a `k_hint`, or restored from a stored
+    /// The plan's microkernel width, if it has one (set by
+    /// [`Engine::prepare`] from a `k_hint`, or restored from a stored
     /// plan). `None` means SpMM sweeps the whole of `k` in one block.
     pub fn micro_width(&self) -> Option<usize> {
         self.micro_width
     }
 
     /// Overrides the microkernel width — the plan-store codec's hook
-    /// for restoring a recorded choice without re-running selection.
-    /// Widths outside [`crate::micro::MICRO_WIDTHS`] run the generic
+    /// for restoring a recorded width. Widths outside [`crate::micro::MICRO_WIDTHS`] run the generic
     /// blocked kernel at that width; every width gives the same bits.
     pub fn set_micro_width(&mut self, width: Option<usize>) {
         self.micro_width = width;
     }
 
-    /// The plan-selected physical layout for the SpMM family: `Csr`
-    /// (the incumbent ASpT path) unless format selection chose a
-    /// format-zoo layout during [`Engine::prepare`] or one was restored
-    /// from a stored plan.
-    pub fn format_choice(&self) -> FormatChoice {
-        self.format
-            .as_deref()
-            .map_or(FormatChoice::Csr, FormatPayload::choice)
-    }
-
-    /// The built format payload the SpMM family executes against, when
-    /// a non-CSR format was chosen.
+    /// Always `None`: the engine runs one layout, its ASpT tiles, and
+    /// holds no format payload. Kept only for the benchmark harness,
+    /// which still imports it.
     pub fn format_payload(&self) -> Option<&FormatPayload<T>> {
-        self.format.as_deref()
+        None
     }
 
-    /// Overrides the format payload — the plan-store codec's hook for
-    /// restoring a persisted layout without re-running selection, and
-    /// the delta path's revert-to-CSR hook (`None`).
-    pub fn set_format(&mut self, payload: Option<FormatPayload<T>>) {
-        self.format = payload.map(Arc::new);
-    }
-
-    /// The engine's internal telemetry handle, for same-crate selection
-    /// code ([`crate::autotune::choose_format`]) that emits counters
-    /// while holding `&Engine`.
+    /// The engine's internal telemetry handle, for the same-crate
+    /// simulator tool [`crate::autotune::choose_format`], which emits
+    /// counters while holding `&Engine`.
     pub(crate) fn telemetry_handle(&self) -> &TelemetryHandle {
         &self.telemetry
     }
@@ -674,8 +621,7 @@ impl<T: Scalar> Engine<T> {
     }
 
     /// Wall-clock preprocessing time (reorder planning + permutation +
-    /// tiling + plan-time selection), the sum of the [`Engine::report`]
-    /// stage durations.
+    /// tiling), the sum of the [`Engine::report`] stage durations.
     pub fn preprocessing_time(&self) -> Duration {
         self.report.total()
     }
@@ -818,25 +764,14 @@ impl<T: Scalar> Engine<T> {
         Ok(())
     }
 
-    /// The one SpMM kernel call, in reordered row space: the plan's
-    /// format payload when one was chosen, otherwise the ASpT kernel
-    /// swept in blocks of the plan's microkernel width (the whole of
-    /// `k` in one block when the plan has none).
+    /// The one SpMM kernel call, in reordered row space: the ASpT
+    /// kernel swept in blocks of the plan's microkernel width (the
+    /// whole of `k` in one block when the plan has none).
     fn spmm_reordered(&self, x: &DenseMatrix<T>) -> Result<DenseMatrix<T>, SparseError> {
         let _span = self.telemetry.span("exec.spmm");
         self.record_exec_counters();
-        // the zoo kernels fold each row in ascending-column order
-        // (bit-exact vs the row-wise reference); the ASpT path folds
-        // tiles before the remainder. On exactly-representable
-        // operands — the serving layer's exactness bars — every path
-        // agrees bit for bit.
-        match self.format.as_deref() {
-            Some(f) => f.spmm(x),
-            None => {
-                let width = self.micro_width.unwrap_or(x.ncols()).max(1);
-                spmm_aspt_kblocked_auto(&self.aspt, x, width)
-            }
-        }
+        let width = self.micro_width.unwrap_or(x.ncols()).max(1);
+        spmm_aspt_kblocked_auto(&self.aspt, x, width)
     }
 
     /// Scatters a reordered-row-space result back into the caller's
@@ -990,30 +925,12 @@ impl<T: Scalar> Engine<T> {
         report
     }
 
-    /// Simulated SpMM performance of the path [`Engine::spmm`] would
-    /// actually take: the chosen format's kernel when a non-CSR format
-    /// won the plan-time trial, the ASpT path otherwise. (Kept separate
-    /// from [`Engine::simulate_spmm`], which always models the ASpT
-    /// configuration — that is what [`crate::autotune::choose_variant`]
-    /// and the format trial itself rank against.)
-    pub fn simulate_spmm_chosen(&self, k: usize, device: &DeviceConfig) -> SimReport {
-        match self.format.as_deref() {
-            Some(f) => {
-                let _span = self.telemetry.span("sim.spmm");
-                let report = f.simulate_spmm(k, device);
-                report.traffic.record_to(&self.telemetry, "sim.spmm");
-                report
-            }
-            None => self.simulate_spmm(k, device),
-        }
-    }
-
     /// Simulated performance of the *register-blocked microkernel*
     /// variant of the column-blocked SpMM kernel: `k_block`-wide passes
     /// over a fused operand of total width `k`, plus spill
     /// traffic when `2 · k_block` accumulator/operand registers per
     /// thread exceed the modeled register file. This is what
-    /// [`crate::autotune::choose_micro_width`] ranks at plan time.
+    /// [`crate::autotune::choose_micro_width`] ranks.
     pub fn simulate_spmm_kblocked_micro(
         &self,
         k: usize,
@@ -1095,14 +1012,6 @@ impl<T: Scalar> Engine<T> {
             *slot = values[old];
         }
         Arc::make_mut(&mut self.aspt).update_values(reordered.values());
-        // the format payload carries values too: rebuild it from the
-        // refreshed reordered matrix (structure unchanged, so the same
-        // choice is guaranteed to still be buildable)
-        if let Some(choice) = self.format.as_deref().map(FormatPayload::choice) {
-            let rebuilt = FormatPayload::build(choice, &self.reordered)
-                .expect("structure unchanged: format payload must rebuild");
-            self.format = rebuilt.map(Arc::new);
-        }
     }
 
     /// Maps a value array from the original nonzero order into this
@@ -1285,17 +1194,6 @@ impl<T: Scalar> Engine<T> {
         engine.reorder_config = self.reorder_config;
         engine.delta_drift_threshold = self.delta_drift_threshold;
         engine.micro_width = self.micro_width;
-        // keep the plan-time format *choice* without re-running the
-        // trial; the payload must be rebuilt over the new structure. If
-        // the delta made the format inapplicable (padding cap, β
-        // bounds), revert to CSR — a slower answer, never a wrong one.
-        match FormatPayload::build(self.format_choice(), &engine.reordered) {
-            Ok(payload) => engine.format = payload.map(Arc::new),
-            Err(_) => {
-                engine.telemetry.counter("delta.format_reverted", 1);
-                engine.format = None;
-            }
-        }
         Ok(engine)
     }
 
@@ -1413,30 +1311,27 @@ mod tests {
     #[test]
     fn prepare_report_breaks_down_preprocessing_time() {
         let m = generators::shuffled_block_diagonal::<f64>(64, 16, 48, 16, 3);
-        // a k_hint runs plan-time selection, which must count as
-        // preprocessing: both selection stages sit inside the root
+        // a k_hint sets the micro width by rule: no selection stage
         let config = EngineConfig::builder()
             .reorder(cfg().reorder)
             .k_hint(64)
             .build();
         let engine = Engine::prepare(&m, &config).unwrap();
+        assert_eq!(engine.micro_width(), Some(32));
         let report = engine.report();
         // the report's total IS preprocessing_time (same sum), and the
         // root is the only top-level stage
         assert_eq!(report.total(), engine.preprocessing_time());
         assert_eq!(report.manifest().stages.len(), 1);
-        let stages = [
-            "prepare/plan",
-            "prepare/permute",
-            "prepare/tile",
-            "prepare/micro_select",
-            "prepare/format_select",
-        ];
+        let stages = ["prepare/plan", "prepare/permute", "prepare/tile"];
         for path in stages {
             assert!(
                 report.stage_duration(path).is_some(),
                 "missing stage {path}"
             );
+        }
+        for gone in ["prepare/micro_select", "prepare/format_select"] {
+            assert!(report.stage_duration(gone).is_none(), "stage {gone}");
         }
         // children sum to (at most) the root
         let children: Duration = stages

@@ -1,27 +1,27 @@
-//! The format zoo: alternative physical layouts as first-class
-//! execution variants.
+//! The format zoo: alternative physical layouts, kept as simulator
+//! tools and experiment baselines.
 //!
 //! The paper's §4 strategy is trial-and-error; this module widens the
-//! trial beyond CSR-flavored variants. After reordering, the engine can
-//! rebuild the whole reordered matrix in SELL-C-σ (row-regularized
+//! trial beyond CSR-flavored variants. [`crate::autotune::choose_format`]
+//! rebuilds the whole reordered matrix in SELL-C-σ (row-regularized
 //! sliced ELLPACK — the format family Yang/Buluç/Owens show winning on
 //! exactly the clustered structures round-2 reordering manufactures) or
-//! CSB (β×β register blocks — strong when nonzeros are clustered), race
-//! the candidates against the incumbent ASpT layout on the gpu-sim
-//! transaction model, and execute the SpMM family against the winner.
+//! CSB (β×β register blocks — strong when nonzeros are clustered) and
+//! races the candidates against the incumbent ASpT layout on the gpu-sim
+//! transaction model. The engine does not run the winner: measured on
+//! the CPU, every chosen payload lost to the plan's own ASpT kernel
+//! (EXPERIMENTS.md), so a prepared plan has one layout.
 //!
-//! Two invariants make this safe:
+//! Two invariants hold for the payloads built here:
 //!
 //! * **Bit-exactness.** Both format kernels fold each output row in
 //!   ascending-column order with `mul_add`, exactly like the sequential
 //!   row-wise reference — and row reordering never changes the
 //!   within-row order. Outputs are bit-identical to that reference no
-//!   matter which format wins; on the exactly-representable operands
-//!   the serving layer's exactness bars use, every execution path
-//!   (ASpT included) agrees bit for bit, so those bars hold unchanged.
+//!   matter which format wins.
 //! * **Never-regress.** [`crate::autotune::choose_format`] only adopts
 //!   a challenger on a strictly smaller simulated time; ties and losses
-//!   keep the incumbent CSR/ASpT path.
+//!   keep the incumbent CSR/ASpT configuration.
 
 use serde::{Deserialize, Serialize};
 use spmm_formats::{CsbMatrix, SellPMatrix};

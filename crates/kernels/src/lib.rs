@@ -9,8 +9,9 @@
 //!   row-parallel) and the ASpT-structured kernel (dense tiles
 //!   accumulated panel-parallel + remainder).
 //! * [`micro`] — monomorphized `[T; KB]` register-accumulator
-//!   microkernels for the k-blocked hot path (KB ∈ {8, 16, 32}),
-//!   selected at plan time, bit-identical to the generic kernels.
+//!   microkernels for the k-blocked hot path (KB ∈ {8, 16, 32}), the
+//!   plan's width set from its `k_hint` by rule, bit-identical to the
+//!   generic kernels.
 //! * [`sddmm`] — Alg 2 SDDMM, same three variants.
 //! * [`spmv`] — the dedicated `k = 1` path: flat-slice operand, scalar
 //!   accumulators, bit-identical to SpMM on an `n × 1` operand.
@@ -22,9 +23,9 @@
 //!   simulated performance reports.
 //! * [`autotune`] — the §4 trial-and-error strategy: run the candidate
 //!   variants, keep the fastest.
-//! * [`mod@format`] — the format zoo: SELL-C-σ and CSB as first-class
-//!   plan-time execution variants, raced by the autotuner against the
-//!   incumbent ASpT layout and persisted in the plan.
+//! * [`mod@format`] — the format zoo: SELL-C-σ and CSB layouts raced
+//!   against the incumbent ASpT layout on the simulator. The engine
+//!   itself runs one layout, its ASpT tiles.
 
 #![warn(missing_docs)]
 
@@ -44,4 +45,4 @@ pub use autotune::{
 };
 pub use engine::{Engine, EngineConfig, EngineConfigBuilder, KernelOp, Output, PrepareReport};
 pub use format::{FormatChoice, FormatPayload};
-pub use micro::{micro_width_for, spmm_aspt_kblocked_auto, MICRO_WIDTHS};
+pub use micro::{micro_width_for, spmm_aspt_kblocked_auto, widest_micro_width, MICRO_WIDTHS};

@@ -26,11 +26,12 @@
 //! multi-accumulator dot would reassociate the reduction and is
 //! deliberately not used.
 //!
-//! Widths are selected at plan time ([`crate::autotune::choose_micro_width`])
-//! and recorded in the `.spmmplan` codec; every prepared SpMM goes
-//! through the [`spmm_aspt_kblocked_auto`] dispatcher at the plan's
-//! width, which falls back to the generic slice path for any other
-//! width. The trailing `k % KB` columns always take the generic path.
+//! A plan's width follows from its `k_hint` by rule
+//! ([`widest_micro_width`]) and is recorded in the `.spmmplan` codec;
+//! every prepared SpMM goes through the [`spmm_aspt_kblocked_auto`]
+//! dispatcher at the plan's width, which falls back to the generic
+//! slice path for any other width. The trailing `k % KB` columns always
+//! take the generic path.
 
 use rayon::prelude::*;
 use spmm_aspt::AsptMatrix;
@@ -46,6 +47,15 @@ pub const MICRO_WIDTHS: [usize; 3] = [8, 16, 32];
 /// width, `None` when the generic slice kernel will run.
 pub fn micro_width_for(k_block: usize) -> Option<usize> {
     MICRO_WIDTHS.contains(&k_block).then_some(k_block)
+}
+
+/// The plan's microkernel width for dense width `k`: the widest of
+/// [`MICRO_WIDTHS`] that fits in `k`, or `None` when `k` is narrower
+/// than every specialized width (the generic path runs). This is the
+/// width the gpu-sim trial ([`crate::autotune::choose_micro_width`])
+/// picks on every matrix it has been run on, so plans take it by rule.
+pub fn widest_micro_width(k: usize) -> Option<usize> {
+    MICRO_WIDTHS.iter().rev().copied().find(|&w| w <= k)
 }
 
 /// The register-accumulator body: `y_block += Σ vals[e] * x[cols[e]]`
@@ -216,6 +226,22 @@ mod tests {
         assert_eq!(micro_width_for(32), Some(32));
         for other in [0, 1, 7, 9, 24, 64, 128] {
             assert_eq!(micro_width_for(other), None, "width {other}");
+        }
+    }
+
+    #[test]
+    fn widest_micro_width_is_the_widest_that_fits() {
+        for (k, want) in [
+            (0, None),
+            (7, None),
+            (8, Some(8)),
+            (15, Some(8)),
+            (16, Some(16)),
+            (31, Some(16)),
+            (32, Some(32)),
+            (256, Some(32)),
+        ] {
+            assert_eq!(widest_micro_width(k), want, "k = {k}");
         }
     }
 

@@ -9,14 +9,14 @@
 //!   atomically under its shard lock, so under a thundering herd
 //!   exactly one caller runs `Engine::prepare`; the rest block on the
 //!   slot's condvar and share the result.
-//! * **Bounded capacity.** Each shard holds at most
-//!   `ceil(capacity / shards)` entries; inserting into a full shard
-//!   evicts the shard's least-recently-used *settled* entry. In-flight
-//!   prepares are never evicted (doing so would let a concurrent
-//!   lookup of the same fingerprint re-prepare it); a shard whose
-//!   residents are all in flight briefly overflows instead. With
-//!   `shards = 1` the eviction order is the exact global LRU order,
-//!   which the tests pin down.
+//! * **Bounded capacity.** The cache holds at most `capacity` entries
+//!   in total, whatever shards their fingerprints hash to; an insert
+//!   past the bound evicts the least-recently-used *settled* entry of
+//!   the whole cache, locking one shard at a time. In-flight prepares
+//!   are never evicted (doing so would let a concurrent lookup of the
+//!   same fingerprint re-prepare it); a cache whose other residents are
+//!   all in flight briefly overflows instead. The eviction order is the
+//!   global LRU order, which the tests pin down.
 //! * **Exact counters.** Every lookup increments exactly one of
 //!   hit/miss (hit: a usable or in-flight entry existed; miss: this
 //!   call created the slot, claimed a retry, was suppressed, or found
@@ -58,7 +58,7 @@ use spmm_sparse::{Scalar, SparseError};
 use spmm_telemetry::TelemetryHandle;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
@@ -79,12 +79,11 @@ pub static FAULT_SERVE_CACHE_DELTA: FaultPoint = FaultPoint::new("serve.cache.de
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct PlanCacheConfig {
-    /// Total capacity bound across all shards (at least 1 per shard is
-    /// enforced). Default 32.
+    /// Total capacity bound across all shards (at least 1 is enforced).
+    /// Default 32.
     pub capacity: usize,
     /// Number of independently locked shards. More shards cut
-    /// contention; `1` makes the LRU eviction order globally exact.
-    /// Default 8.
+    /// contention. Default 8.
     pub shards: usize,
     /// Sink for the `serve.cache.*`, `serve.retry.*` and
     /// `serve.breaker.*` counters. Disabled by default.
@@ -442,6 +441,17 @@ struct Entry<T> {
     generation: u64,
 }
 
+impl<T> Entry<T> {
+    /// Whether the entry may be evicted: its slot is settled, neither
+    /// in flight (`Preparing`) nor claimed (`Updating`).
+    fn evictable(&self) -> bool {
+        !matches!(
+            &*lock_clean(&self.slot.state),
+            SlotState::Preparing | SlotState::Updating(_)
+        )
+    }
+}
+
 #[derive(Debug, Default)]
 struct Shard<T> {
     entries: HashMap<MatrixFingerprint, Entry<T>>,
@@ -452,8 +462,11 @@ struct Shard<T> {
 #[derive(Debug)]
 pub struct PlanCache<T> {
     shards: Vec<Mutex<Shard<T>>>,
-    per_shard_capacity: usize,
     capacity: usize,
+    /// Entries across all shards: raised under the inserting shard's
+    /// lock, lowered under the removing shard's lock. `Relaxed`: it is a
+    /// count and publishes no other data.
+    resident: AtomicUsize,
     telemetry: TelemetryHandle,
     retry_backoff_base: Duration,
     retry_backoff_cap: Duration,
@@ -474,12 +487,12 @@ pub struct PlanCache<T> {
 impl<T: Scalar> PlanCache<T> {
     /// An empty cache with the given configuration.
     pub fn new(config: PlanCacheConfig) -> Self {
-        let shards = config.shards.max(1);
-        let per_shard_capacity = config.capacity.max(1).div_ceil(shards);
         PlanCache {
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            per_shard_capacity,
-            capacity: per_shard_capacity * shards,
+            shards: (0..config.shards.max(1))
+                .map(|_| Mutex::new(Shard::default()))
+                .collect(),
+            capacity: config.capacity.max(1),
+            resident: AtomicUsize::new(0),
             telemetry: config.telemetry,
             retry_backoff_base: config.retry_backoff_base,
             retry_backoff_cap: config.retry_backoff_cap,
@@ -603,7 +616,6 @@ impl<T: Scalar> PlanCache<T> {
                     (Arc::clone(&entry.slot), false)
                 }
                 None => {
-                    self.evict_lru_if_full(&mut shard);
                     let slot = Arc::new(PlanSlot::preparing());
                     shard.entries.insert(
                         fp,
@@ -613,12 +625,14 @@ impl<T: Scalar> PlanCache<T> {
                             generation: 0,
                         },
                     );
+                    self.resident.fetch_add(1, Ordering::Relaxed);
                     (slot, true)
                 }
             }
         };
         let mut prior: Option<FailureState> = None;
         if created {
+            self.evict_over_capacity(&fp);
             self.count_miss();
             self.inserts.fetch_add(1, Ordering::Relaxed);
             self.telemetry.counter("serve.cache.insert", 1);
@@ -747,7 +761,6 @@ impl<T: Scalar> PlanCache<T> {
         if shard.entries.contains_key(&fp) {
             return false;
         }
-        self.evict_lru_if_full(&mut shard);
         let slot = Arc::new(PlanSlot {
             state: Mutex::new(SlotState::Ready(engine)),
             ready: Condvar::new(),
@@ -760,7 +773,9 @@ impl<T: Scalar> PlanCache<T> {
                 generation: 0,
             },
         );
+        self.resident.fetch_add(1, Ordering::Relaxed);
         drop(shard);
+        self.evict_over_capacity(&fp);
         self.inserts.fetch_add(1, Ordering::Relaxed);
         self.telemetry.counter("serve.cache.insert", 1);
         true
@@ -917,7 +932,6 @@ impl<T: Scalar> PlanCache<T> {
                         .fulfill(SlotState::Ready(Arc::clone(&new_engine)));
                 }
                 None => {
-                    self.evict_lru_if_full(&mut shard);
                     shard.entries.insert(
                         new_fp,
                         Entry {
@@ -929,11 +943,13 @@ impl<T: Scalar> PlanCache<T> {
                             generation: old_generation + 1,
                         },
                     );
+                    self.resident.fetch_add(1, Ordering::Relaxed);
                     self.inserts.fetch_add(1, Ordering::Relaxed);
                     self.telemetry.counter("serve.cache.insert", 1);
                 }
             }
         }
+        self.evict_over_capacity(&new_fp);
         slot.fulfill(SlotState::Ready(old));
         self.telemetry.counter("serve.delta.commit", 1);
         Ok(Some(new_fp))
@@ -955,7 +971,11 @@ impl<T: Scalar> PlanCache<T> {
     /// entry was removed.
     pub fn remove(&self, fp: &MatrixFingerprint) -> bool {
         let mut shard = lock_clean(self.shard_for(fp));
-        shard.entries.remove(fp).is_some()
+        let removed = shard.entries.remove(fp).is_some();
+        if removed {
+            self.resident.fetch_sub(1, Ordering::Relaxed);
+        }
+        removed
     }
 
     /// Sweeps every poisoned slot out of the cache, making their
@@ -974,14 +994,25 @@ impl<T: Scalar> PlanCache<T> {
                 .collect();
             for fp in poisoned {
                 shard.entries.remove(&fp);
+                self.resident.fetch_sub(1, Ordering::Relaxed);
                 cleared += 1;
             }
         }
         cleared
     }
 
-    /// Evicts the shard's least-recently-used *settled* entries until
-    /// an insert fits.
+    /// Evicts the least-recently-used *settled* entries of the whole
+    /// cache until it is back within its capacity. `keep`, the entry
+    /// the caller just inserted, is never a victim.
+    ///
+    /// No two shard locks are ever held at once: a scan locks each
+    /// shard in turn to find its oldest evictable entry, then the
+    /// victim's shard is locked again and the entry removed only if it
+    /// is still evictable and untouched since the scan (otherwise the
+    /// scan repeats). The resident count is lowered under that lock and
+    /// only while it exceeds the capacity, so concurrent evictors never
+    /// take the cache below it. Inserts evict after they land, so a
+    /// concurrent reader can see one extra entry per inserting thread.
     ///
     /// In-flight (`Preparing`) slots are never evicted: dropping one
     /// hides the prepare from later lookups of the same fingerprint,
@@ -990,30 +1021,45 @@ impl<T: Scalar> PlanCache<T> {
     /// coalescing the slot exists to provide. Claimed (`Updating`)
     /// slots are likewise pinned: evicting one orphans the mutation's
     /// settle, silently discarding a refresh or a delta restore. If
-    /// every resident slot is in flight the shard briefly overflows
-    /// its capacity instead; the overflow is bounded by the number of
-    /// concurrent preparers (worker count) and drains on the next
-    /// settled insert.
-    fn evict_lru_if_full(&self, shard: &mut Shard<T>) {
-        while shard.entries.len() >= self.per_shard_capacity {
-            let victim = shard
-                .entries
-                .iter()
-                .filter(|(_, e)| {
-                    !matches!(
-                        &*lock_clean(&e.slot.state),
-                        SlotState::Preparing | SlotState::Updating(_)
-                    )
-                })
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(fp, _)| *fp);
-            match victim {
-                Some(fp) => {
-                    shard.entries.remove(&fp);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                    self.telemetry.counter("serve.cache.eviction", 1);
+    /// every other resident slot is in flight the cache briefly
+    /// overflows its capacity instead; the overflow is bounded by the
+    /// number of concurrent preparers (worker count) and drains on the
+    /// next insert.
+    fn evict_over_capacity(&self, keep: &MatrixFingerprint) {
+        while self.resident.load(Ordering::Relaxed) > self.capacity {
+            let mut oldest: Option<(u64, usize, MatrixFingerprint)> = None;
+            for (i, shard) in self.shards.iter().enumerate() {
+                let shard = lock_clean(shard);
+                let candidate = shard
+                    .entries
+                    .iter()
+                    .filter(|(fp, e)| *fp != keep && e.evictable())
+                    .min_by_key(|(_, e)| e.last_used);
+                if let Some((fp, e)) = candidate {
+                    if oldest.is_none_or(|(t, _, _)| e.last_used < t) {
+                        oldest = Some((e.last_used, i, *fp));
+                    }
                 }
-                None => break,
+            }
+            let Some((last_used, i, fp)) = oldest else {
+                return;
+            };
+            let mut shard = lock_clean(&self.shards[i]);
+            let untouched = shard
+                .entries
+                .get(&fp)
+                .is_some_and(|e| e.last_used == last_used && e.evictable());
+            if untouched
+                && self
+                    .resident
+                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                        (n > self.capacity).then(|| n - 1)
+                    })
+                    .is_ok()
+            {
+                shard.entries.remove(&fp);
+                self.evictions.fetch_add(1, Ordering::Relaxed);
+                self.telemetry.counter("serve.cache.eviction", 1);
             }
         }
     }
@@ -1033,12 +1079,9 @@ impl<T: Scalar> PlanCache<T> {
             .sum()
     }
 
-    /// Entries currently cached (sums the shards).
+    /// Entries currently cached across all shards.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| lock_clean(s).entries.len())
-            .sum()
+        self.resident.load(Ordering::Relaxed)
     }
 
     /// Whether the cache holds no entries.
@@ -1046,8 +1089,7 @@ impl<T: Scalar> PlanCache<T> {
         self.len() == 0
     }
 
-    /// The effective total capacity bound (capacity rounded up to a
-    /// multiple of the shard count).
+    /// The configured total capacity bound.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
@@ -1772,6 +1814,43 @@ mod tests {
             .unwrap();
         assert!(!fresh);
         assert_eq!(served.ncols(), m.ncols());
+    }
+
+    #[test]
+    fn capacity_is_a_global_bound_whatever_the_shards() {
+        let m = matrix(7);
+        let engine = prepare(&m).unwrap();
+        // hash % 8 picks the shard: spread over every shard, or all on one
+        for capacity in [1usize, 3, 12, 16] {
+            for (layout, stride) in [("spread", 1), ("one shard", 8)] {
+                let cache = PlanCache::<f64>::new(
+                    PlanCacheConfig::builder()
+                        .capacity(capacity)
+                        .shards(8)
+                        .build(),
+                );
+                let fps: Vec<MatrixFingerprint> = (0..2 * capacity as u64 + 3)
+                    .map(|i| MatrixFingerprint::from_raw(96, 96, 480, stride * i))
+                    .collect();
+                for (i, fp) in fps.iter().enumerate() {
+                    // both insert paths share the bound
+                    if i % 2 == 0 {
+                        cache.get_or_prepare(*fp, || Ok(engine.clone())).unwrap();
+                    } else {
+                        assert!(cache.insert_ready(*fp, Arc::new(engine.clone())));
+                    }
+                    assert!(cache.len() <= capacity, "{layout}, capacity {capacity}");
+                }
+                let stats = cache.stats();
+                assert_eq!(stats.len(), capacity, "{layout}: exactly C resident");
+                assert_eq!(stats.capacity(), capacity);
+                assert_eq!(stats.evictions() as usize, fps.len() - capacity);
+                // the survivors are the C most recently inserted plans
+                let (old, recent) = fps.split_at(fps.len() - capacity);
+                assert!(recent.iter().all(|fp| cache.generation(fp).is_some()));
+                assert!(old.iter().all(|fp| cache.generation(fp).is_none()));
+            }
+        }
     }
 
     #[test]

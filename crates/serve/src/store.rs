@@ -9,7 +9,7 @@
 //! restarted server materialises the engine by deserialising instead of
 //! re-preparing.
 //!
-//! # File format (version 3)
+//! # File format (version 4)
 //!
 //! ```text
 //! magic    "SPMMPLAN"                     8 bytes
@@ -18,24 +18,15 @@
 //! fingerprint nrows/ncols/nnz/hash        4 × u64
 //! k_hint   u64 (u64::MAX = none)          8
 //! variant  u8 (autotuner execution tag)   1
-//! micro    u8 (0 = generic, else the      1   (version ≥ 2 only)
-//!              plan-selected microkernel
-//!              width, one of 8/16/32)
-//! sections, in order: PLAN RCSR NMAP ASPT FMTP (FMTP version ≥ 3 only)
+//! micro    u8 (0 = generic, else the      1
+//!              plan's microkernel width,
+//!              one of 8/16/32)
+//! sections, in order: PLAN RCSR NMAP ASPT
 //!   tag        4 ASCII bytes
 //!   length     u64
 //!   payload    `length` bytes
 //!   checksum   u64 FNV-1a over the payload's 64-bit LE lanes
 //! ```
-//!
-//! The `FMTP` section persists the plan-time *format* selection (the
-//! format-zoo trial): a one-byte tag (0 = CSR, 1 = SELL-C-σ, 2 = CSB)
-//! followed by the chosen layout's parameters and full arrays. A warm
-//! start rebuilds the layout via the formats' validating `from_parts`
-//! constructors and cross-checks that it re-derives the stored
-//! reordered matrix exactly, so the chosen format survives restarts
-//! with zero re-selection — and a corrupt payload is a reject, never a
-//! silently different plan.
 //!
 //! Every multi-byte integer is little-endian; floating-point values are
 //! stored as raw IEEE-754 bit patterns ([`Scalar::to_bits64`]), so a
@@ -54,18 +45,16 @@
 //! drifted since the snapshot refreshes them in place via
 //! [`Engine::update_values`] — still no re-preparation.
 //!
-//! Version-1 files (written before the microkernel layer existed) are
-//! still readable: they carry no micro byte, so the rebuilt engine
-//! routes through the generic k-blocked kernels. Version-2 files carry
-//! the micro byte but no `FMTP` section — they load with the CSR/ASpT
-//! execution path, exactly what they were written with. New files are
-//! always written at version 3.
+//! The reader speaks exactly one version. Files of any other version —
+//! including versions 1–3, written while plans could carry a format-zoo
+//! payload (`FMTP` section) — are rejected with an `unsupported version`
+//! error; the store is a cache, so a reject degrades to a live prepare
+//! whose write-through replaces the file.
 
 use crate::fingerprint::MatrixFingerprint;
 use spmm_aspt::{AsptConfig, AsptMatrix, DenseTile, Panel};
 use spmm_faults::FaultPoint;
-use spmm_formats::{CsbMatrix, SellPMatrix};
-use spmm_kernels::{Engine, FormatChoice, FormatPayload, Variant};
+use spmm_kernels::{Engine, Variant};
 use spmm_reorder::{ClusterStats, ReorderPlan};
 use spmm_sparse::{CsrMatrix, Permutation, Scalar, SparseError};
 use spmm_telemetry::TelemetryHandle;
@@ -92,35 +81,15 @@ pub static FAULT_STORE_SAVE: FaultPoint = FaultPoint::new("serve.store.save");
 pub static FAULT_STORE_DELTA: FaultPoint = FaultPoint::new("serve.store.delta");
 
 const MAGIC: &[u8; 8] = b"SPMMPLAN";
-const VERSION: u32 = 3;
-/// Oldest version the reader still speaks (no micro byte — decoded
-/// engines run the generic k-blocked kernels).
-const MIN_VERSION: u32 = 1;
-/// Version-1 header length: magic + version + scalar width +
-/// fingerprint + k_hint + variant tag.
-const HEADER_LEN_V1: usize = 8 + 4 + 4 + 32 + 8 + 1;
-/// Current header length: version 1 plus the microkernel-width byte.
-const HEADER_LEN: usize = HEADER_LEN_V1 + 1;
-
-/// Header length of a given format version.
-fn header_len(version: u32) -> usize {
-    if version >= 2 {
-        HEADER_LEN
-    } else {
-        HEADER_LEN_V1
-    }
-}
+const VERSION: u32 = 4;
+/// Header length: magic + version + scalar width + fingerprint +
+/// k_hint + variant tag + microkernel width.
+const HEADER_LEN: usize = 8 + 4 + 4 + 32 + 8 + 1 + 1;
 
 const TAG_PLAN: &[u8; 4] = b"PLAN";
 const TAG_RCSR: &[u8; 4] = b"RCSR";
 const TAG_NMAP: &[u8; 4] = b"NMAP";
 const TAG_ASPT: &[u8; 4] = b"ASPT";
-const TAG_FMTP: &[u8; 4] = b"FMTP";
-
-/// Format tags inside the `FMTP` section payload.
-const FMT_CSR: u8 = 0;
-const FMT_SELL: u8 = 1;
-const FMT_CSB: u8 = 2;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -398,7 +367,7 @@ impl PlanStore {
             let Ok(bytes) = fs::read(&path) else {
                 continue;
             };
-            let Ok((fp, scalar_bytes, _version)) = decode_header(&bytes) else {
+            let Ok((fp, scalar_bytes)) = decode_header(&bytes) else {
                 continue;
             };
             plans.push(StoredPlan {
@@ -413,21 +382,14 @@ impl PlanStore {
 }
 
 /// The execution tag the snapshot carries: which §4 variant the
-/// engine's plan amounts to. Derived from the plan (a winning zoo
-/// format when one was chosen; otherwise reordering applied → ASpT-RR,
-/// else ASpT-NR) and cross-checked on load, so a file whose tag and
-/// plan disagree is rejected as stale.
+/// engine's plan amounts to (reordering applied → ASpT-RR, else
+/// ASpT-NR). Cross-checked on load, so a file whose tag and plan
+/// disagree is rejected as stale.
 fn variant_of<T: Scalar>(engine: &Engine<T>) -> Variant {
-    match engine.format_choice() {
-        FormatChoice::SellCSigma { .. } => Variant::SellCSigma,
-        FormatChoice::Csb { .. } => Variant::Csb,
-        FormatChoice::Csr => {
-            if engine.plan().needs_reordering() {
-                Variant::AsptRr
-            } else {
-                Variant::AsptNr
-            }
-        }
+    if engine.plan().needs_reordering() {
+        Variant::AsptRr
+    } else {
+        Variant::AsptNr
     }
 }
 
@@ -436,8 +398,6 @@ fn variant_tag(v: Variant) -> u8 {
         Variant::CusparseLike => 0,
         Variant::AsptNr => 1,
         Variant::AsptRr => 2,
-        Variant::SellCSigma => 3,
-        Variant::Csb => 4,
     }
 }
 
@@ -469,14 +429,6 @@ impl Enc {
     fn u32_slice(&mut self, s: &[u32]) {
         self.u64(s.len() as u64);
         self.buf.reserve(s.len() * 4);
-        for &v in s {
-            self.buf.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-
-    fn u16_slice(&mut self, s: &[u16]) {
-        self.u64(s.len() as u64);
-        self.buf.reserve(s.len() * 2);
         for &v in s {
             self.buf.extend_from_slice(&v.to_le_bytes());
         }
@@ -544,8 +496,7 @@ fn encode_engine<T: Scalar>(fp: &MatrixFingerprint, engine: &Engine<T>) -> Vec<u
     let k_hint = engine.k_hint().map_or(u64::MAX, |k| k as u64);
     out.extend_from_slice(&k_hint.to_le_bytes());
     out.push(variant_tag(variant_of(engine)));
-    // version 2: the plan-selected microkernel width (0 = generic), so
-    // a warm start never re-runs selection
+    // the plan's microkernel width (0 = generic)
     out.push(engine.micro_width().map_or(0, |w| w as u8));
 
     // PLAN: permutations, flags, indicator ratios, clustering stats
@@ -594,34 +545,6 @@ fn encode_engine<T: Scalar>(fp: &MatrixFingerprint, engine: &Engine<T>) -> Vec<u
     e.csr(aspt.remainder());
     e.u32_slice(aspt.remainder_src());
     encode_section(&mut out, TAG_ASPT, &e.buf);
-
-    // FMTP (version 3): the plan-time format selection — tag plus the
-    // winning layout's full arrays, so a warm start re-materialises the
-    // chosen format with zero re-selection
-    let mut e = Enc::new();
-    match engine.format_payload() {
-        None => e.u8(FMT_CSR),
-        Some(FormatPayload::Sell { matrix, sigma }) => {
-            e.u8(FMT_SELL);
-            e.u64(matrix.slice_height() as u64);
-            e.u64(*sigma as u64);
-            e.usize_slice(&matrix.slice_widths());
-            e.u32_slice(matrix.colidx());
-            e.scalar_slice(matrix.values());
-            e.u32_slice(matrix.perm().order());
-        }
-        Some(FormatPayload::Csb(csb)) => {
-            e.u8(FMT_CSB);
-            e.u64(csb.beta() as u64);
-            e.usize_slice(csb.blockptr());
-            e.u32_slice(csb.block_col());
-            e.usize_slice(csb.entryptr());
-            e.u16_slice(csb.rel_row());
-            e.u16_slice(csb.rel_col());
-            e.scalar_slice(csb.values());
-        }
-    }
-    encode_section(&mut out, TAG_FMTP, &e.buf);
 
     out
 }
@@ -686,14 +609,6 @@ impl<'a> Dec<'a> {
             .collect())
     }
 
-    fn u16_vec(&mut self) -> Result<Vec<u16>, SparseError> {
-        let n = self.len_prefix(2)?;
-        let b = self.take(n * 2)?;
-        Ok(b.chunks_exact(2)
-            .map(|c| u16::from_le_bytes([c[0], c[1]]))
-            .collect())
-    }
-
     fn usize_vec(&mut self) -> Result<Vec<usize>, SparseError> {
         let n = self.len_prefix(8)?;
         let b = self.take(n * 8)?;
@@ -754,10 +669,9 @@ impl<'a> Dec<'a> {
 }
 
 /// Parses and validates the fixed-size header, returning the embedded
-/// fingerprint, scalar width and format version (within
-/// `MIN_VERSION..=VERSION`).
-fn decode_header(bytes: &[u8]) -> Result<(MatrixFingerprint, usize, u32), SparseError> {
-    if bytes.len() < HEADER_LEN_V1 {
+/// fingerprint and scalar width.
+fn decode_header(bytes: &[u8]) -> Result<(MatrixFingerprint, usize), SparseError> {
+    if bytes.len() < HEADER_LEN {
         return Err(corrupt("file shorter than header"));
     }
     let mut d = Dec::new(bytes);
@@ -771,13 +685,10 @@ fn decode_header(bytes: &[u8]) -> Result<(MatrixFingerprint, usize, u32), Sparse
         version_bytes[2],
         version_bytes[3],
     ]);
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(corrupt(format!(
-            "unsupported version {version} (reader speaks {MIN_VERSION}..={VERSION})"
+            "unsupported version {version} (reader speaks {VERSION})"
         )));
-    }
-    if bytes.len() < header_len(version) {
-        return Err(corrupt("file shorter than header"));
     }
     let sb = d.take(4)?;
     let scalar_bytes = u32::from_le_bytes([sb[0], sb[1], sb[2], sb[3]]) as usize;
@@ -791,7 +702,6 @@ fn decode_header(bytes: &[u8]) -> Result<(MatrixFingerprint, usize, u32), Sparse
     Ok((
         MatrixFingerprint::from_raw(nrows, ncols, nnz, hash),
         scalar_bytes,
-        version,
     ))
 }
 
@@ -826,7 +736,7 @@ fn decode_engine<T: Scalar>(
     bytes: &[u8],
     telemetry: &TelemetryHandle,
 ) -> Result<Engine<T>, SparseError> {
-    let (fp, scalar_bytes, version) = decode_header(bytes)?;
+    let (fp, scalar_bytes) = decode_header(bytes)?;
     if scalar_bytes != T::BYTES {
         return Err(corrupt(format!(
             "scalar width {scalar_bytes} does not match requested {}",
@@ -843,15 +753,10 @@ fn decode_engine<T: Scalar>(
     let k_hint_raw = d.u64()?;
     let k_hint = (k_hint_raw != u64::MAX).then_some(k_hint_raw as usize);
     let variant = d.u8()?;
-    // version 1 predates microkernel selection: no byte, generic path
-    let micro_width = if version >= 2 {
-        match d.u8()? {
-            0 => None,
-            w if spmm_kernels::MICRO_WIDTHS.contains(&(w as usize)) => Some(w as usize),
-            w => return Err(corrupt(format!("bad microkernel width tag {w}"))),
-        }
-    } else {
-        None
+    let micro_width = match d.u8()? {
+        0 => None,
+        w if spmm_kernels::MICRO_WIDTHS.contains(&(w as usize)) => Some(w as usize),
+        w => return Err(corrupt(format!("bad microkernel width tag {w}"))),
     };
 
     let mut p = decode_section(&mut d, TAG_PLAN)?;
@@ -912,77 +817,11 @@ fn decode_engine<T: Scalar>(
     let remainder_src = a.u32_vec()?;
     a.done()?;
 
-    // FMTP (version ≥ 3): rebuild the recorded format payload through
-    // the validating constructors. Versions 1–2 predate the format zoo
-    // and run the CSR/ASpT path they were written with.
-    let format = if version >= 3 {
-        let mut f = decode_section(&mut d, TAG_FMTP)?;
-        let payload = match f.u8()? {
-            FMT_CSR => None,
-            FMT_SELL => {
-                let slice_height = f.u64()? as usize;
-                let sigma = f.u64()? as usize;
-                let widths = f.usize_vec()?;
-                let colidx = f.u32_vec()?;
-                let values = f.scalar_vec::<T>()?;
-                let order = f.u32_vec()?;
-                let matrix = SellPMatrix::from_parts(
-                    reordered.nrows(),
-                    reordered.ncols(),
-                    slice_height,
-                    widths,
-                    colidx,
-                    values,
-                    order,
-                )?;
-                Some(FormatPayload::Sell { matrix, sigma })
-            }
-            FMT_CSB => {
-                let beta = f.u64()? as usize;
-                let blockptr = f.usize_vec()?;
-                let block_col = f.u32_vec()?;
-                let entryptr = f.usize_vec()?;
-                let rel_row = f.u16_vec()?;
-                let rel_col = f.u16_vec()?;
-                let values = f.scalar_vec::<T>()?;
-                let csb = CsbMatrix::from_parts(
-                    reordered.nrows(),
-                    reordered.ncols(),
-                    beta,
-                    blockptr,
-                    block_col,
-                    entryptr,
-                    rel_row,
-                    rel_col,
-                    values,
-                )?;
-                Some(FormatPayload::Csb(csb))
-            }
-            t => return Err(corrupt(format!("bad format tag {t}"))),
-        };
-        f.done()?;
-        // the decisive format check: the decoded layout must lay out
-        // exactly the stored reordered matrix, bit for bit
-        if let Some(p) = &payload {
-            if p.to_csr() != reordered {
-                return Err(corrupt(
-                    "stored format payload does not re-derive the reordered matrix",
-                ));
-            }
-        }
-        payload
-    } else {
-        None
-    };
     d.done()?;
 
     let aspt = AsptMatrix::from_parts(config, panels, remainder, remainder_src)?;
     let mut engine = Engine::from_parts(plan, aspt, reordered, nnz_map, k_hint, telemetry)?;
-    // restore the recorded microkernel choice — the whole point of the
-    // version-2 byte is that a warm start never re-selects
     engine.set_micro_width(micro_width);
-    // …and the recorded format choice (version-3 FMTP section)
-    engine.set_format(format);
 
     // stale-tag check: the variant byte must agree with the plan it
     // rides with
@@ -1025,20 +864,6 @@ mod tests {
 
     fn engine_for<T: Scalar>(m: &CsrMatrix<T>) -> Engine<T> {
         Engine::prepare(m, &EngineConfig::default()).unwrap()
-    }
-
-    /// Byte offset of the trailing FMTP section in an encoded plan —
-    /// the seam the back-compat tests cut at.
-    fn fmtp_offset(bytes: &[u8]) -> usize {
-        let mut pos = HEADER_LEN;
-        loop {
-            let tag = &bytes[pos..pos + 4];
-            let len = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap()) as usize;
-            if tag == TAG_FMTP {
-                return pos;
-            }
-            pos += 12 + len + 8;
-        }
     }
 
     #[test]
@@ -1180,24 +1005,41 @@ mod tests {
     }
 
     #[test]
+    fn older_versions_are_rejected_as_unsupported() {
+        let (store, dir) = temp_store();
+        let m = generators::shuffled_block_diagonal::<f64>(48, 12, 32, 12, 19);
+        let fp = MatrixFingerprint::of(&m);
+        store.save(&fp, &engine_for(&m)).unwrap();
+        let path = store.path_for::<f64>(&fp);
+        let pristine = fs::read(&path).unwrap();
+        for version in [1u32, 2, 3, VERSION + 1] {
+            let mut old = pristine.clone();
+            old[8..12].copy_from_slice(&version.to_le_bytes());
+            fs::write(&path, &old).unwrap();
+            let err = store
+                .load::<f64>(&fp, &TelemetryHandle::noop())
+                .unwrap_err();
+            assert!(err.to_string().contains("unsupported version"), "{err}");
+        }
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
     fn micro_width_round_trips_without_reselection() {
         let (store, dir) = temp_store();
         let m = generators::shuffled_block_diagonal::<f32>(64, 16, 48, 16, 13);
         let config = EngineConfig::builder().k_hint(64).build();
         let engine = Engine::prepare(&m, &config).unwrap();
         let width = engine.micro_width();
-        assert!(
-            width.is_some(),
-            "a k_hint of 64 must select a microkernel width at plan time"
-        );
+        assert_eq!(width, Some(32), "a k_hint of 64 sets the widest width");
         let fp = MatrixFingerprint::of(&m);
         store.save(&fp, &engine).unwrap();
         let loaded = store
             .load::<f32>(&fp, &TelemetryHandle::noop())
             .unwrap()
             .unwrap();
-        // the recorded width is restored verbatim, with no prepare (and
-        // hence no re-selection) on the warm path
+        // the recorded width is restored verbatim, with no prepare on
+        // the warm path
         assert_eq!(loaded.micro_width(), width);
         assert!(loaded.preprocessing_time().is_zero());
         let x = generators::random_dense::<f32>(m.ncols(), 64, 17);
@@ -1216,194 +1058,6 @@ mod tests {
             .load::<f32>(&fp, &TelemetryHandle::noop())
             .unwrap_err();
         assert!(err.to_string().contains("microkernel width"), "{err}");
-        let _ = fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn version1_files_still_load_via_the_generic_path() {
-        let (store, dir) = temp_store();
-        let m = generators::shuffled_block_diagonal::<f64>(48, 12, 32, 12, 19);
-        let config = EngineConfig::builder().k_hint(32).build();
-        let mut engine = Engine::prepare(&m, &config).unwrap();
-        assert!(engine.micro_width().is_some());
-        let fp = MatrixFingerprint::of(&m);
-        store.save(&fp, &engine).unwrap();
-        let path = store.path_for::<f64>(&fp);
-        let v3 = fs::read(&path).unwrap();
-
-        // surgically rewrite the file as version 1: patch the version
-        // word, drop the micro byte (the last header byte) and the
-        // trailing FMTP section, neither of which version 1 carries
-        let mut v1 = Vec::with_capacity(v3.len() - 1);
-        v1.extend_from_slice(&v3[..8]);
-        v1.extend_from_slice(&1u32.to_le_bytes());
-        v1.extend_from_slice(&v3[12..HEADER_LEN - 1]);
-        v1.extend_from_slice(&v3[HEADER_LEN..fmtp_offset(&v3)]);
-        // a version-1 writer predates the zoo: its variant byte can
-        // only ever be one of the CSR-path tags
-        v1[8 + 4 + 4 + 32 + 8] = if engine.plan().needs_reordering() {
-            2
-        } else {
-            1
-        };
-        fs::write(&path, &v1).unwrap();
-
-        let loaded = store
-            .load::<f64>(&fp, &TelemetryHandle::noop())
-            .unwrap()
-            .unwrap();
-        // no micro byte to restore: the old plan runs the generic
-        // kernels, and results still match exactly
-        assert_eq!(loaded.micro_width(), None);
-        assert_eq!(loaded.k_hint(), engine.k_hint());
-        // compare along the path a version-1 reader actually takes:
-        // no format payload (fold order differs between layouts by
-        // ulps on unquantised operands, by design)
-        engine.set_format(None);
-        let x = generators::random_dense::<f64>(m.ncols(), 16, 23);
-        assert_eq!(
-            engine.spmm(&x).unwrap().data(),
-            loaded.spmm(&x).unwrap().data()
-        );
-        let _ = fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn chosen_format_round_trips_without_reselection() {
-        use spmm_kernels::{FormatChoice, FormatPayload};
-        let (store, dir) = temp_store();
-        let m = generators::shuffled_block_diagonal::<f64>(96, 16, 64, 16, 29);
-        let config = EngineConfig::builder().k_hint(32).build();
-        let mut engine = Engine::prepare(&m, &config).unwrap();
-        for choice in [
-            FormatChoice::SellCSigma {
-                slice_height: 16,
-                sigma: 64,
-            },
-            FormatChoice::Csb { beta: 32 },
-        ] {
-            // pin the format deterministically (the trial's pick depends
-            // on the simulated device); the codec must carry whatever
-            // the plan holds
-            let payload = FormatPayload::build(choice, engine.reordered()).unwrap();
-            engine.set_format(payload);
-            let fp = MatrixFingerprint::of(&m);
-            store.save(&fp, &engine).unwrap();
-            let loaded = store
-                .load::<f64>(&fp, &TelemetryHandle::noop())
-                .unwrap()
-                .unwrap();
-            // the recorded choice is restored verbatim — warm starts
-            // never re-run the format trial
-            assert_eq!(loaded.format_choice(), choice);
-            assert!(loaded.preprocessing_time().is_zero());
-            let x = generators::random_dense::<f64>(m.ncols(), 32, 31);
-            assert_eq!(
-                engine.spmm(&x).unwrap().data(),
-                loaded.spmm(&x).unwrap().data()
-            );
-        }
-        let _ = fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn version2_files_still_load_via_the_csr_path() {
-        let (store, dir) = temp_store();
-        let m = generators::shuffled_block_diagonal::<f64>(48, 12, 32, 12, 23);
-        let config = EngineConfig::builder().k_hint(32).build();
-        let mut engine = Engine::prepare(&m, &config).unwrap();
-        let fp = MatrixFingerprint::of(&m);
-        store.save(&fp, &engine).unwrap();
-        let path = store.path_for::<f64>(&fp);
-        let v3 = fs::read(&path).unwrap();
-
-        // rewrite as version 2: patch the version word and drop the
-        // trailing FMTP section (version 2 keeps the micro byte)
-        let mut v2 = Vec::with_capacity(v3.len());
-        v2.extend_from_slice(&v3[..8]);
-        v2.extend_from_slice(&2u32.to_le_bytes());
-        v2.extend_from_slice(&v3[12..fmtp_offset(&v3)]);
-        // a version-2 writer predates the zoo: CSR-path variant tags only
-        v2[8 + 4 + 4 + 32 + 8] = if engine.plan().needs_reordering() {
-            2
-        } else {
-            1
-        };
-        fs::write(&path, &v2).unwrap();
-
-        let loaded = store
-            .load::<f64>(&fp, &TelemetryHandle::noop())
-            .unwrap()
-            .unwrap();
-        // no FMTP section: the old plan runs the CSR/ASpT path it was
-        // written with, micro width intact, results bit-identical
-        assert_eq!(loaded.format_choice(), spmm_kernels::FormatChoice::Csr);
-        assert_eq!(loaded.micro_width(), engine.micro_width());
-        // compare along the CSR path a version-2 reader actually takes
-        engine.set_format(None);
-        let x = generators::random_dense::<f64>(m.ncols(), 16, 37);
-        assert_eq!(
-            engine.spmm(&x).unwrap().data(),
-            loaded.spmm(&x).unwrap().data()
-        );
-        let _ = fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn corrupt_format_sections_are_rejected() {
-        use spmm_kernels::{FormatChoice, FormatPayload};
-        let (store, dir) = temp_store();
-        let m = generators::shuffled_block_diagonal::<f64>(96, 16, 64, 16, 41);
-        let mut engine = engine_for(&m);
-        let payload = FormatPayload::build(
-            FormatChoice::SellCSigma {
-                slice_height: 16,
-                sigma: 64,
-            },
-            engine.reordered(),
-        )
-        .unwrap();
-        engine.set_format(payload);
-        let fp = MatrixFingerprint::of(&m);
-        store.save(&fp, &engine).unwrap();
-        let path = store.path_for::<f64>(&fp);
-        let pristine = fs::read(&path).unwrap();
-        let fmtp = fmtp_offset(&pristine);
-
-        // truncation anywhere inside the FMTP section
-        for cut in [fmtp, fmtp + 5, fmtp + 13, pristine.len() - 1] {
-            fs::write(&path, &pristine[..cut]).unwrap();
-            assert!(
-                store.load::<f64>(&fp, &TelemetryHandle::noop()).is_err(),
-                "FMTP truncation at {cut} must be rejected"
-            );
-        }
-        // a flipped bit anywhere in the section: tag, length, format
-        // tag byte, payload arrays, checksum
-        for pos in [
-            fmtp + 1,
-            fmtp + 5,
-            fmtp + 12,
-            fmtp + 20,
-            fmtp + 40,
-            pristine.len() - 4,
-        ] {
-            let mut bad = pristine.clone();
-            bad[pos] ^= 0x40;
-            fs::write(&path, &bad).unwrap();
-            assert!(
-                store.load::<f64>(&fp, &TelemetryHandle::noop()).is_err(),
-                "FMTP flip at {pos} must be rejected"
-            );
-        }
-
-        // pristine bytes still load, format intact
-        fs::write(&path, &pristine).unwrap();
-        let loaded = store
-            .load::<f64>(&fp, &TelemetryHandle::noop())
-            .unwrap()
-            .unwrap();
-        assert_eq!(loaded.format_choice(), engine.format_choice());
         let _ = fs::remove_dir_all(dir);
     }
 

@@ -1,9 +1,10 @@
 //! The format zoo end to end: lossless CSR ↔ SELL-C-σ ↔ CSB
 //! round-trips, format-variant SpMM bit-compared against the row-wise
-//! reference at both scalar widths, plan-time selection that never
-//! regresses, `.spmmplan` v3 persistence with back-compat and
-//! corruption rejection, and the serve-path degradation when a stored
-//! format payload is corrupt.
+//! reference at both scalar widths, and a simulated format trial that
+//! never regresses. The engine itself runs one layout: the plan-store
+//! tests here pin that a plan round-trips without any format section,
+//! that a version-3 file carrying one is rejected and replaced by a live
+//! prepare, and that deltas and value updates keep the plan exact.
 
 use proptest::prelude::*;
 use spmm_rr::kernels::format::{MAX_FORMAT_PADDING, SELL_SLICE_HEIGHT};
@@ -229,9 +230,9 @@ fn format_trial_never_regresses_and_counts_skips() {
     );
 }
 
-/// A prepared plan with a chosen format survives the `.spmmplan` v3
-/// codec verbatim — same choice, zero re-selection, bit-exact answers —
-/// and surgically downgraded v1/v2 files still load on the CSR path.
+/// The `.spmmplan` codec round-trips a plan bit-exactly — same micro
+/// width, zero preprocessing on load — and rejects every flipped byte
+/// and every truncation rather than return a silently different plan.
 #[test]
 fn spmmplan_v3_roundtrip_and_back_compat() {
     let dir = std::env::temp_dir().join(format!("spmm-format-zoo-v3-{}", std::process::id()));
@@ -240,31 +241,15 @@ fn spmmplan_v3_roundtrip_and_back_compat() {
 
     let m = generators::shuffled_block_diagonal::<f64>(96, 16, 64, 16, 3);
     let config = EngineConfig::builder().k_hint(64).build();
-    let mut engine = Engine::prepare(&m, &config).unwrap();
-    // pin a zoo format so the file's FMTP section is non-trivial even
-    // if the trial preferred the incumbent on this matrix
-    if engine.format_choice() == FormatChoice::Csr {
-        let payload = FormatPayload::build(
-            FormatChoice::SellCSigma {
-                slice_height: 16,
-                sigma: 32,
-            },
-            engine.reordered(),
-        )
-        .unwrap();
-        engine.set_format(payload);
-    }
-    let choice = engine.format_choice();
-    assert_ne!(choice, FormatChoice::Csr);
-
+    let engine = Engine::prepare(&m, &config).unwrap();
     let fp = MatrixFingerprint::of(&m);
     store.save(&fp, &engine).unwrap();
     let loaded = store
         .load::<f64>(&fp, &TelemetryHandle::noop())
         .unwrap()
         .unwrap();
-    assert_eq!(loaded.format_choice(), choice, "zero re-selection");
     assert_eq!(loaded.micro_width(), engine.micro_width());
+    assert!(loaded.format_payload().is_none());
     assert!(loaded.preprocessing_time().is_zero());
     let x = generators::random_dense::<f64>(m.ncols(), 24, 9);
     assert_eq!(
@@ -277,6 +262,10 @@ fn spmmplan_v3_roundtrip_and_back_compat() {
     // rather than return a silently different plan
     let path = store.path_for::<f64>(&fp);
     let pristine = std::fs::read(&path).unwrap();
+    assert!(
+        !pristine.windows(4).any(|w| w == b"FMTP"),
+        "no format section"
+    );
     let stride = (pristine.len() / 64).max(1);
     for pos in (0..pristine.len()).step_by(stride) {
         let mut bad = pristine.clone();
@@ -302,9 +291,56 @@ fn spmmplan_v3_roundtrip_and_back_compat() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A corrupt FMTP payload on disk is a store *reject*: the serving
-/// layer degrades to a live prepare, the request still succeeds with an
-/// exact answer, and `serve.store.reject` records the event.
+/// FNV-1a over 64-bit little-endian lanes, tail lane zero-padded: the
+/// plan store's section checksum.
+fn section_checksum(bytes: &[u8]) -> u64 {
+    bytes.chunks(8).fold(0xcbf2_9ce4_8422_2325, |h, c| {
+        let mut lane = [0u8; 8];
+        lane[..c.len()].copy_from_slice(c);
+        (h ^ u64::from_le_bytes(lane)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Rewrites a current plan file as the version-3 writer wrote it for a
+/// plan whose format trial picked `sell`: version word 3 and a trailing
+/// `FMTP` section holding the SELL-C-σ layout of the reordered matrix.
+fn as_version3_with_sell(current: &[u8], sell: &SellPMatrix<f64>, sigma: usize) -> Vec<u8> {
+    // a version-3 array: u64 length, then its little-endian elements
+    fn array<const N: usize>(p: &mut Vec<u8>, items: impl ExactSizeIterator<Item = [u8; N]>) {
+        p.extend_from_slice(&(items.len() as u64).to_le_bytes());
+        items.for_each(|b| p.extend_from_slice(&b));
+    }
+    let mut payload = vec![1u8]; // format tag: SELL-C-σ
+    payload.extend_from_slice(&(sell.slice_height() as u64).to_le_bytes());
+    payload.extend_from_slice(&(sigma as u64).to_le_bytes());
+    let widths = sell.slice_widths();
+    array(
+        &mut payload,
+        widths.iter().map(|&w| (w as u64).to_le_bytes()),
+    );
+    array(&mut payload, sell.colidx().iter().map(|c| c.to_le_bytes()));
+    array(
+        &mut payload,
+        sell.values().iter().map(|v| v.to_bits().to_le_bytes()),
+    );
+    array(
+        &mut payload,
+        sell.perm().order().iter().map(|o| o.to_le_bytes()),
+    );
+
+    let mut v3 = current.to_vec();
+    v3[8..12].copy_from_slice(&3u32.to_le_bytes());
+    v3.extend_from_slice(b"FMTP");
+    v3.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    v3.extend_from_slice(&payload);
+    v3.extend_from_slice(&section_checksum(&payload).to_le_bytes());
+    v3
+}
+
+/// A version-3 file carrying a format payload is a store *reject*: the
+/// serving layer degrades to a live prepare, the request still succeeds
+/// with an exact answer, `serve.store.reject` records the event, and the
+/// write-through replaces the file with one the next server loads warm.
 #[test]
 fn corrupt_v3_format_payload_degrades_to_live_prepare() {
     let dir = std::env::temp_dir().join(format!("spmm-format-zoo-reject-{}", std::process::id()));
@@ -322,102 +358,97 @@ fn corrupt_v3_format_payload_degrades_to_live_prepare() {
     }
     let expected = spmm_rowwise_seq(&m, &x).unwrap();
 
-    // seed the store with a v3 file that carries a zoo format payload
-    let mut engine = Engine::prepare(&m, &EngineConfig::default()).unwrap();
-    let payload = FormatPayload::build(
-        FormatChoice::SellCSigma {
-            slice_height: 16,
-            sigma: 32,
-        },
-        engine.reordered(),
-    )
-    .unwrap();
-    engine.set_format(payload);
+    // seed the store with a version-3 file that carries a SELL-C-σ payload
+    let engine = Engine::prepare(&m, &EngineConfig::default()).unwrap();
     let fp = MatrixFingerprint::of(&m);
     store.save(&fp, &engine).unwrap();
-
-    // corrupt a byte inside the FMTP section (locate its tag)
     let path = store.path_for::<f64>(&fp);
-    let mut bytes = std::fs::read(&path).unwrap();
-    let fmtp = bytes
-        .windows(4)
-        .rposition(|w| w == b"FMTP")
-        .expect("v3 file must carry a FMTP section");
-    bytes[fmtp + 16] ^= 0x01;
-    std::fs::write(&path, &bytes).unwrap();
+    let sell = SellPMatrix::from_csr(engine.reordered(), 16, 32);
+    let v3 = as_version3_with_sell(&std::fs::read(&path).unwrap(), &sell, 32);
+    std::fs::write(&path, &v3).unwrap();
+    let err = store
+        .load::<f64>(&fp, &TelemetryHandle::noop())
+        .unwrap_err();
+    assert!(err.to_string().contains("unsupported version 3"), "{err}");
 
+    let serve_once = || {
+        let serve = ServeEngine::<f64>::start(
+            ServeConfig::builder()
+                .workers(1)
+                .plan_store(store.clone())
+                .build()
+                .unwrap(),
+        );
+        let resp = serve
+            .execute(Request::spmm(Arc::new(m.clone()), Arc::new(x.clone())))
+            .unwrap();
+        match &resp.output {
+            Output::Dense(got) => assert_eq!(got.data(), expected.data()),
+            other => panic!("unexpected output {other:?}"),
+        }
+        let counter = |name: &str| serve.telemetry().counter_value(name);
+        let counts = (counter("serve.store.reject"), counter("serve.store.warm"));
+        serve.shutdown();
+        (resp.path, counts)
+    };
     // a fresh server reading through the store must reject the file,
     // prepare live and still answer exactly
-    let serve = ServeEngine::<f64>::start(
-        ServeConfig::builder()
-            .workers(1)
-            .plan_store(store.clone())
-            .build()
-            .unwrap(),
-    );
-    let resp = serve
-        .execute(Request::spmm(Arc::new(m.clone()), Arc::new(x.clone())))
-        .unwrap();
-    assert_eq!(resp.path, ServePath::FreshPlan);
-    match resp.output {
-        Output::Dense(got) => assert_eq!(got.data(), expected.data()),
-        other => panic!("unexpected output {other:?}"),
-    }
+    let (path_taken, (rejects, _)) = serve_once();
+    assert_eq!(path_taken, ServePath::FreshPlan);
     assert!(
-        serve.telemetry().counter_value("serve.store.reject") >= 1,
-        "the corrupt FMTP file must be counted as a store reject"
+        rejects >= 1,
+        "the version-3 file must be counted as a store reject"
     );
-    serve.shutdown();
+    // the write-through replaced it: the next server loads it warm
+    assert!(!std::fs::read(&path)
+        .unwrap()
+        .windows(4)
+        .any(|w| w == b"FMTP"));
+    let (path_taken, (rejects, warm)) = serve_once();
+    assert_eq!(path_taken, ServePath::CachedPlan);
+    assert_eq!((rejects, warm), (0, 1));
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `apply_delta` keeps the format *choice* without re-running the trial
-/// and rebuilds the payload over the new structure; `update_values`
-/// refreshes the payload's values. Both stay bit-exact on integer-grid
-/// operands, and a delta that makes the format inapplicable reverts to
-/// CSR rather than corrupting answers.
+/// `apply_delta` and `update_values` keep the plan's micro width and
+/// stay bit-exact on integer-grid operands: the successor of either is
+/// the same one-layout plan over the new values or structure.
 #[test]
 fn deltas_and_value_updates_preserve_the_format_exactly() {
     let mut m = generators::shuffled_block_diagonal::<f64>(64, 16, 48, 16, 21);
     for v in m.values_mut() {
         *v = (*v * 4.0).round().clamp(-4.0, 4.0);
     }
-    let mut engine = Engine::prepare(&m, &EngineConfig::default()).unwrap();
-    let payload = FormatPayload::build(FormatChoice::Csb { beta: 16 }, engine.reordered()).unwrap();
-    engine.set_format(payload);
-    let choice = engine.format_choice();
+    let config = EngineConfig::builder().k_hint(16).build();
+    let mut engine = Engine::prepare(&m, &config).unwrap();
+    assert_eq!(engine.micro_width(), Some(16));
 
-    let mut x = generators::random_dense::<f64>(m.ncols(), 6, 33);
+    let mut x = generators::random_dense::<f64>(m.ncols(), 20, 33);
     for v in x.data_mut() {
         *v = (*v * 4.0).round().clamp(-4.0, 4.0);
     }
 
-    // update_values: same structure, fresh values, format kept
+    // update_values: same structure, fresh values, width kept
     let new_values: Vec<f64> = m.values().iter().map(|v| v + 1.0).collect();
     engine.update_values(&new_values);
-    assert_eq!(engine.format_choice(), choice);
+    assert_eq!(engine.micro_width(), Some(16));
     let mut m2 = m.clone();
     m2.values_mut().copy_from_slice(&new_values);
     assert_eq!(
         engine.spmm(&x).unwrap().data(),
         spmm_rowwise_seq(&m2, &x).unwrap().data(),
-        "update_values must refresh the format payload"
+        "update_values must refresh the tiles"
     );
 
-    // apply_delta: the successor keeps the choice without re-selection
-    // and rebuilds the payload over the new structure
+    // apply_delta: the successor keeps the width over the new structure
     let next = engine
         .apply_delta(&[(0, 40, 2.0), (5, 41, -3.0)], &[])
         .unwrap();
-    assert_eq!(
-        next.format_choice(),
-        choice,
-        "delta keeps the format choice"
-    );
+    assert_eq!(next.micro_width(), Some(16), "delta keeps the micro width");
     let delta_m = next.source_matrix();
     assert_eq!(
         next.spmm(&x).unwrap().data(),
         spmm_rowwise_seq(&delta_m, &x).unwrap().data(),
-        "post-delta answers stay exact under the kept format"
+        "post-delta answers stay exact"
     );
 }

@@ -15,7 +15,9 @@
 //!   plan carries.
 
 use proptest::prelude::*;
+use spmm_rr::kernels::autotune::choose_micro_width;
 use spmm_rr::kernels::spmm::spmm_aspt_kblocked;
+use spmm_rr::kernels::widest_micro_width;
 use spmm_rr::prelude::*;
 
 /// Raw IEEE-754 bits of every element, so comparisons catch sign-of-zero
@@ -120,7 +122,6 @@ fn engine_kblocked_execution_is_width_invariant() {
         engine.plan().needs_reordering(),
         "unpermute must be exercised"
     );
-    assert_eq!(engine.format_choice(), FormatChoice::Csr);
     for k in [0usize, 1, 7, 8, 20, 48] {
         let mut x = generators::random_dense::<f32>(m.ncols(), k, 47 ^ k as u64);
         quantize(x.data_mut());
@@ -134,9 +135,36 @@ fn engine_kblocked_execution_is_width_invariant() {
     }
 }
 
-/// The `.spmmplan` round trip carries the selected width: a warm start
-/// restores it without re-running selection and serves bit-identical
-/// answers through the specialized path.
+/// The plan's width is a rule of its `k_hint`, and the rule is exactly
+/// what the gpu-sim trial picks: on every Quick-corpus matrix, at every
+/// width that lands on, between and past the specialized widths.
+#[test]
+fn micro_width_rule_matches_the_simulated_trial() {
+    let device = DeviceConfig::p100();
+    let ks = [0usize, 1, 8, 12, 16, 24, 32, 48, 64, 128, 256];
+    let corpus = Corpus::<f32>::generate(CorpusProfile::Quick, 42);
+    for cm in corpus.iter() {
+        let engine = Engine::prepare(&cm.matrix, &EngineConfig::default()).unwrap();
+        for k in ks {
+            assert_eq!(
+                widest_micro_width(k),
+                choose_micro_width(&engine, k, &device),
+                "{} at k = {k}",
+                cm.name
+            );
+        }
+    }
+    let m = generators::shuffled_block_diagonal::<f32>(32, 8, 24, 8, 61);
+    for k in ks {
+        let config = EngineConfig::builder().k_hint(k).build();
+        let engine = Engine::prepare(&m, &config).unwrap();
+        assert_eq!(engine.micro_width(), widest_micro_width(k), "k_hint {k}");
+    }
+}
+
+/// The `.spmmplan` round trip carries the plan's width: a warm start
+/// restores it without a prepare and serves bit-identical answers
+/// through the specialized path.
 #[test]
 fn stored_plans_round_trip_the_micro_width() {
     let dir = std::env::temp_dir().join(format!("spmm-micro-roundtrip-{}", std::process::id()));

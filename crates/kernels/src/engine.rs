@@ -6,7 +6,9 @@
 //! quantity of Fig 12 / Tables 3–4). The `spmm`/`sddmm` methods then
 //! execute against the decomposition and return outputs **in the
 //! caller's original row / nonzero order**, so reordering is invisible
-//! to users of the results.
+//! to users of the results. The kernels write that order themselves:
+//! the row permutation is paid once, at prepare, and no call copies a
+//! reordered operand or result.
 
 use spmm_aspt::{dense_ratio_of, AsptMatrix};
 use spmm_faults::FaultPoint;
@@ -23,10 +25,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::format::FormatPayload;
-use crate::micro::{spmm_aspt_kblocked_auto, widest_micro_width};
-use crate::sddmm::sddmm_aspt_auto;
+use crate::micro::{spmm_aspt_kblocked_rows_auto, widest_micro_width};
+use crate::rows::{Offsets, OutRows, RowMap};
+use crate::sddmm::sddmm_rows;
 use crate::spgemm::spgemm_clustered;
-use crate::spmv::spmv_aspt;
+use crate::spmm::{check_aspt_dims, dense_rows};
+use crate::spmv::{spmv_aspt_rows, vector_rows};
 
 /// Fault point at the head of [`Engine::prepare`], after the CSR
 /// invariants check: an injected error surfaces exactly like a
@@ -370,8 +374,11 @@ pub struct Engine<T> {
     aspt: Arc<AsptMatrix<T>>,
     /// The reordered matrix (identity reorder when round 1 skipped).
     reordered: Arc<CsrMatrix<T>>,
-    /// `nnz_map[reordered_nnz] = original_nnz`.
-    nnz_map: Arc<Vec<usize>>,
+    /// The original matrix's row pointer. Reordered row `r` is original
+    /// row `row_perm.old_of(r)`, its nonzeros in the same order, so they
+    /// sit at `source_rowptr[row_perm.old_of(r)]..` in the caller's
+    /// nonzero order: SDDMM writes there and value updates read there.
+    source_rowptr: Arc<Vec<usize>>,
     report: PrepareReport,
     original_ncols: usize,
     k_hint: Option<usize>,
@@ -439,9 +446,9 @@ impl<T: Scalar> Engine<T> {
                 let _span = telemetry.span("plan");
                 plan_reordering_with(m, &config.reorder, &telemetry)
             };
-            let (reordered, nnz_map) = {
+            let reordered = {
                 let _span = telemetry.span("permute");
-                m.permute_rows_with_map(&plan.row_perm)
+                m.permute_rows(&plan.row_perm)
             };
             let aspt = {
                 let _span = telemetry.span("tile");
@@ -451,7 +458,7 @@ impl<T: Scalar> Engine<T> {
                 plan: Arc::new(plan),
                 aspt: Arc::new(aspt),
                 reordered: Arc::new(reordered),
-                nnz_map: Arc::new(nnz_map),
+                source_rowptr: Arc::new(m.rowptr().to_vec()),
                 report: PrepareReport {
                     manifest: RunManifest::default(),
                 },
@@ -487,13 +494,50 @@ impl<T: Scalar> Engine<T> {
     /// # Errors
     /// Fails with [`SparseError::InvalidStructure`] when the parts
     /// disagree: CSR invariants, permutation/row-count mismatches, a
-    /// nonzero map that is not a bijection, or a tiling that does not
-    /// reconstruct the reordered matrix.
+    /// nonzero map other than the one the row permutation implies, or
+    /// a tiling that does not reconstruct the reordered matrix.
     pub fn from_parts(
         plan: ReorderPlan,
         aspt: AsptMatrix<T>,
         reordered: CsrMatrix<T>,
         nnz_map: Vec<usize>,
+        k_hint: Option<usize>,
+        telemetry: &TelemetryHandle,
+    ) -> Result<Self, SparseError> {
+        let engine = Self::assemble(plan, aspt, reordered, k_hint, telemetry)?;
+        let bad = |msg: String| Err(SparseError::InvalidStructure(msg));
+        let rowptr = engine.reordered.rowptr();
+        if nnz_map.len() != engine.reordered.nnz() {
+            return bad(format!(
+                "nnz map has {} entries, matrix has {} nonzeros",
+                nnz_map.len(),
+                engine.reordered.nnz()
+            ));
+        }
+        // the permutation fixes the map: reordered row r's j-th nonzero
+        // is the j-th of original row old_of(r)
+        for r in 0..engine.reordered.nrows() {
+            let start = engine.source_start(r);
+            if nnz_map[rowptr[r]..rowptr[r + 1]]
+                .iter()
+                .enumerate()
+                .any(|(j, &old)| old != start + j)
+            {
+                return bad(format!(
+                    "nnz map disagrees with the row permutation in row {r}"
+                ));
+            }
+        }
+        Ok(engine)
+    }
+
+    /// [`Engine::from_parts`] without the nonzero map: checks the parts
+    /// and derives the original row pointer from the permutation and
+    /// the reordered row lengths.
+    fn assemble(
+        plan: ReorderPlan,
+        aspt: AsptMatrix<T>,
+        reordered: CsrMatrix<T>,
         k_hint: Option<usize>,
         telemetry: &TelemetryHandle,
     ) -> Result<Self, SparseError> {
@@ -513,20 +557,6 @@ impl<T: Scalar> Engine<T> {
                 reordered.nrows()
             ));
         }
-        if nnz_map.len() != reordered.nnz() {
-            return bad(format!(
-                "nnz map has {} entries, matrix has {} nonzeros",
-                nnz_map.len(),
-                reordered.nnz()
-            ));
-        }
-        let mut seen = vec![false; nnz_map.len()];
-        for &old in &nnz_map {
-            if old >= nnz_map.len() || seen[old] {
-                return bad("nnz map is not a bijection on the nonzeros".to_string());
-            }
-            seen[old] = true;
-        }
         if aspt.nrows() != reordered.nrows()
             || aspt.ncols() != reordered.ncols()
             || aspt.nnz() != reordered.nnz()
@@ -543,6 +573,13 @@ impl<T: Scalar> Engine<T> {
         }
         if aspt.to_csr() != reordered {
             return bad("tiling does not reconstruct the reordered matrix".to_string());
+        }
+        let mut source_rowptr = vec![0usize; reordered.nrows() + 1];
+        for r in 0..reordered.nrows() {
+            source_rowptr[plan.row_perm.old_of(r) as usize + 1] = reordered.row_nnz(r);
+        }
+        for i in 0..reordered.nrows() {
+            source_rowptr[i + 1] += source_rowptr[i];
         }
         let collector = Arc::new(Collector::new());
         let user_telemetry = telemetry.clone();
@@ -563,7 +600,7 @@ impl<T: Scalar> Engine<T> {
             plan: Arc::new(plan),
             aspt: Arc::new(aspt),
             reordered: Arc::new(reordered),
-            nnz_map: Arc::new(nnz_map),
+            source_rowptr: Arc::new(source_rowptr),
             report,
             k_hint,
             collector,
@@ -651,10 +688,23 @@ impl<T: Scalar> Engine<T> {
         &self.reordered
     }
 
-    /// The nonzero map: `nnz_map()[reordered_nnz] = original_nnz`.
-    /// Exposed for the plan-store codec.
-    pub fn nnz_map(&self) -> &[usize] {
-        &self.nnz_map
+    /// The nonzero map: `nnz_map()[reordered_nnz] = original_nnz`,
+    /// derived from the row permutation (reordered row `r`'s `j`-th
+    /// nonzero is the `j`-th of original row `row_perm.old_of(r)`).
+    /// Exposed for the plan-store codec; the engine itself holds only
+    /// the original row pointer.
+    pub fn nnz_map(&self) -> Vec<usize> {
+        (0..self.reordered.nrows())
+            .flat_map(|r| {
+                let start = self.source_start(r);
+                start..start + self.reordered.row_nnz(r)
+            })
+            .collect()
+    }
+
+    /// Where reordered row `r`'s nonzeros start in the original order.
+    fn source_start(&self, r: usize) -> usize {
+        self.source_rowptr[self.plan.row_perm.old_of(r) as usize]
     }
 
     /// Remainder processing order, if round 2 chose one.
@@ -687,34 +737,21 @@ impl<T: Scalar> Engine<T> {
         fire_execute_fault()?;
         match op {
             KernelOp::Spmm { x } => {
-                let y_reord = self.spmm_reordered(x)?;
-                if self.plan.row_perm.is_identity() {
-                    return Ok(Output::Dense(y_reord));
-                }
-                let mut y = DenseMatrix::zeros(y_reord.nrows(), y_reord.ncols());
-                self.unpermute_rows(&y_reord, &mut y);
+                let mut y = DenseMatrix::zeros(self.aspt.nrows(), x.ncols());
+                self.spmm_rows(x, &mut y)?;
                 Ok(Output::Dense(y))
             }
             KernelOp::Sddmm { x, y } => {
-                let vals_reord = self.sddmm_reordered_vals(x, y)?;
-                if self.plan.row_perm.is_identity() {
-                    return Ok(Output::Values(vals_reord));
-                }
-                let mut out = vec![T::ZERO; vals_reord.len()];
-                self.scatter_to_source_order(vals_reord, &mut out);
+                let mut out = vec![T::ZERO; self.aspt.nnz()];
+                self.sddmm_rows(x, y, &mut out)?;
                 Ok(Output::Values(out))
             }
             KernelOp::Spmv { x } => {
                 let _span = self.telemetry.span("exec.spmv");
                 self.record_exec_counters();
-                let y_reord = spmv_aspt(&self.aspt, x)?;
-                if self.plan.row_perm.is_identity() {
-                    return Ok(Output::Vector(y_reord));
-                }
-                let mut y = vec![T::ZERO; y_reord.len()];
-                for (new, v) in y_reord.into_iter().enumerate() {
-                    y[self.plan.row_perm.old_of(new) as usize] = v;
-                }
+                crate::spmv::check_dims(self.aspt.ncols(), x)?;
+                let mut y = vec![T::ZERO; self.aspt.nrows()];
+                spmv_aspt_rows(&self.aspt, x, vector_rows(&mut y, self.row_map())?);
                 Ok(Output::Vector(y))
             }
             KernelOp::Spgemm { b } => {
@@ -744,9 +781,8 @@ impl<T: Scalar> Engine<T> {
     }
 
     /// Like [`Self::spmm`], writing the result into a caller-provided
-    /// output. The kernel still allocates its reordered-row-space
-    /// result on every call and copies it into `y`, so this saves
-    /// nothing over [`Self::spmm`] today (ROADMAP item 7).
+    /// output. The call zeroes `y` and the kernel accumulates each row
+    /// of it in place, so the call allocates no output of its own.
     ///
     /// # Errors
     /// Fails on operand shape mismatches (`y` must be
@@ -759,37 +795,36 @@ impl<T: Scalar> Engine<T> {
                 got: format!("{} x {}", y.nrows(), y.ncols()),
             });
         }
-        let y_reord = self.spmm_reordered(x)?;
-        self.unpermute_rows(&y_reord, y);
+        y.data_mut().fill(T::ZERO);
+        self.spmm_rows(x, y)
+    }
+
+    /// Where the kernels' reordered rows go: the caller's row order.
+    fn row_map(&self) -> RowMap<'_> {
+        if self.plan.row_perm.is_identity() {
+            RowMap::IDENTITY
+        } else {
+            RowMap::of(&self.plan.row_perm)
+        }
+    }
+
+    /// The one SpMM kernel call: the ASpT kernel swept in blocks of the
+    /// plan's microkernel width (the whole of `k` in one block when the
+    /// plan has none), each reordered row accumulated straight into its
+    /// row of `y`, which must be zero.
+    fn spmm_rows(&self, x: &DenseMatrix<T>, y: &mut DenseMatrix<T>) -> Result<(), SparseError> {
+        let _span = self.telemetry.span("exec.spmm");
+        self.record_exec_counters();
+        check_aspt_dims(&self.aspt, x)?;
+        let width = self.micro_width.unwrap_or(x.ncols()).max(1);
+        spmm_aspt_kblocked_rows_auto(&self.aspt, x, width, dense_rows(y, self.row_map())?);
         Ok(())
     }
 
-    /// The one SpMM kernel call, in reordered row space: the ASpT
-    /// kernel swept in blocks of the plan's microkernel width (the
-    /// whole of `k` in one block when the plan has none).
-    fn spmm_reordered(&self, x: &DenseMatrix<T>) -> Result<DenseMatrix<T>, SparseError> {
-        let _span = self.telemetry.span("exec.spmm");
-        self.record_exec_counters();
-        let width = self.micro_width.unwrap_or(x.ncols()).max(1);
-        spmm_aspt_kblocked_auto(&self.aspt, x, width)
-    }
-
-    /// Scatters a reordered-row-space result back into the caller's
-    /// original row order.
-    fn unpermute_rows(&self, y_reord: &DenseMatrix<T>, y: &mut DenseMatrix<T>) {
-        if self.plan.row_perm.is_identity() {
-            y.data_mut().copy_from_slice(y_reord.data());
-            return;
-        }
-        for new in 0..y_reord.nrows() {
-            let old = self.plan.row_perm.old_of(new) as usize;
-            y.row_mut(old).copy_from_slice(y_reord.row(new));
-        }
-    }
-
     /// Like [`Self::sddmm`], writing into a caller-provided output
-    /// buffer of length `nnz` (original nonzero order) with no
-    /// source-order intermediate.
+    /// buffer of length `nnz` (original nonzero order). The kernel
+    /// writes each value in place, so the call allocates no buffer of
+    /// its own.
     ///
     /// # Errors
     /// Fails on operand shape mismatches or a wrong output length.
@@ -800,19 +835,13 @@ impl<T: Scalar> Engine<T> {
         out: &mut [T],
     ) -> Result<(), SparseError> {
         fire_execute_fault()?;
-        if out.len() != self.nnz_map.len() {
+        if out.len() != self.reordered.nnz() {
             return Err(SparseError::DimensionMismatch {
-                expected: format!("output of length nnz ({})", self.nnz_map.len()),
+                expected: format!("output of length nnz ({})", self.reordered.nnz()),
                 got: format!("{}", out.len()),
             });
         }
-        let vals_reord = self.sddmm_reordered_vals(x, y)?;
-        if self.plan.row_perm.is_identity() {
-            out.copy_from_slice(&vals_reord);
-        } else {
-            self.scatter_to_source_order(vals_reord, out);
-        }
-        Ok(())
+        self.sddmm_rows(x, y, out)
     }
 
     /// Alg 2 SDDMM; the returned values parallel the *original*
@@ -851,53 +880,26 @@ impl<T: Scalar> Engine<T> {
         }
     }
 
-    /// Runs the SDDMM kernel and returns its values in *reordered*
-    /// nonzero order; callers scatter back to source order themselves
-    /// (directly into their own buffer, when they have one).
-    fn sddmm_reordered_vals(
+    /// The one SDDMM kernel call, over the reordered rows: reads each
+    /// `Y` row in place and writes each value straight to its position
+    /// in `out`, the original nonzero order.
+    fn sddmm_rows(
         &self,
         x: &DenseMatrix<T>,
         y: &DenseMatrix<T>,
-    ) -> Result<Vec<T>, SparseError> {
+        out: &mut [T],
+    ) -> Result<(), SparseError> {
         let _span = self.telemetry.span("exec.sddmm");
         self.record_exec_counters();
-        // the row gather below indexes Y by the permutation, so a Y of
-        // the wrong height must be rejected before it, not by the kernel
-        if y.nrows() != self.reordered.nrows() {
-            return Err(SparseError::DimensionMismatch {
-                expected: format!("Y.nrows == S.nrows ({})", self.reordered.nrows()),
-                got: format!("{}", y.nrows()),
-            });
-        }
-        // the kernel reads Y rows in reordered row space
-        let y_perm;
-        let y_for_kernel = if self.plan.row_perm.is_identity() {
-            y
-        } else {
-            let k = y.ncols();
-            let mut p = DenseMatrix::zeros(y.nrows(), k);
-            for new in 0..y.nrows() {
-                let old = self.plan.row_perm.old_of(new) as usize;
-                p.row_mut(new).copy_from_slice(y.row(old));
-            }
-            y_perm = p;
-            &y_perm
-        };
-        sddmm_aspt_auto(
-            &self.aspt,
-            x,
-            y_for_kernel,
-            self.reordered.rowptr(),
-            self.micro_width,
-        )
-    }
-
-    /// Scatters reordered-nonzero-order values into source order:
-    /// `out[nnz_map[j]] = vals_reord[j]`.
-    fn scatter_to_source_order(&self, vals_reord: Vec<T>, out: &mut [T]) {
-        for (j, v) in vals_reord.into_iter().enumerate() {
-            out[self.nnz_map[j]] = v;
-        }
+        crate::sddmm::check_dims(self.aspt.nrows(), self.aspt.ncols(), x, y)?;
+        let rows = OutRows::new(
+            out,
+            self.aspt.nrows(),
+            Offsets(&self.source_rowptr),
+            self.row_map(),
+        )?;
+        sddmm_rows(&self.reordered, self.aspt.panels(), x, y, rows);
+        Ok(())
     }
 
     /// Number of nonzeros processed per kernel call, with the
@@ -993,7 +995,7 @@ impl<T: Scalar> Engine<T> {
     ///
     /// When the engine's internals are shared (clones, cached plans),
     /// this copies-on-write: the value-bearing pieces are duplicated,
-    /// the plan and nonzero map stay shared, and no other holder sees
+    /// the plan and row pointer stay shared, and no other holder sees
     /// the new values. Shared holders refresh through
     /// [`Engine::with_updated_values`] instead.
     ///
@@ -1002,15 +1004,18 @@ impl<T: Scalar> Engine<T> {
     pub fn update_values(&mut self, values: &[T]) {
         assert_eq!(
             values.len(),
-            self.nnz_map.len(),
+            self.reordered.nnz(),
             "value array must match the matrix's nnz"
         );
         // permute straight into the reordered CSR's value array (no
         // intermediate scratch), then refresh the tiles from it
         let reordered = Arc::make_mut(&mut self.reordered);
-        for (slot, &old) in reordered.values_mut().iter_mut().zip(self.nnz_map.iter()) {
-            *slot = values[old];
-        }
+        gather_rows(
+            &self.plan.row_perm,
+            &self.source_rowptr,
+            values,
+            reordered.values_mut(),
+        );
         Arc::make_mut(&mut self.aspt).update_values(reordered.values());
     }
 
@@ -1024,13 +1029,11 @@ impl<T: Scalar> Engine<T> {
     pub fn reorder_values(&self, values: &[T]) -> Vec<T> {
         assert_eq!(
             values.len(),
-            self.nnz_map.len(),
+            self.reordered.nnz(),
             "value array must match the matrix's nnz"
         );
         let mut out = vec![T::ZERO; values.len()];
-        for (j, &old) in self.nnz_map.iter().enumerate() {
-            out[j] = values[old];
-        }
+        gather_rows(&self.plan.row_perm, &self.source_rowptr, values, &mut out);
         out
     }
 
@@ -1108,7 +1111,7 @@ impl<T: Scalar> Engine<T> {
         touched_panels.dedup();
 
         // tentative: the patched matrix under the unchanged permutation
-        let (mut reordered, mut nnz_map) = patched.permute_rows_with_map(old_perm);
+        let mut reordered = patched.permute_rows(old_perm);
 
         // drift per touched panel: how far each panel's touched rows
         // moved from the structure the clustering was computed on
@@ -1167,9 +1170,7 @@ impl<T: Scalar> Engine<T> {
                     }
                     let adjust = Permutation::from_order(order)?;
                     row_perm = adjust.compose(old_perm);
-                    let (re, map) = patched.permute_rows_with_map(&row_perm);
-                    reordered = re;
-                    nnz_map = map;
+                    reordered = patched.permute_rows(&row_perm);
                 }
             }
         }
@@ -1181,14 +1182,7 @@ impl<T: Scalar> Engine<T> {
             dense_ratio_after: aspt.dense_ratio(),
             ..(*self.plan).clone()
         };
-        let mut engine = Self::from_parts(
-            plan,
-            aspt,
-            reordered,
-            nnz_map,
-            self.k_hint,
-            &self.user_telemetry,
-        )?;
+        let mut engine = Self::assemble(plan, aspt, reordered, self.k_hint, &self.user_telemetry)?;
         // chained deltas keep the configured knobs, not the from_parts
         // defaults
         engine.reorder_config = self.reorder_config;
@@ -1198,8 +1192,8 @@ impl<T: Scalar> Engine<T> {
     }
 
     /// Non-destructive [`Engine::update_values`]: a new engine with the
-    /// given values that *shares* this one's reordering plan, nonzero
-    /// map and telemetry — no re-planning, no re-tiling. This is how a
+    /// given values that *shares* this one's reordering plan, row
+    /// pointer and telemetry — no re-planning, no re-tiling. This is how a
     /// plan cache refreshes a published `Arc<Engine>` in place: build
     /// the successor, swap the `Arc`, and in-flight requests keep their
     /// consistent snapshot.
@@ -1209,15 +1203,29 @@ impl<T: Scalar> Engine<T> {
     /// differs from the matrix's nnz (the fallible twin of
     /// `update_values`' panic, for serving paths that must not die).
     pub fn with_updated_values(&self, values: &[T]) -> Result<Self, SparseError> {
-        if values.len() != self.nnz_map.len() {
+        if values.len() != self.reordered.nnz() {
             return Err(SparseError::DimensionMismatch {
-                expected: format!("{} values (matrix nnz)", self.nnz_map.len()),
+                expected: format!("{} values (matrix nnz)", self.reordered.nnz()),
                 got: values.len().to_string(),
             });
         }
         let mut fresh = self.clone();
         fresh.update_values(values);
         Ok(fresh)
+    }
+}
+
+/// Copies `values`, in the original nonzero order, into `out` in the
+/// reordered order: reordered row `r` is original row
+/// `perm.old_of(r)`, whose nonzeros are the span
+/// `source_rowptr[old]..source_rowptr[old + 1]`.
+fn gather_rows<T: Copy>(perm: &Permutation, source_rowptr: &[usize], values: &[T], out: &mut [T]) {
+    let mut at = 0;
+    for r in 0..perm.len() {
+        let old = perm.old_of(r) as usize;
+        let span = &values[source_rowptr[old]..source_rowptr[old + 1]];
+        out[at..at + span.len()].copy_from_slice(span);
+        at += span.len();
     }
 }
 
@@ -1436,7 +1444,7 @@ mod tests {
     fn sddmm_rejects_a_y_of_the_wrong_height_without_panicking() {
         let m = generators::shuffled_block_diagonal::<f64>(64, 16, 48, 16, 7);
         let engine = Engine::prepare(&m, &cfg()).unwrap();
-        assert!(!engine.plan().row_perm.is_identity(), "needs the gather");
+        assert!(!engine.plan().row_perm.is_identity(), "needs the row map");
         let x = generators::random_dense::<f64>(m.ncols(), 4, 1);
         for rows in [m.nrows() - 1, m.nrows() + 1] {
             let y = generators::random_dense::<f64>(rows, 4, 2);
@@ -1593,9 +1601,9 @@ mod tests {
         assert!(expected.max_abs_diff(&refreshed.spmm(&x).unwrap()) < 1e-10);
         // ...the original is untouched (copy-on-write, not aliasing)...
         assert!(before.max_abs_diff(&engine.spmm(&x).unwrap()) < 1e-10);
-        // ...and the plan and nnz map are shared, not re-prepared
+        // ...and the plan and row pointer are shared, not re-prepared
         assert!(Arc::ptr_eq(&engine.plan, &refreshed.plan));
-        assert!(Arc::ptr_eq(&engine.nnz_map, &refreshed.nnz_map));
+        assert!(Arc::ptr_eq(&engine.source_rowptr, &refreshed.source_rowptr));
 
         // wrong length is a structured error, not a panic
         assert!(matches!(
@@ -1613,7 +1621,7 @@ mod tests {
             engine.plan().clone(),
             engine.aspt().clone(),
             engine.reordered().clone(),
-            engine.nnz_map().to_vec(),
+            engine.nnz_map(),
             engine.k_hint(),
             &TelemetryHandle::noop(),
         )
@@ -1638,7 +1646,7 @@ mod tests {
         let noop = TelemetryHandle::noop();
 
         // nnz map not a bijection
-        let mut map = engine.nnz_map().to_vec();
+        let mut map = engine.nnz_map();
         map[0] = map[1];
         assert!(Engine::from_parts(
             engine.plan().clone(),
@@ -1650,6 +1658,25 @@ mod tests {
         )
         .is_err());
 
+        // a bijection that disagrees with the row permutation: two
+        // nonzeros of different rows swapped
+        let mut map = engine.nnz_map();
+        let rowptr = engine.reordered().rowptr();
+        let (a, b) = (rowptr[0], rowptr[1]);
+        assert!(a < b && b < map.len(), "rows 0 and 1 must hold nonzeros");
+        map.swap(a, b);
+        assert!(matches!(
+            Engine::from_parts(
+                engine.plan().clone(),
+                engine.aspt().clone(),
+                engine.reordered().clone(),
+                map,
+                None,
+                &noop,
+            ),
+            Err(SparseError::InvalidStructure(_))
+        ));
+
         // tiling from a different matrix
         let other = generators::uniform_random::<f64>(m.nrows(), m.ncols(), 8, 5);
         let other_engine = Engine::prepare(&other, &cfg()).unwrap();
@@ -1657,7 +1684,7 @@ mod tests {
             engine.plan().clone(),
             other_engine.aspt().clone(),
             engine.reordered().clone(),
-            engine.nnz_map().to_vec(),
+            engine.nnz_map(),
             None,
             &noop,
         )
@@ -1670,7 +1697,7 @@ mod tests {
             plan,
             engine.aspt().clone(),
             engine.reordered().clone(),
-            engine.nnz_map().to_vec(),
+            engine.nnz_map(),
             None,
             &noop,
         )

@@ -8,19 +8,20 @@
 //! * [`spmm`] — Alg 1 row-wise SpMM (sequential reference + rayon
 //!   row-parallel) and the ASpT-structured kernel (dense tiles
 //!   accumulated panel-parallel + remainder).
-//! * [`micro`] — monomorphized `[T; KB]` register-accumulator
+//! * [`micro`] — monomorphized `[T; KB]` register-accumulator SpMM
 //!   microkernels for the k-blocked hot path (KB ∈ {8, 16, 32}), the
 //!   plan's width set from its `k_hint` by rule, bit-identical to the
 //!   generic kernels.
-//! * [`sddmm`] — Alg 2 SDDMM, same three variants.
+//! * [`sddmm`] — Alg 2 SDDMM, same three variants; the ASpT one runs
+//!   several of a row's dot chains at once.
 //! * [`spmv`] — the dedicated `k = 1` path: flat-slice operand, scalar
 //!   accumulators, bit-identical to SpMM on an `n × 1` operand.
 //! * [`spgemm`] — Gustavson sparse×sparse, including the cluster-wise
 //!   variant that reuses one dense accumulator per ASpT panel.
 //! * [`engine`] — [`engine::Engine`]: plans the reordering (Fig 5),
-//!   builds the ASpT decomposition, executes SpMM/SDDMM returning
-//!   outputs **in the original row/nonzero order**, and exposes the
-//!   simulated performance reports.
+//!   builds the ASpT decomposition, executes SpMM/SDDMM writing
+//!   outputs **in the original row/nonzero order** straight from the
+//!   kernels, and exposes the simulated performance reports.
 //! * [`autotune`] — the §4 trial-and-error strategy: run the candidate
 //!   variants, keep the fastest.
 //! * [`mod@format`] — the format zoo: SELL-C-σ and CSB layouts raced
@@ -33,6 +34,7 @@ pub mod autotune;
 pub mod engine;
 pub mod format;
 pub mod micro;
+mod rows;
 pub mod sddmm;
 pub mod spgemm;
 pub mod spmm;

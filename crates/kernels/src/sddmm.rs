@@ -3,14 +3,26 @@
 //!
 //! Outputs are the values of a sparse matrix with exactly `S`'s
 //! structure, returned as a `Vec<T>` parallel to `S.values()`.
+//!
+//! The ASpT kernel has one body, `sddmm_rows`, which
+//! [`Engine::sddmm`](crate::Engine::sddmm) runs. It walks the rows of
+//! the reordered matrix one panel per task and, within a row, runs the
+//! dots of `G` nonzeros side by side, sharing each load of the row's
+//! `Y`. Each dot is the same sequential fused chain as the row-wise
+//! reference, so every result is bit-identical to it. The body reads
+//! each `Y` row in place and fills each row's values straight into the
+//! caller's nonzero array through the plan's row map. It walks rows,
+//! not tiles: on a CPU the tiles give SDDMM nothing the cache does not,
+//! and a row's nonzeros lie side by side only in the row order
+//! (DESIGN.md §12).
 
 use rayon::prelude::*;
-use spmm_aspt::AsptMatrix;
+use spmm_aspt::Panel;
 use spmm_sparse::{fma_kernel, CsrMatrix, DenseMatrix, Scalar, SparseError};
 
-use crate::micro::dot_chunked;
+use crate::rows::{Offsets, OutRows};
 
-fn check_dims<T: Scalar>(
+pub(crate) fn check_dims<T: Scalar>(
     s_nrows: usize,
     s_ncols: usize,
     x: &DenseMatrix<T>,
@@ -89,116 +101,136 @@ fma_kernel! {
     }
 }
 
-/// ASpT-structured SDDMM. The output stays in the *source CSR order* of
-/// the decomposed matrix, reconstructed through the tiles' and
-/// remainder's `src_idx` maps. Panels own contiguous source-nonzero
-/// ranges, so the scatter is panel-parallel and safe.
-pub fn sddmm_aspt<T: Scalar>(
-    aspt: &AsptMatrix<T>,
-    x: &DenseMatrix<T>,
-    y: &DenseMatrix<T>,
-    src_rowptr: &[usize],
-) -> Result<Vec<T>, SparseError> {
-    sddmm_aspt_with::<T, 0>(aspt, x, y, src_rowptr)
+/// Nonzeros of one row whose dots run at once, each in its own chain.
+const G: usize = 4;
+
+/// Width of the chunks in which [`dots`] walks `k`: a compile-time trip
+/// count, so each chunk is loaded without bounds checks and the chains
+/// advance through it side by side.
+const TW: usize = 8;
+
+/// `N` dot products `<y_row, xs[g]>` advanced in lockstep over `t`,
+/// sharing each load of `y_row`. Each is the same sequential fused
+/// chain as [`dot`], so every result is bit-identical to it. Every
+/// slice has length `k`.
+#[inline(always)]
+fn dots<T: Scalar, const N: usize>(y_row: &[T], xs: &[&[T]; N], k: usize) -> [T; N] {
+    let mut acc = [T::ZERO; N];
+    let mut t = 0;
+    while t + TW <= k {
+        let yc = chunk(y_row, t);
+        let xc: [[T; TW]; N] = std::array::from_fn(|g| chunk(xs[g], t));
+        for j in 0..TW {
+            for g in 0..N {
+                acc[g] = yc[j].mul_add(xc[g][j], acc[g]);
+            }
+        }
+        t += TW;
+    }
+    for t in t..k {
+        for g in 0..N {
+            acc[g] = y_row[t].mul_add(xs[g][t], acc[g]);
+        }
+    }
+    acc
 }
 
-/// [`sddmm_aspt`] with a plan-selected microkernel dot product:
-/// `micro_width` in [`crate::micro::MICRO_WIDTHS`] routes the inner
-/// product through the fixed-trip-count chunked dot (bit-identical —
-/// one accumulator chain in the same element order), anything else
-/// runs the plain slice dot.
-pub fn sddmm_aspt_auto<T: Scalar>(
-    aspt: &AsptMatrix<T>,
+#[inline(always)]
+fn chunk<T: Scalar>(s: &[T], t: usize) -> [T; TW] {
+    s[t..t + TW].try_into().expect("a chunk holds TW elements")
+}
+
+/// Nonzeros `i..i + N` of a row: `out[i + g] = <y_row, x[cols[i + g]]>
+/// · vals[i + g]`.
+#[inline(always)]
+fn group<T: Scalar, const N: usize>(
+    i: usize,
+    y_row: &[T],
+    cols: &[u32],
+    vals: &[T],
     x: &DenseMatrix<T>,
-    y: &DenseMatrix<T>,
-    src_rowptr: &[usize],
-    micro_width: Option<usize>,
-) -> Result<Vec<T>, SparseError> {
-    match micro_width {
-        Some(8) => sddmm_aspt_with::<T, 8>(aspt, x, y, src_rowptr),
-        Some(16) => sddmm_aspt_with::<T, 16>(aspt, x, y, src_rowptr),
-        Some(32) => sddmm_aspt_with::<T, 32>(aspt, x, y, src_rowptr),
-        _ => sddmm_aspt(aspt, x, y, src_rowptr),
+    out: &mut [T],
+) {
+    let k = y_row.len();
+    let xs: [&[T]; N] = std::array::from_fn(|g| &x.row(cols[i + g] as usize)[..k]);
+    let d = dots(y_row, &xs, k);
+    for g in 0..N {
+        out[i + g] = d[g] * vals[i + g];
     }
 }
 
-/// The inner product of `sddmm_aspt_with::<T, W>`: the chunked dot at
-/// width `W`, the plain slice dot at `W = 0`. `W` is a constant, so each
-/// instance keeps one arm. A const parameter rather than an `Fn` value,
-/// because a dot passed as a value is called through a shim compiled
-/// without the dispatched copy's target features.
+/// One row's SDDMM: its nonzeros `G` at a time, the last ones in groups
+/// of 2 and 1. `out` is the row's span of the output.
 #[inline(always)]
-fn dot_w<T: Scalar, const W: usize>(a: &[T], b: &[T]) -> T {
-    if W == 0 {
-        dot(a, b)
-    } else {
-        dot_chunked::<T, W>(a, b)
+fn sddmm_row<T: Scalar>(y_row: &[T], cols: &[u32], vals: &[T], x: &DenseMatrix<T>, out: &mut [T]) {
+    let n = cols.len();
+    assert_eq!(out.len(), n, "the output row must hold the row's nonzeros");
+    let mut i = 0;
+    while n - i >= G {
+        group::<T, G>(i, y_row, cols, vals, x, out);
+        i += G;
+    }
+    if n - i >= 2 {
+        group::<T, 2>(i, y_row, cols, vals, x, out);
+        i += 2;
+    }
+    if n - i == 1 {
+        group::<T, 1>(i, y_row, cols, vals, x, out);
     }
 }
 
 fma_kernel! {
-    /// The shared ASpT SDDMM body at dot width `W` (see [`dot_w`]), so
-    /// the chunked dot and the plain slice dot run the exact same
-    /// traversal and scatter.
-    fn sddmm_aspt_with<T: Scalar, const W: usize>(
-        aspt: &AsptMatrix<T>,
+    /// The one ASpT SDDMM body. `s` is the decomposed matrix, its rows
+    /// in kernel order, and each panel is one task over its rows. A
+    /// row's nonzeros lie side by side in `s`, so their dots run `G` at
+    /// a time through [`dots`], sharing each load of the row's `Y`, and
+    /// their values fill the row's span of `out` in order. `Y` rows are
+    /// read in place and output rows written in place, both through the
+    /// row map of `out`: row `r` reads `Y` row `old_of(r)` and fills the
+    /// nonzeros of caller row `old_of(r)`, which holds row `r`'s
+    /// nonzeros in the same order, since a row permutation keeps the
+    /// order within each row. The caller checks the operand shapes.
+    pub(crate) fn sddmm_rows<T: Scalar>(
+        s: &CsrMatrix<T>,
+        panels: &[Panel<T>],
         x: &DenseMatrix<T>,
         y: &DenseMatrix<T>,
-        src_rowptr: &[usize],
-    ) -> Result<Vec<T>, SparseError> {
-        check_dims(aspt.nrows(), aspt.ncols(), x, y)?;
-        let nnz = aspt.nnz();
-        let mut out = vec![T::ZERO; nnz];
-
-        // slice the output by panel source ranges
-        let mut chunks: Vec<(usize, &mut [T])> = Vec::with_capacity(aspt.panels().len());
-        let mut rest: &mut [T] = &mut out;
-        let mut base = 0usize;
-        for panel in aspt.panels() {
-            let end = src_rowptr[panel.row_end];
-            let (head, tail) = rest.split_at_mut(end - base);
-            chunks.push((base, head));
-            rest = tail;
-            base = end;
-        }
-
-        let remainder = aspt.remainder();
-        aspt.panels()
-            .par_iter()
-            .zip(chunks)
-            .for_each(|(panel, (base, out_chunk))| {
-                let panel_rows = panel.row_end - panel.row_start;
-                for tile in &panel.tiles {
-                    for rel in 0..panel_rows {
-                        let y_row = y.row(panel.row_start + rel);
-                        for e in tile.rowptr[rel]..tile.rowptr[rel + 1] {
-                            let c = tile.colidx[e] as usize;
-                            let src = tile.src_idx[e] as usize;
-                            out_chunk[src - base] =
-                                dot_w::<T, W>(y_row, x.row(c)) * tile.values[e];
-                        }
-                    }
-                }
-                for r in panel.rows() {
-                    let y_row = y.row(r);
-                    let (lo, hi) = (remainder.rowptr()[r], remainder.rowptr()[r + 1]);
-                    for e in lo..hi {
-                        let c = remainder.colidx()[e] as usize;
-                        let src = aspt.remainder_src()[e] as usize;
-                        out_chunk[src - base] =
-                            dot_w::<T, W>(y_row, x.row(c)) * remainder.values()[e];
-                    }
-                }
-            });
-        Ok(out)
+        out: OutRows<'_, T, Offsets<'_>>,
+    ) {
+        let k = x.ncols();
+        out.for_each_panel(panels, |panel, mut rows| {
+            for rel in 0..rows.len() {
+                let r = panel.row_start + rel;
+                let y_row = &y.row(rows.map().old_of(r))[..k];
+                let (cols, vals) = s.row(r);
+                sddmm_row(y_row, cols, vals, x, rows.row_mut(rel));
+            }
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spmm_aspt::AsptConfig;
+    use crate::rows::{Offsets, RowMap};
+    use spmm_aspt::{AsptConfig, AsptMatrix};
     use spmm_data::generators;
+
+    /// The ASpT body over `s` with the panels of `aspt`, its
+    /// decomposition, in `s`'s own row order.
+    fn sddmm_panels<T: Scalar>(
+        s: &CsrMatrix<T>,
+        aspt: &AsptMatrix<T>,
+        x: &DenseMatrix<T>,
+        y: &DenseMatrix<T>,
+    ) -> Vec<T> {
+        check_dims(s.nrows(), s.ncols(), x, y).unwrap();
+        let mut out = vec![T::ZERO; s.nnz()];
+        let rows =
+            OutRows::new(&mut out, s.nrows(), Offsets(s.rowptr()), RowMap::IDENTITY).unwrap();
+        sddmm_rows(s, aspt.panels(), x, y, rows);
+        out
+    }
 
     fn tol<T: Scalar>() -> f64 {
         if T::BYTES == 4 {
@@ -233,7 +265,7 @@ mod tests {
             },
         ] {
             let aspt = AsptMatrix::build(s, &cfg);
-            let tiled = sddmm_aspt(&aspt, &x, &y, s.rowptr()).unwrap();
+            let tiled = sddmm_panels(s, &aspt, &x, &y);
             assert!(
                 max_diff(&reference, &tiled) <= tol::<T>(),
                 "aspt deviates with {cfg:?}"
@@ -301,26 +333,59 @@ mod tests {
         assert!(sddmm_rowwise_seq(&s, &x_bad, &y3).is_err());
     }
 
+    /// Integer-valued operands make every sum exact, so the grouped body
+    /// must equal the row-wise reference bit for bit on the shapes that
+    /// stress its groups: rows shorter than `G`, empty rows, panels with
+    /// no tiles, and rows whose length is not a multiple of `G`, so that
+    /// every group size (`G`, 2, 1) runs.
     #[test]
-    fn micro_dot_sddmm_is_bit_identical_to_generic() {
-        let s = generators::block_diagonal::<f64>(5, 16, 24, 10, 7);
-        for k in [7, 16, 33] {
-            let x = generators::random_dense::<f64>(s.ncols(), k, 3);
-            let y = generators::random_dense::<f64>(s.nrows(), k, 5);
-            let aspt = AsptMatrix::build(&s, &AsptConfig::paper_figure());
-            let generic = sddmm_aspt(&aspt, &x, &y, s.rowptr()).unwrap();
-            for w in crate::micro::MICRO_WIDTHS {
-                let micro = sddmm_aspt_auto(&aspt, &x, &y, s.rowptr(), Some(w)).unwrap();
-                let same = generic
-                    .iter()
-                    .zip(&micro)
-                    .all(|(a, b)| a.to_bits64() == b.to_bits64());
-                assert!(same, "micro dot deviates at k={k} width={w}");
+    fn lane_groups_match_the_reference_on_ragged_rows() {
+        let quantize = |m: &DenseMatrix<f64>| {
+            let d = m.data().iter().map(|v| (v * 4.0).round()).collect();
+            DenseMatrix::from_vec(m.nrows(), m.ncols(), d)
+        };
+        let ragged = {
+            // row i holds i % 11 nonzeros (0 to 10), so runs of every
+            // length around G appear, and every 11th row is empty
+            let mut rowptr = vec![0usize];
+            let mut colidx = Vec::new();
+            for i in 0..70u32 {
+                colidx.extend((0..i % 11).map(|j| (j * 3 + i) % 40));
+                colidx[rowptr[rowptr.len() - 1]..].sort_unstable();
+                rowptr.push(colidx.len());
             }
-            // a non-specialized width falls back to the plain dot
-            let fallback = sddmm_aspt_auto(&aspt, &x, &y, s.rowptr(), None).unwrap();
-            assert_eq!(generic, fallback);
+            let values = (0..colidx.len()).map(|j| (j % 7) as f64 - 3.0).collect();
+            CsrMatrix::from_parts(70, 40, rowptr, colidx, values).unwrap()
+        };
+        let mut clustered = generators::block_diagonal::<f64>(5, 16, 24, 10, 7);
+        let n = clustered.nnz();
+        clustered
+            .values_mut()
+            .copy_from_slice(&(0..n).map(|j| (j % 5) as f64 - 2.0).collect::<Vec<_>>());
+        let (mut bare, mut tiled_panels) = (0, 0);
+        for s in [ragged, clustered] {
+            for cfg in [AsptConfig::paper_figure(), AsptConfig::default()] {
+                let aspt = AsptMatrix::build(&s, &cfg);
+                for p in aspt.panels() {
+                    *(if p.tiles.is_empty() {
+                        &mut bare
+                    } else {
+                        &mut tiled_panels
+                    }) += 1;
+                }
+                for k in [0, 1, 7, 8, 9, 33] {
+                    let x = quantize(&generators::random_dense::<f64>(s.ncols(), k, 3));
+                    let y = quantize(&generators::random_dense::<f64>(s.nrows(), k, 5));
+                    let reference = sddmm_rowwise_seq(&s, &x, &y).unwrap();
+                    let tiled = sddmm_panels(&s, &aspt, &x, &y);
+                    assert_eq!(reference, tiled, "k={k} {cfg:?}");
+                }
+            }
         }
+        assert!(
+            bare > 0 && tiled_panels > 0,
+            "{bare} bare, {tiled_panels} tiled panels"
+        );
     }
 
     #[test]
@@ -330,6 +395,6 @@ mod tests {
         let y = generators::random_dense::<f64>(2, 4, 2);
         assert!(sddmm_rowwise_seq(&s, &x, &y).unwrap().is_empty());
         let aspt = AsptMatrix::build(&s, &AsptConfig::default());
-        assert!(sddmm_aspt(&aspt, &x, &y, s.rowptr()).unwrap().is_empty());
+        assert!(sddmm_panels(&s, &aspt, &x, &y).is_empty());
     }
 }

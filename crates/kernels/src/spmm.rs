@@ -1,8 +1,10 @@
 //! SpMM kernels: `Y = S · X` (paper Alg 1).
 
 use rayon::prelude::*;
-use spmm_aspt::AsptMatrix;
+use spmm_aspt::{AsptMatrix, Panel};
 use spmm_sparse::{fma_kernel, CsrMatrix, DenseMatrix, Scalar, SparseError};
+
+use crate::rows::{OutRows, PanelRows, RowMap, Stride};
 
 pub(crate) fn check_dims<T: Scalar>(
     s: &CsrMatrix<T>,
@@ -26,22 +28,48 @@ pub(crate) fn axpy<T: Scalar>(y_row: &mut [T], v: T, x_row: &[T]) {
     }
 }
 
-/// Slices `data` (row-major, `k` columns) into per-panel chunks.
-/// Panels cover consecutive disjoint row ranges, so the chunks
-/// partition the output and panel parallelism over them is safe.
-pub(crate) fn panel_chunks<'a, T: Scalar>(
-    aspt: &AsptMatrix<T>,
-    data: &'a mut [T],
-    k: usize,
-) -> Vec<&'a mut [T]> {
-    let mut chunks: Vec<&mut [T]> = Vec::with_capacity(aspt.panels().len());
-    let mut rest = data;
-    for panel in aspt.panels() {
-        let (head, tail) = rest.split_at_mut((panel.row_end - panel.row_start) * k);
-        chunks.push(head);
-        rest = tail;
+/// `y_block += Σ vals[e] * X[cols[e]][c0..]` over a run of nonzeros,
+/// chaining [`axpy`] per nonzero. `X` comes in as its data and width,
+/// not as a reference to the matrix: the caller holds them in locals,
+/// which stores to an output row cannot change, so the loop need not
+/// reload them after every row update.
+#[inline(always)]
+fn axpy_run<T: Scalar>(
+    y_block: &mut [T],
+    cols: &[u32],
+    vals: &[T],
+    (xd, xk): (&[T], usize),
+    c0: usize,
+) {
+    let c1 = c0 + y_block.len();
+    for (&c, &v) in cols.iter().zip(vals) {
+        let at = c as usize * xk;
+        axpy(y_block, v, &xd[at + c0..at + c1]);
     }
-    chunks
+}
+
+/// Checks `S.ncols == X.nrows` for an ASpT operand.
+pub(crate) fn check_aspt_dims<T: Scalar>(
+    aspt: &AsptMatrix<T>,
+    x: &DenseMatrix<T>,
+) -> Result<(), SparseError> {
+    if aspt.ncols() != x.nrows() {
+        return Err(SparseError::DimensionMismatch {
+            expected: format!("S.ncols ({}) == X.nrows", aspt.ncols()),
+            got: format!("{}", x.nrows()),
+        });
+    }
+    Ok(())
+}
+
+/// The rows of `y` as a kernel output, reordered row `r` going to row
+/// `map.old_of(r)`.
+pub(crate) fn dense_rows<'a, T: Scalar>(
+    y: &'a mut DenseMatrix<T>,
+    map: RowMap<'a>,
+) -> Result<OutRows<'a, T, Stride>, SparseError> {
+    let (n, k) = (y.nrows(), y.ncols());
+    OutRows::new(y.data_mut(), n, Stride(k), map)
 }
 
 fma_kernel! {
@@ -87,113 +115,94 @@ fma_kernel! {
     }
 }
 
-fma_kernel! {
-    /// ASpT-structured SpMM: dense tiles accumulate per panel (mirroring
-    /// the shared-memory kernel), the remainder accumulates row-wise into
-    /// the same output. Panels own disjoint output row ranges, so panel
-    /// parallelism is safe.
-    pub fn spmm_aspt<T: Scalar>(
-        aspt: &AsptMatrix<T>,
-        x: &DenseMatrix<T>,
-    ) -> Result<DenseMatrix<T>, SparseError> {
-        if aspt.ncols() != x.nrows() {
-            return Err(SparseError::DimensionMismatch {
-                expected: format!("S.ncols ({}) == X.nrows", aspt.ncols()),
-                got: format!("{}", x.nrows()),
-            });
+/// ASpT-structured SpMM in the decomposed matrix's own row order:
+/// per panel, the dense tiles accumulate first (mirroring the
+/// shared-memory kernel), then the remainder rows. It runs the kernel
+/// a plan prepared for this `k` runs, at
+/// [`widest_micro_width`](crate::micro::widest_micro_width) (the whole
+/// of `k` as one block below the narrowest width); every width gives
+/// the same bits.
+pub fn spmm_aspt<T: Scalar>(
+    aspt: &AsptMatrix<T>,
+    x: &DenseMatrix<T>,
+) -> Result<DenseMatrix<T>, SparseError> {
+    let k = x.ncols();
+    let width = crate::micro::widest_micro_width(k).unwrap_or(k);
+    crate::micro::spmm_aspt_kblocked_auto(aspt, x, width)
+}
+
+/// Column-blocked ASpT SpMM in the decomposed matrix's own row order.
+/// Processes the operand one `k_block`-wide column block at a time;
+/// each pass runs the dense-tile + remainder traversal restricted to
+/// that block's columns. Blocking only partitions columns, never
+/// reorders a row's nonzeros, so the output is bit-identical for every
+/// width; `k_block ≥ k` is one pass over the whole operand. A zero
+/// `k_block` is clamped to 1.
+pub fn spmm_aspt_kblocked<T: Scalar>(
+    aspt: &AsptMatrix<T>,
+    x: &DenseMatrix<T>,
+    k_block: usize,
+) -> Result<DenseMatrix<T>, SparseError> {
+    check_aspt_dims(aspt, x)?;
+    let mut y = DenseMatrix::zeros(aspt.nrows(), x.ncols());
+    spmm_aspt_kblocked_rows(aspt, x, k_block, dense_rows(&mut y, RowMap::IDENTITY)?);
+    Ok(y)
+}
+
+/// One panel's pass over the column block `c0..c1`: each dense tile
+/// over all the panel's rows (the tile's staged `X` rows stay hot
+/// across them), then the remainder row by row, each run accumulating
+/// into its row's block through [`axpy_run`]. `x` is `X`'s data and
+/// width.
+#[inline(always)]
+pub(crate) fn panel_block_pass<T: Scalar>(
+    panel: &Panel<T>,
+    remainder: &CsrMatrix<T>,
+    rows: &mut PanelRows<'_, T, Stride>,
+    x: (&[T], usize),
+    (c0, c1): (usize, usize),
+) {
+    let n = rows.len();
+    for tile in &panel.tiles {
+        let (rp, tc, tv) = (&tile.rowptr[..], &tile.colidx[..], &tile.values[..]);
+        for rel in 0..n {
+            let (lo, hi) = (rp[rel], rp[rel + 1]);
+            if lo < hi {
+                let y_block = &mut rows.row_mut(rel)[c0..c1];
+                axpy_run(y_block, &tc[lo..hi], &tv[lo..hi], x, c0);
+            }
         }
-        let k = x.ncols();
-        let mut y = DenseMatrix::zeros(aspt.nrows(), k);
-        let chunks = panel_chunks(aspt, y.data_mut(), k);
-        let remainder = aspt.remainder();
-        aspt.panels()
-            .par_iter()
-            .zip(chunks)
-            .for_each(|(panel, y_chunk)| {
-                let panel_rows = panel.row_end - panel.row_start;
-                // dense tiles: conceptually the staged-X kernel
-                for tile in &panel.tiles {
-                    for rel in 0..panel_rows {
-                        let y_row = &mut y_chunk[rel * k..(rel + 1) * k];
-                        for e in tile.rowptr[rel]..tile.rowptr[rel + 1] {
-                            axpy(y_row, tile.values[e], x.row(tile.colidx[e] as usize));
-                        }
-                    }
-                }
-                // sparse remainder rows of this panel
-                for r in panel.rows() {
-                    let rel = r - panel.row_start;
-                    let y_row = &mut y_chunk[rel * k..(rel + 1) * k];
-                    let (cols, vals) = remainder.row(r);
-                    for (&c, &v) in cols.iter().zip(vals) {
-                        axpy(y_row, v, x.row(c as usize));
-                    }
-                }
-            });
-        Ok(y)
+    }
+    for rel in 0..n {
+        let (cols, vals) = remainder.row(panel.row_start + rel);
+        if !cols.is_empty() {
+            axpy_run(&mut rows.row_mut(rel)[c0..c1], cols, vals, x, c0);
+        }
     }
 }
 
 fma_kernel! {
-    /// Column-blocked ASpT SpMM — the kernel every prepared SpMM runs.
-    /// Processes the operand one `k_block`-wide column block at a time;
-    /// each pass runs the same dense-tile + remainder traversal as
-    /// [`spmm_aspt()`] restricted to that block's columns. The output split
-    /// and the rayon fork/join happen once: the block loop runs inside each
-    /// panel's task, so pass count never multiplies scheduling overhead.
-    /// The per-element accumulation order matches `spmm_aspt` exactly
-    /// (blocking only partitions columns, never reorders nonzeros), so the
-    /// output is bit-identical for every width; `k_block ≥ k` is one pass
-    /// over the whole operand. A zero `k_block` is clamped to 1.
-    pub fn spmm_aspt_kblocked<T: Scalar>(
+    /// The generic column-blocked ASpT SpMM body, accumulating each
+    /// reordered row `r` into the output row `out` maps it to, so the
+    /// rows of `out` must start at zero. Panels run as parallel tasks;
+    /// each sweeps its column blocks through [`panel_block_pass`].
+    pub(crate) fn spmm_aspt_kblocked_rows<T: Scalar>(
         aspt: &AsptMatrix<T>,
         x: &DenseMatrix<T>,
         k_block: usize,
-    ) -> Result<DenseMatrix<T>, SparseError> {
-        if aspt.ncols() != x.nrows() {
-            return Err(SparseError::DimensionMismatch {
-                expected: format!("S.ncols ({}) == X.nrows", aspt.ncols()),
-                got: format!("{}", x.nrows()),
-            });
-        }
+        out: OutRows<'_, T, Stride>,
+    ) {
         let k = x.ncols();
         let kb = k_block.max(1);
-        let mut y = DenseMatrix::zeros(aspt.nrows(), k);
-        let chunks = panel_chunks(aspt, y.data_mut(), k);
         let remainder = aspt.remainder();
-
-        aspt.panels()
-            .par_iter()
-            .zip(chunks)
-            .for_each(|(panel, y_chunk)| {
-                let panel_rows = panel.row_end - panel.row_start;
-                let mut c0 = 0;
-                while c0 < k {
-                    let c1 = (c0 + kb).min(k);
-                    for tile in &panel.tiles {
-                        for rel in 0..panel_rows {
-                            let y_row = &mut y_chunk[rel * k + c0..rel * k + c1];
-                            for e in tile.rowptr[rel]..tile.rowptr[rel + 1] {
-                                axpy(
-                                    y_row,
-                                    tile.values[e],
-                                    &x.row(tile.colidx[e] as usize)[c0..c1],
-                                );
-                            }
-                        }
-                    }
-                    for r in panel.rows() {
-                        let rel = r - panel.row_start;
-                        let y_row = &mut y_chunk[rel * k + c0..rel * k + c1];
-                        let (cols, vals) = remainder.row(r);
-                        for (&c, &v) in cols.iter().zip(vals) {
-                            axpy(y_row, v, &x.row(c as usize)[c0..c1]);
-                        }
-                    }
-                    c0 = c1;
-                }
-            });
-        Ok(y)
+        out.for_each_panel(aspt.panels(), |panel, mut rows| {
+            let mut c0 = 0;
+            while c0 < k {
+                let c1 = (c0 + kb).min(k);
+                panel_block_pass(panel, remainder, &mut rows, (x.data(), k), (c0, c1));
+                c0 = c1;
+            }
+        });
     }
 }
 

@@ -13,7 +13,9 @@ use rayon::prelude::*;
 use spmm_aspt::AsptMatrix;
 use spmm_sparse::{fma_kernel, CsrMatrix, Scalar, SparseError};
 
-fn check_dims<T: Scalar>(ncols: usize, x: &[T]) -> Result<(), SparseError> {
+use crate::rows::{OutRows, RowMap, Stride};
+
+pub(crate) fn check_dims<T: Scalar>(ncols: usize, x: &[T]) -> Result<(), SparseError> {
     if ncols != x.len() {
         return Err(SparseError::DimensionMismatch {
             expected: format!("S.ncols ({ncols}) == x.len"),
@@ -58,52 +60,68 @@ fma_kernel! {
     }
 }
 
+/// ASpT-structured SpMV in the decomposed matrix's own row order:
+/// dense tiles accumulate per panel (the staged-X kernel with a
+/// one-element stage), the sparse remainder accumulates row-wise into
+/// the same output. The per-element accumulation order — tiles in panel
+/// order, then the remainder row — is exactly that of
+/// [`crate::spmm::spmm_aspt`], so the result is bit-identical to the
+/// SpMM kernel on an `n × 1` operand.
+pub fn spmv_aspt<T: Scalar>(aspt: &AsptMatrix<T>, x: &[T]) -> Result<Vec<T>, SparseError> {
+    check_dims(aspt.ncols(), x)?;
+    let mut y = vec![T::ZERO; aspt.nrows()];
+    spmv_aspt_rows(aspt, x, vector_rows(&mut y, RowMap::IDENTITY)?);
+    Ok(y)
+}
+
+/// The entries of `y` as one-element kernel output rows, reordered row
+/// `r` going to entry `map.old_of(r)`.
+pub(crate) fn vector_rows<'a, T: Scalar>(
+    y: &'a mut [T],
+    map: RowMap<'a>,
+) -> Result<OutRows<'a, T, Stride>, SparseError> {
+    let n = y.len();
+    OutRows::new(y, n, Stride(1), map)
+}
+
+/// `acc + Σ vals[e] * x[cols[e]]`, one `mul_add` per nonzero in order,
+/// accumulated in a register.
+#[inline(always)]
+fn dot_run<T: Scalar>(mut acc: T, cols: &[u32], vals: &[T], x: &[T]) -> T {
+    for (&c, &v) in cols.iter().zip(vals) {
+        acc = v.mul_add(x[c as usize], acc);
+    }
+    acc
+}
+
 fma_kernel! {
-    /// ASpT-structured SpMV: dense tiles accumulate per panel (the staged-X
-    /// kernel with a one-element stage), the sparse remainder accumulates
-    /// row-wise into the same output. The per-element accumulation order —
-    /// tiles in panel order, then the remainder row — is exactly that of
-    /// [`crate::spmm::spmm_aspt`], so the result is bit-identical to the
-    /// SpMM kernel on an `n × 1` operand.
-    pub fn spmv_aspt<T: Scalar>(aspt: &AsptMatrix<T>, x: &[T]) -> Result<Vec<T>, SparseError> {
-        check_dims(aspt.ncols(), x)?;
-        let mut y = vec![T::ZERO; aspt.nrows()];
-
-        // slice the output into per-panel chunks (panels cover consecutive
-        // disjoint row ranges)
-        let mut chunks: Vec<&mut [T]> = Vec::with_capacity(aspt.panels().len());
-        let mut rest: &mut [T] = &mut y;
-        for panel in aspt.panels() {
-            let (head, tail) = rest.split_at_mut(panel.row_end - panel.row_start);
-            chunks.push(head);
-            rest = tail;
-        }
-
+    /// The ASpT SpMV body, writing each reordered row `r` to the output
+    /// entry `out` maps it to. Each panel task zeroes its entries, runs
+    /// each dense tile over all its rows (the tile's staged `x` entries
+    /// stay hot across them), then the remainder row by row. The caller
+    /// checks `x.len()`.
+    pub(crate) fn spmv_aspt_rows<T: Scalar>(aspt: &AsptMatrix<T>, x: &[T], out: OutRows<'_, T, Stride>) {
         let remainder = aspt.remainder();
-        aspt.panels()
-            .par_iter()
-            .zip(chunks)
-            .for_each(|(panel, y_chunk)| {
-                let panel_rows = panel.row_end - panel.row_start;
-                // dense tiles: conceptually the staged-x kernel
-                for tile in &panel.tiles {
-                    for (rel, out) in y_chunk.iter_mut().enumerate().take(panel_rows) {
-                        for e in tile.rowptr[rel]..tile.rowptr[rel + 1] {
-                            *out = tile.values[e].mul_add(x[tile.colidx[e] as usize], *out);
-                        }
+        out.for_each_panel(aspt.panels(), |panel, mut rows| {
+            let n = rows.len();
+            for tile in &panel.tiles {
+                let (rp, tc, tv) = (&tile.rowptr[..], &tile.colidx[..], &tile.values[..]);
+                for rel in 0..n {
+                    let (lo, hi) = (rp[rel], rp[rel + 1]);
+                    if lo < hi {
+                        let y = &mut rows.row_mut(rel)[0];
+                        *y = dot_run(*y, &tc[lo..hi], &tv[lo..hi], x);
                     }
                 }
-                // sparse remainder rows of this panel
-                for r in panel.rows() {
-                    let rel = r - panel.row_start;
-                    let out = &mut y_chunk[rel];
-                    let (cols, vals) = remainder.row(r);
-                    for (&c, &v) in cols.iter().zip(vals) {
-                        *out = v.mul_add(x[c as usize], *out);
-                    }
+            }
+            for rel in 0..n {
+                let (cols, vals) = remainder.row(panel.row_start + rel);
+                if !cols.is_empty() {
+                    let y = &mut rows.row_mut(rel)[0];
+                    *y = dot_run(*y, cols, vals, x);
                 }
-            });
-        Ok(y)
+            }
+        });
     }
 }
 

@@ -520,7 +520,7 @@ fn encode_engine<T: Scalar>(fp: &MatrixFingerprint, engine: &Engine<T>) -> Vec<u
 
     // NMAP: reordered-nnz → original-nnz
     let mut e = Enc::new();
-    e.usize_slice(engine.nnz_map());
+    e.usize_slice(&engine.nnz_map());
     encode_section(&mut out, TAG_NMAP, &e.buf);
 
     // ASPT: tiling config, panels/tiles, remainder CSR + source map

@@ -60,28 +60,29 @@ pub fn with_portable<R>(f: impl FnOnce() -> R) -> R {
 /// features. Doc comments go inside the invocation.
 ///
 /// Accepted form: `fn name<T: Bound>(args) -> Ret { body }`, optionally
-/// with one `const N: usize` parameter after the type parameter.
+/// with one `const N: usize` parameter after the type parameter and
+/// optionally without a return type.
 #[macro_export]
 macro_rules! fma_kernel {
     (
         $(#[$attr:meta])*
         $vis:vis fn $name:ident<$t:ident: $bound:path $(, const $c:ident: $cty:ty)?>(
             $($arg:ident: $argty:ty),* $(,)?
-        ) -> $ret:ty $body:block
+        ) $(-> $ret:ty)? $body:block
     ) => {
         $(#[$attr])*
-        $vis fn $name<$t: $bound $(, const $c: $cty)?>($($arg: $argty),*) -> $ret {
+        $vis fn $name<$t: $bound $(, const $c: $cty)?>($($arg: $argty),*) $(-> $ret)? {
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
             {
                 #[target_feature(enable = "avx2,fma")]
                 #[deny(unsafe_op_in_unsafe_fn)]
-                unsafe fn avx2_fma<$t: $bound $(, const $c: $cty)?>($($arg: $argty),*) -> $ret $body
+                unsafe fn avx2_fma<$t: $bound $(, const $c: $cty)?>($($arg: $argty),*) $(-> $ret)? $body
                 if $crate::simd::use_fma_copy() {
                     // SAFETY: `use_fma_copy` saw AVX2 and FMA on this CPU.
                     return unsafe { avx2_fma::<$t $(, $c)?>($($arg),*) };
                 }
             }
-            fn portable<$t: $bound $(, const $c: $cty)?>($($arg: $argty),*) -> $ret $body
+            fn portable<$t: $bound $(, const $c: $cty)?>($($arg: $argty),*) $(-> $ret)? $body
             portable::<$t $(, $c)?>($($arg),*)
         }
     };

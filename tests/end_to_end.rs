@@ -61,6 +61,44 @@ fn whole_corpus_sddmm_matches_reference() {
     }
 }
 
+/// Integer-valued operands make every sum exact in any order, so the
+/// engine's caller-order SpMM and SDDMM must equal the sequential
+/// references bit for bit, at each `k` and the micro width a plan for
+/// that `k` carries.
+#[test]
+fn quantized_engine_outputs_equal_the_sequential_references() {
+    let corpus = Corpus::<f32>::generate(CorpusProfile::Quick, 17);
+    let quantize = |m: DenseMatrix<f32>| {
+        let d = m.data().iter().map(|v| (v * 2.0).round()).collect();
+        DenseMatrix::from_vec(m.nrows(), m.ncols(), d)
+    };
+    for entry in corpus.iter() {
+        let mut m = entry.matrix.clone();
+        for (i, v) in m.values_mut().iter_mut().enumerate() {
+            *v = [-3.0, -1.0, 1.0, 3.0][i % 4];
+        }
+        let engine = Engine::prepare(&m, &engine_config()).unwrap();
+        for k in [1, 7, 8, 32, 33] {
+            let mut e = engine.clone();
+            e.set_micro_width(spmm_rr::kernels::widest_micro_width(k));
+            let x = quantize(generators::random_dense::<f32>(m.ncols(), k, 3));
+            let y = quantize(generators::random_dense::<f32>(m.nrows(), k, 5));
+            assert_eq!(
+                e.spmm(&x).unwrap(),
+                spmm_rowwise_seq(&m, &x).unwrap(),
+                "{} SpMM k={k}",
+                entry.name
+            );
+            assert_eq!(
+                e.sddmm(&x, &y).unwrap(),
+                sddmm_rowwise_seq(&m, &x, &y).unwrap(),
+                "{} SDDMM k={k}",
+                entry.name
+            );
+        }
+    }
+}
+
 #[test]
 fn corpus_classes_trigger_expected_decisions() {
     let corpus = Corpus::<f64>::generate(CorpusProfile::Quick, 21);

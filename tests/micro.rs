@@ -120,7 +120,7 @@ fn engine_kblocked_execution_is_width_invariant() {
     let mut engine = Engine::prepare(&m, &EngineConfig::default()).unwrap();
     assert!(
         engine.plan().needs_reordering(),
-        "unpermute must be exercised"
+        "the row map must be exercised"
     );
     for k in [0usize, 1, 7, 8, 20, 48] {
         let mut x = generators::random_dense::<f32>(m.ncols(), k, 47 ^ k as u64);

@@ -1,7 +1,7 @@
 //! Property-based tests over the core invariants.
 
 use proptest::prelude::*;
-use spmm_rr::kernels::sddmm::{sddmm_aspt, sddmm_rowwise_seq};
+use spmm_rr::kernels::sddmm::sddmm_rowwise_seq;
 use spmm_rr::kernels::spmm::{spmm_aspt, spmm_rowwise_par, spmm_rowwise_seq};
 use spmm_rr::lsh::{generate_candidates, CandidatePair, LshConfig, MinHasher};
 use spmm_rr::prelude::*;
@@ -84,7 +84,10 @@ proptest! {
         let x = generators::random_dense::<f64>(m.ncols(), k, seed);
         let y = generators::random_dense::<f64>(m.nrows(), k, seed ^ 1);
         let reference = sddmm_rowwise_seq(&m, &x, &y).unwrap();
-        let tiled = sddmm_aspt(&AsptMatrix::build(&m, &cfg), &x, &y, m.rowptr()).unwrap();
+        let config = EngineConfig::builder()
+            .reorder(ReorderConfig::builder().aspt(cfg).build())
+            .build();
+        let tiled = Engine::prepare(&m, &config).unwrap().sddmm(&x, &y).unwrap();
         prop_assert_eq!(reference.len(), tiled.len());
         for (a, b) in reference.iter().zip(&tiled) {
             prop_assert!((a - b).abs() < 1e-10);

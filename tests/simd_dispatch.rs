@@ -9,17 +9,17 @@
 
 use std::io::Write;
 
-use spmm_rr::kernels::sddmm::sddmm_aspt_auto;
 use spmm_rr::kernels::spmm::{spmm_aspt, spmm_aspt_kblocked};
 use spmm_rr::prelude::*;
 use spmm_rr::sparse::simd;
 
 /// The operands of one shape: `s` is `m × n` (also as ASpT, SELL-P at
-/// σ = 32 and σ = 0, CSB and ELL), `x` is `n × k`, `y` is `m × k`, `v`
-/// has `n` entries and `b` is `n × 40`.
+/// σ = 32 and σ = 0, CSB and ELL, and prepared as an engine), `x` is
+/// `n × k`, `y` is `m × k`, `v` has `n` entries and `b` is `n × 40`.
 struct Operands<T: Scalar> {
     s: CsrMatrix<T>,
     aspt: AsptMatrix<T>,
+    engine: Engine<T>,
     sell: SellPMatrix<T>,
     sell0: SellPMatrix<T>,
     csb: CsbMatrix<T>,
@@ -102,11 +102,23 @@ fn kernels<T: Scalar>() -> Vec<(String, Kernel<T>)> {
                 dense(spmm_aspt_kblocked_auto(&o.aspt, &o.x, kb))
             }),
         ));
+        // the engine's caller-order paths, writing into caller buffers
         table.push((
-            format!("sddmm_aspt_auto/{tag}"),
+            format!("Engine::spmm_into/{tag}"),
             Box::new(move |o| {
-                let src = o.s.rowptr();
-                values(sddmm_aspt_auto(&o.aspt, &o.x, &o.y, src, width))
+                let mut e = o.engine.clone();
+                e.set_micro_width(width);
+                let mut y = DenseMatrix::zeros(o.s.nrows(), o.x.ncols());
+                dense(e.spmm_into(&o.x, &mut y).map(|()| y))
+            }),
+        ));
+        table.push((
+            format!("Engine::sddmm_into/{tag}"),
+            Box::new(move |o| {
+                let mut e = o.engine.clone();
+                e.set_micro_width(width);
+                let mut out = vec![T::ZERO; o.s.nnz()];
+                values(e.sddmm_into(&o.x, &o.y, &mut out).map(|()| out))
             }),
         ));
     }
@@ -125,13 +137,29 @@ fn shapes<T: Scalar>() -> Vec<(String, Operands<T>)> {
             generators::power_law::<T>(128, 96, 1000, 0.8, 5),
         ),
         (
+            "shuffled_block_diagonal",
+            generators::shuffled_block_diagonal::<T>(12, 8, 24, 6, 7),
+        ),
+        (
             "empty",
             CsrMatrix::from_parts(5, 7, vec![0; 6], vec![], vec![]).expect("valid empty CSR"),
         ),
     ];
     let mut out = Vec::new();
+    let mut reordered = 0;
     for (name, s) in matrices {
         let aspt = AsptMatrix::build(&s, &AsptConfig::paper_figure());
+        // reordering forced, so the shuffled shape runs a non-identity
+        // row map whatever the skip heuristics decide
+        let config = EngineConfig::builder()
+            .reorder(
+                ReorderConfig::builder()
+                    .policy(ReorderPolicy::always())
+                    .build(),
+            )
+            .build();
+        let engine = Engine::prepare(&s, &config).expect("valid CSR");
+        reordered += usize::from(!engine.plan().row_perm.is_identity());
         let sell = SellPMatrix::from_csr(&s, 8, 32);
         let sell0 = SellPMatrix::from_csr(&s, 8, 0);
         let csb = CsbMatrix::from_csr(&s, 16);
@@ -144,6 +172,7 @@ fn shapes<T: Scalar>() -> Vec<(String, Operands<T>)> {
             let ops = Operands {
                 s: s.clone(),
                 aspt: aspt.clone(),
+                engine: engine.clone(),
                 sell: sell.clone(),
                 sell0: sell0.clone(),
                 csb: csb.clone(),
@@ -156,6 +185,7 @@ fn shapes<T: Scalar>() -> Vec<(String, Operands<T>)> {
             out.push((format!("{name} k={k}"), ops));
         }
     }
+    assert!(reordered > 0, "some shape must run the engine's row map");
     out
 }
 

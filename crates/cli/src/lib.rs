@@ -26,17 +26,16 @@ usage:
   spmm-rr serve-bench [--requests N] [--concurrency N] [--workers N]
                       [--cache N] [--zipf S] [--seed N] [--k N] [--json]
                       [--op spmm|spmv|spgemm] [--batch]
-                      [--max-batch-k N] [--plan-store DIR]
-                      [--shards N] [--deltas]
+                      [--max-batch-k N] [--plan-store DIR] [--deltas]
   spmm-rr chaos-bench [--requests N] [--concurrency N] [--workers N]
                       [--cache N] [--zipf S] [--seed N] [--k N] [--json]
                       [--faults \"point:action@hits,...\"] [--batch]
-                      [--plan-store DIR] [--shards N] [--deltas]
+                      [--plan-store DIR] [--deltas]
       actions: error panic delay:<ms>ms    hits: N every:N N..M *
       points:  kernel.prepare kernel.execute kernel.delta
                reorder.round1 reorder.round2 serve.cache.prepare
                serve.cache.delta serve.worker serve.store.load
-               serve.store.save serve.store.delta serve.router.route";
+               serve.store.save serve.store.delta";
 
 /// One allowed flag of a subcommand: name (without `--`) and whether it
 /// consumes a value.
@@ -67,7 +66,6 @@ fn flag_spec(cmd: &str) -> Option<&'static [FlagSpec]> {
             ("batch", false),
             ("max-batch-k", true),
             ("plan-store", true),
-            ("shards", true),
             ("deltas", false),
         ]),
         "chaos-bench" => Some(&[
@@ -82,7 +80,6 @@ fn flag_spec(cmd: &str) -> Option<&'static [FlagSpec]> {
             ("json", false),
             ("batch", false),
             ("plan-store", true),
-            ("shards", true),
             ("deltas", false),
         ]),
         _ => None,
@@ -407,10 +404,6 @@ impl Invocation {
                 if let Some(v) = flags.get("plan-store") {
                     config.plan_store = Some(PathBuf::from(v));
                 }
-                config.shards = parse_usize(&flags, "shards", config.shards)?;
-                if config.shards == 0 {
-                    return Err("bad --shards value '0' (need at least one shard)".into());
-                }
                 config.deltas = flags.contains_key("deltas");
                 Ok(Invocation::ServeBench {
                     config,
@@ -445,10 +438,6 @@ impl Invocation {
                 }
                 if let Some(v) = flags.get("plan-store") {
                     config.plan_store = Some(PathBuf::from(v));
-                }
-                config.shards = parse_usize(&flags, "shards", config.shards)?;
-                if config.shards == 0 {
-                    return Err("bad --shards value '0' (need at least one shard)".into());
                 }
                 config.deltas = flags.contains_key("deltas");
                 Ok(Invocation::ChaosBench {
@@ -1374,7 +1363,7 @@ mod tests {
         );
         let err = Invocation::parse(&s(&["formatbench", "--k", "0"])).unwrap_err();
         assert!(err.contains("--k"), "{err}");
-        assert!(Invocation::parse(&s(&["formatbench", "--shards", "2"])).is_err());
+        assert!(Invocation::parse(&s(&["formatbench", "--plan-store", "d"])).is_err());
     }
 
     #[test]
@@ -1742,50 +1731,11 @@ mod tests {
     }
 
     #[test]
-    fn parse_shards_flag() {
+    fn shards_is_an_unknown_flag() {
         for cmd in ["serve-bench", "chaos-bench"] {
-            match Invocation::parse(&s(&[cmd, "--shards", "4"])).unwrap() {
-                Invocation::ServeBench { config, .. } => assert_eq!(config.shards, 4),
-                Invocation::ChaosBench { config, .. } => assert_eq!(config.shards, 4),
-                other => panic!("wrong invocation: {other:?}"),
-            }
-            // default stays single-engine; zero is a targeted error
-            match Invocation::parse(&s(&[cmd])).unwrap() {
-                Invocation::ServeBench { config, .. } => assert_eq!(config.shards, 1),
-                Invocation::ChaosBench { config, .. } => assert_eq!(config.shards, 1),
-                other => panic!("wrong invocation: {other:?}"),
-            }
-            let err = Invocation::parse(&s(&[cmd, "--shards", "0"])).unwrap_err();
-            assert!(err.contains("--shards"), "{err}");
-            assert!(Invocation::parse(&s(&[cmd, "--shards", "x"])).is_err());
-            assert!(Invocation::parse(&s(&[cmd, "--shards"])).is_err());
+            let err = Invocation::parse(&s(&[cmd, "--shards", "2"])).unwrap_err();
+            assert!(err.contains("unknown flag --shards"), "{err}");
         }
-        // --shards is not a flag of the one-shot commands
-        assert!(Invocation::parse(&s(&["analyze", "m.mtx", "--shards", "2"])).is_err());
-    }
-
-    #[test]
-    fn sharded_serve_bench_runs_and_reports_the_shard_probe() {
-        let inv = Invocation::parse(&s(&[
-            "serve-bench",
-            "--requests",
-            "12",
-            "--concurrency",
-            "2",
-            "--workers",
-            "1",
-            "--cache",
-            "4",
-            "--k",
-            "16",
-            "--shards",
-            "2",
-        ]))
-        .unwrap();
-        let out = run(&inv).unwrap();
-        assert!(out.contains("sharded: 2 engines"), "{out}");
-        assert!(out.contains("shard probe"), "{out}");
-        assert!(!out.contains("FAILED"), "{out}");
     }
 
     #[test]

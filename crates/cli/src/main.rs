@@ -11,11 +11,10 @@
 //! spmm-rr plan     gc --store <dir> [--keep N]
 //! spmm-rr serve-bench [--requests N] [--concurrency N] [--workers N]
 //!                     [--cache N] [--zipf S] [--seed N] [--k N]
-//!                     [--plan-store DIR] [--shards N] [--deltas]
-//!                     [--json]
+//!                     [--plan-store DIR] [--deltas] [--json]
 //! spmm-rr chaos-bench [--requests N] [--concurrency N] [--workers N]
-//!                     [--faults "point:action@hits,..."] [--shards N]
-//!                     [--deltas] [--json]
+//!                     [--faults "point:action@hits,..."] [--deltas]
+//!                     [--json]
 //! ```
 //!
 //! `analyze` prints structure statistics, the Fig 5 pipeline decisions
@@ -34,14 +33,11 @@
 //! latency percentiles, the plan-cache hit rate and the hit/cold probe
 //! outcomes (the run manifest JSON with `--json`); with `--plan-store`
 //! it also runs the warm-start probe (stored plans must be bit-exact
-//! and >= 10x faster to load than to prepare); with `--shards N` it
-//! drives a rendezvous-routed fleet of N engines over a shared store
-//! tier and runs the kill-failover probe (bit-exact answers, zero
-//! duplicate prepares); with `--deltas` it runs the structural-delta
+//! and >= 10x faster to load than to prepare); with `--deltas` it runs the structural-delta
 //! probe (incremental `apply_delta` must answer bit-identically to a
 //! from-scratch prepare of the patched matrix, at least 3x faster on
 //! a <= 1%-nnz delta); `chaos-bench` replays seeded fault schedules
-//! against the serving layer (sharded with `--shards N`) and verifies
+//! against the serving layer and verifies
 //! every success bit-for-bit against the sequential reference; with
 //! `--deltas` a mutator thread chains live structural deltas through
 //! the epoch-swapped plan cache while the stream runs — the schedule

@@ -121,12 +121,11 @@ pub mod prelude {
         ReorderPolicy,
     };
     pub use spmm_serve::{
-        rendezvous_order, rendezvous_pick, run_chaos_bench, run_serve_bench, BatchConfig,
-        BatchProbe, BenchOp, CacheStats, ChaosBenchConfig, ChaosBenchReport, DeltaProbe,
-        HealthSnapshot, MatrixFingerprint, PlanCache, PlanCacheConfig, PlanStore, PlanStoreProbe,
-        Request, RequestOp, Response, RouterConfig, RouterHealth, RouterStats, ServeBenchConfig,
-        ServeBenchReport, ServeConfig, ServeEngine, ServeError, ServePath, ServeStats, ShardProbe,
-        ShardRouter, StoredPlan, Ticket,
+        run_chaos_bench, run_serve_bench, BatchConfig, BatchProbe, BenchOp, CacheStats,
+        ChaosBenchConfig, ChaosBenchReport, DeltaProbe, HealthSnapshot, MatrixFingerprint,
+        PlanCache, PlanCacheConfig, PlanStore, PlanStoreProbe, Request, RequestOp, Response,
+        ServeBenchConfig, ServeBenchReport, ServeConfig, ServeEngine, ServeError, ServePath,
+        ServeStats, StoredPlan, Ticket,
     };
     pub use spmm_sparse::{CooMatrix, CsrMatrix, DenseMatrix, Permutation, Scalar, SparseError};
     pub use spmm_telemetry::{

@@ -28,7 +28,7 @@ use crate::format::FormatPayload;
 use crate::micro::{spmm_aspt_kblocked_rows_auto, widest_micro_width};
 use crate::rows::{Offsets, OutRows, RowMap};
 use crate::sddmm::sddmm_rows;
-use crate::spgemm::spgemm_clustered;
+use crate::spgemm::spgemm_clustered_rows;
 use crate::spmm::{check_aspt_dims, dense_rows};
 use crate::spmv::{spmv_aspt_rows, vector_rows};
 
@@ -758,15 +758,15 @@ impl<T: Scalar> Engine<T> {
                 let _span = self.telemetry.span("exec.spgemm");
                 self.record_exec_counters();
                 // Gustavson over the reordered rows: rows the plan
-                // packed into one panel share a dense accumulator
-                let c_reord =
-                    spgemm_clustered(&self.reordered, b, self.aspt.config().panel_height)?;
-                if self.plan.row_perm.is_identity() {
-                    return Ok(Output::Sparse(c_reord));
-                }
-                Ok(Output::Sparse(
-                    c_reord.permute_rows(&self.plan.row_perm.inverse()),
-                ))
+                // packed into one panel share a dense accumulator, and
+                // each row of C lands at its caller row
+                let c = spgemm_clustered_rows(
+                    &self.reordered,
+                    b,
+                    self.aspt.config().panel_height,
+                    self.row_map(),
+                )?;
+                Ok(Output::Sparse(c))
             }
         }
     }

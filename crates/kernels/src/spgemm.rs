@@ -17,6 +17,7 @@
 //! bit — is identical across [`spgemm_gustavson_seq`],
 //! [`spgemm_gustavson_par`] and [`spgemm_clustered`].
 
+use crate::rows::RowMap;
 use rayon::prelude::*;
 use spmm_sparse::{fma_kernel, CsrMatrix, Scalar, SparseError};
 
@@ -146,19 +147,31 @@ fma_kernel! {
     }
 }
 
+/// Cluster-wise Gustavson: rows are processed in panels of
+/// `panel_height` (the ASpT panel grouping the reordering pipeline
+/// already produces — similar rows are adjacent). Each panel task owns
+/// ONE dense accumulator, reset between rows via the touched-columns
+/// list and never reallocated, so similar rows amortize both the
+/// allocation and the clear. Bit-identical to
+/// [`spgemm_gustavson_seq`]: reuse changes *when* slots are cleared,
+/// never the fold order.
+pub fn spgemm_clustered<T: Scalar>(
+    a: &CsrMatrix<T>,
+    b: &CsrMatrix<T>,
+    panel_height: usize,
+) -> Result<CsrMatrix<T>, SparseError> {
+    spgemm_clustered_rows(a, b, panel_height, RowMap::IDENTITY)
+}
+
 fma_kernel! {
-    /// Cluster-wise Gustavson: rows are processed in panels of
-    /// `panel_height` (the ASpT panel grouping the reordering pipeline
-    /// already produces — similar rows are adjacent). Each panel task owns
-    /// ONE dense accumulator, reset between rows via the touched-columns
-    /// list and never reallocated, so similar rows amortize both the
-    /// allocation and the clear. Bit-identical to
-    /// [`spgemm_gustavson_seq`]: reuse changes *when* slots are cleared,
-    /// never the fold order.
-    pub fn spgemm_clustered<T: Scalar>(
+    /// [`spgemm_clustered`] over the reordered rows of `a`, each finished
+    /// row of `C` placed at its caller row `map.old_of(i)`, so `C` comes
+    /// out in the caller's row order with no permuted copy.
+    pub(crate) fn spgemm_clustered_rows<T: Scalar>(
         a: &CsrMatrix<T>,
         b: &CsrMatrix<T>,
         panel_height: usize,
+        map: RowMap<'_>,
     ) -> Result<CsrMatrix<T>, SparseError> {
         check_dims(a, b)?;
         let h = panel_height.max(1);
@@ -184,11 +197,11 @@ fma_kernel! {
                 rows
             })
             .collect();
-        Ok(assemble(
-            a.nrows(),
-            b.ncols(),
-            panels.into_iter().flatten().collect(),
-        ))
+        let mut rows = vec![(Vec::new(), Vec::new()); a.nrows()];
+        for (i, row) in panels.into_iter().flatten().enumerate() {
+            rows[map.old_of(i)] = row;
+        }
+        Ok(assemble(a.nrows(), b.ncols(), rows))
     }
 }
 
@@ -196,7 +209,7 @@ fma_kernel! {
 mod tests {
     use super::*;
     use spmm_data::generators;
-    use spmm_sparse::DenseMatrix;
+    use spmm_sparse::{DenseMatrix, Permutation};
 
     fn dense_product<T: Scalar>(a: &CsrMatrix<T>, b: &CsrMatrix<T>) -> DenseMatrix<f64> {
         let ad = a.cast::<f64>().to_dense();
@@ -237,11 +250,20 @@ mod tests {
             let seq = spgemm_gustavson_seq(&a, &b).unwrap();
             let par = spgemm_gustavson_par(&a, &b).unwrap();
             assert!(seq.same_structure(&par) && seq.values() == par.values());
+            // rows walked in a shuffled order still land in A's order
+            let n = a.nrows() as u32;
+            let perm = Permutation::from_order((0..n).map(|r| (r * 7 + 3) % n).collect()).unwrap();
+            let shuffled = a.permute_rows(&perm);
             for h in [1usize, 3, 8, 64, 1024] {
                 let clu = spgemm_clustered(&a, &b, h).unwrap();
                 assert!(
                     seq.same_structure(&clu) && seq.values() == clu.values(),
                     "clustered deviates at panel_height {h}"
+                );
+                let back = spgemm_clustered_rows(&shuffled, &b, h, RowMap::of(&perm)).unwrap();
+                assert!(
+                    seq.same_structure(&back) && seq.values() == back.values(),
+                    "mapped rows deviate at panel_height {h}"
                 );
             }
         }

@@ -223,7 +223,7 @@ mod tests {
 
     fn queued(request: Request<f64>) -> (Job<f64>, Reply) {
         let (tx, rx) = mpsc::channel();
-        (Job::new(request, tx, None), rx)
+        (Job::new(request, tx), rx)
     }
 
     fn job(

@@ -17,17 +17,16 @@
 //!   must complete via the row-wise fallback rather than miss its
 //!   deadline preparing a plan.
 //!
-//! Batching, a plan store, deltas and a sharded fleet each add their
-//! own probe ([`BatchProbe`], [`PlanStoreProbe`], [`DeltaProbe`],
-//! [`ShardProbe`]). Every outcome, the latency distribution and the
-//! exact cache counters are recorded into the serve telemetry before
-//! the manifest snapshot, so the printed report and the JSON manifest
-//! agree.
+//! Batching, a plan store and deltas each add their own probe
+//! ([`BatchProbe`], [`PlanStoreProbe`], [`DeltaProbe`]). Every outcome,
+//! the latency distribution and the exact cache counters are recorded
+//! into the serve telemetry before the manifest snapshot, so the printed
+//! report and the JSON manifest agree.
 
 use crate::batch::BatchConfig;
 use crate::cache::CacheStats;
 use crate::driver::{
-    cover, percentile_ms, structural_delta, zipf_schedule, Case, Fleet, Op, Stream, Target,
+    cover, percentile_ms, structural_delta, zipf_schedule, Case, Knobs, Op, Stream,
 };
 use crate::engine::{Request, ServeConfig, ServeEngine, ServePath, ServeStats};
 use crate::error::ServeError;
@@ -41,7 +40,6 @@ use spmm_kernels::{Engine, EngineConfig};
 use spmm_sparse::{CsrMatrix, SparseError};
 use spmm_telemetry::{RunManifest, TelemetryHandle};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -124,13 +122,6 @@ pub struct ServeBenchConfig {
     /// measures cold-prepare vs store-load per corpus structure.
     /// Default: disabled.
     pub plan_store: Option<PathBuf>,
-    /// Fleet size: with a value greater than 1 the stream is driven
-    /// through a [`ShardRouter`](crate::ShardRouter) of this many
-    /// engines (each configured from the knobs above) over a shared
-    /// plan-store tier, and the shard probe kills one shard mid-stream
-    /// to prove failover warm-loads instead of re-preparing. Default 1
-    /// (one engine, no router).
-    pub shards: usize,
     /// Run the structural-delta probe: for every corpus structure,
     /// apply a ≤ 1 %-of-nnz delta incrementally
     /// ([`Engine::apply_delta`]) and from scratch ([`Engine::prepare`]
@@ -156,7 +147,6 @@ impl Default for ServeBenchConfig {
             preprocess_budget: Duration::from_millis(25),
             batch: None,
             plan_store: None,
-            shards: 1,
             deltas: false,
         }
     }
@@ -255,58 +245,6 @@ impl DeltaProbe {
     }
 }
 
-/// Outcome of the shard probe (sharded runs only): a quantised probe
-/// structure is served by its rendezvous owner (the *victim*), the
-/// victim is killed mid-stream, and the structure is requested again.
-/// The request must fail over to the next rendezvous candidate and be
-/// served from the shared plan store — [`ServePath::CachedPlan`], zero
-/// preprocessing — with both answers bit-equal to the sequential
-/// reference. Fleet-wide duplicate prepares are counted as successful
-/// `serve.store.save`s (plus `save_error`s) beyond the number of
-/// distinct persisted fingerprints: every live prepare writes through
-/// exactly once, so any excess means one structure was prepared twice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct ShardProbe {
-    /// Fleet size the run started with.
-    pub shards: usize,
-    /// The probe structure's rendezvous owner, killed mid-stream.
-    pub victim: usize,
-    /// The shard that served the post-kill probe request.
-    pub failover_shard: usize,
-    /// The post-kill request's service path (must be
-    /// [`ServePath::CachedPlan`]: a store warm load, not a re-prepare).
-    pub failover_path: ServePath,
-    /// Preprocessing the post-kill request paid (must be zero).
-    pub failover_preprocess: Duration,
-    /// Fleet-wide `serve.store.hit` count (read-through warm loads).
-    pub store_warm_hits: u64,
-    /// Structures prepared more than once fleet-wide (must be zero).
-    pub duplicate_prepares: u64,
-    /// Whether both probe responses were bit-equal to the sequential
-    /// row-wise reference.
-    pub exact: bool,
-    /// Ready shards after the kill (must be `shards - 1`).
-    pub ready_shards: usize,
-}
-
-impl ShardProbe {
-    /// Whether the probe observed its contractual outcome: the killed
-    /// shard's traffic failed over to a *different* shard that
-    /// warm-loaded the plan from the store (cached path, zero
-    /// preprocessing), answers stayed bit-exact, no structure was
-    /// prepared twice fleet-wide, and exactly one shard went down.
-    pub fn passed(&self) -> bool {
-        self.exact
-            && self.failover_shard != self.victim
-            && self.failover_path == ServePath::CachedPlan
-            && self.failover_preprocess.is_zero()
-            && self.store_warm_hits >= 1
-            && self.duplicate_prepares == 0
-            && self.ready_shards + 1 == self.shards
-    }
-}
-
 /// What [`run_serve_bench`] measured.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
@@ -340,8 +278,6 @@ pub struct ServeBenchReport {
     /// The warm-start probe's outcome; `None` when no plan store is
     /// configured.
     pub plan_store_probe: Option<PlanStoreProbe>,
-    /// The shard probe's outcome; `None` on single-engine runs.
-    pub shard_probe: Option<ShardProbe>,
     /// The structural-delta probe's outcome; `None` when `deltas` is
     /// off.
     pub delta_probe: Option<DeltaProbe>,
@@ -367,7 +303,6 @@ impl ServeBenchReport {
             && self.cold_probe_path == ServePath::Fallback
             && self.batch_probe.is_none_or(|p| p.passed())
             && self.plan_store_probe.is_none_or(|p| p.passed())
-            && self.shard_probe.is_none_or(|p| p.passed())
             && self.delta_probe.is_none_or(|p| p.passed())
     }
 
@@ -380,12 +315,6 @@ impl ServeBenchReport {
             "serve-bench[{}]: {} requests over {} matrices, {} clients, {} workers, cache {}, zipf s={:.2}\n",
             c.op, c.requests, self.corpus_size, c.concurrency, c.workers, c.cache_capacity, c.zipf_s
         ));
-        if c.shards > 1 {
-            out.push_str(&format!(
-                "  sharded: {} engines behind rendezvous routing, shared plan-store tier\n",
-                c.shards
-            ));
-        }
         out.push_str(&format!(
             "  completed {}  rejected {}  fallbacks {}  deadline-exceeded {}  failed {}\n",
             s.completed, s.rejected, s.fallbacks, s.deadline_exceeded, s.failed
@@ -463,21 +392,6 @@ impl ServeBenchReport {
                 verdict(probe.passed(), "ok (bit-exact incremental re-prepare, >= 3x faster than from-scratch)")
             ));
         }
-        if let Some(probe) = &self.shard_probe {
-            out.push_str(&format!(
-                "  shard probe: victim={} failover={} path={} preprocess={:?} warm-hits={} duplicates={} ready={}/{} exact={} -> {}\n",
-                probe.victim,
-                probe.failover_shard,
-                probe.failover_path,
-                probe.failover_preprocess,
-                probe.store_warm_hits,
-                probe.duplicate_prepares,
-                probe.ready_shards,
-                probe.shards,
-                probe.exact,
-                verdict(probe.passed(), "ok (failover warm-loaded from the store; zero duplicate prepares fleet-wide)")
-            ));
-        }
         out
     }
 }
@@ -550,14 +464,14 @@ fn run_plan_store_probe(
             Engine::prepare(&case.matrix, &EngineConfig::default()).map_err(ServeError::Prepare)?;
         cold += cold_start.elapsed();
         store.save(&fp, &live).map_err(ServeError::Prepare)?;
-        let warm_start = Instant::now();
+        let load_start = Instant::now();
         let stored = store
             .load::<f32>(&fp, telemetry)
             .map_err(ServeError::Prepare)?
             .ok_or_else(|| {
                 ServeError::Prepare(SparseError::Io("just-saved plan is missing".into()))
             })?;
-        warm += warm_start.elapsed();
+        warm += load_start.elapsed();
         let (x, y) = (&case.x, &case.y);
         let spmm_exact = live.spmm(x).map_err(ServeError::Execute)?.data()
             == stored.spmm(x).map_err(ServeError::Execute)?.data();
@@ -630,12 +544,8 @@ fn run_delta_probe(cases: &[Case<f32>], seed: u64) -> Result<DeltaProbe, ServeEr
     })
 }
 
-/// Monotonic suffix for ephemeral fleet store directories, so
-/// concurrent runs in one process never share a tier by accident.
-static EPHEMERAL_STORES: AtomicU64 = AtomicU64::new(0);
-
 /// Runs the serving benchmark — the driver preset that adds the hit,
-/// cold, batch, plan-store, delta and shard probes — and returns the
+/// cold, batch, plan-store and delta probes — and returns the
 /// measured report. The probes' contractual outcomes are asserted by
 /// the caller (or CI) via [`ServeBenchReport::probes_passed`], not by
 /// this function: a degraded run still reports honestly.
@@ -656,25 +566,11 @@ pub fn run_serve_bench(config: &ServeBenchConfig) -> Result<ServeBenchReport, Se
     let mut rng = SmallRng::seed_from_u64(config.seed);
     let schedule = zipf_schedule(config.requests, cases.len(), config.zipf_s, &mut rng);
 
-    // a fleet's whole economy needs a shared store tier: use the
-    // configured directory, or an ephemeral one removed after the run
-    let ephemeral = (config.shards > 1 && config.plan_store.is_none()).then(|| {
-        let dir = std::env::temp_dir().join(format!(
-            "spmm-serve-bench-shards-{}-{}",
-            std::process::id(),
-            EPHEMERAL_STORES.fetch_add(1, Ordering::Relaxed)
-        ));
-        // stale leftovers from a killed run must not skew the
-        // duplicate-prepare accounting
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    });
-    let store = match config.plan_store.as_ref().or(ephemeral.as_ref()) {
+    let store = match &config.plan_store {
         Some(dir) => Some(Arc::new(PlanStore::open(dir).map_err(ServeError::Prepare)?)),
         None => None,
     };
-    let target = Fleet {
-        shards: config.shards,
+    let engine = Knobs {
         workers: config.workers,
         queue_capacity: config.queue_capacity,
         cache_capacity: config.cache_capacity,
@@ -684,26 +580,6 @@ pub fn run_serve_bench(config: &ServeBenchConfig) -> Result<ServeBenchReport, Se
         store: store.clone(),
     }
     .start::<f32>()?;
-    let router = match &target {
-        Target::Router(router) => Some(router),
-        Target::Engine(_) => None,
-    };
-
-    // -- shard probe, phase 1: the owner prepares (and persists) the
-    //    quantized probe structure before the stream
-    let probe = Case::new(
-        generators::uniform_random::<f32>(397, 311, 6, config.seed ^ 0x51AD),
-        0x51AE,
-        config.k.max(1),
-        config.seed,
-        true,
-    );
-    let probe_fp = MatrixFingerprint::of(&probe.matrix);
-    let victim = router.map(|r| r.owner(&probe_fp));
-    let exact_before = match router {
-        Some(r) => probe.is_exact(Op::Spmm, &r.execute(probe.request(Op::Spmm))?.output),
-        None => true,
-    };
 
     let mix: &[Op] = match config.op {
         // every 5th request exercises the SDDMM path
@@ -719,42 +595,15 @@ pub fn run_serve_bench(config: &ServeBenchConfig) -> Result<ServeBenchReport, Se
         concurrency: config.concurrency,
         deltas: None,
     };
-    // a fleet runs the stream in two halves and kills the victim at the
-    // barrier between them: killing a shard while clients are in flight
-    // would let its in-flight prepares race the survivor's re-prepares
-    // of the same structures before the write-through saves land. At the
-    // barrier the victim has drained, so all it prepared is persisted
-    // and the second half's re-routed traffic must warm-load.
-    let split = if victim.is_some() {
-        schedule.len() / 2
-    } else {
-        schedule.len()
-    };
     let stream_start = Instant::now();
-    let mut tally = stream.run(&target, 0..split);
-    if let (Some(router), Some(victim)) = (router, victim) {
-        router.kill(victim);
-        tally.merge(stream.run(&target, split..schedule.len()));
-    }
+    let mut tally = stream.run(&engine);
     let wall = stream_start.elapsed();
     tally.latencies.sort_unstable();
 
-    // -- shard probe, phase 2: the structure's traffic must fail over
-    //    and warm-load from the store, bit-exactly
-    let failover = match router {
-        Some(r) => {
-            let shard = r.route(&probe_fp).ok_or(ServeError::NoReadyShard {
-                shards: config.shards,
-            })?;
-            Some((shard, r.execute(probe.request(Op::Spmm))?))
-        }
-        None => None,
-    };
-
     // -- hit probe: the hottest structure (Zipf index 0), back to back
     let hot = &cases[0];
-    target.execute(Request::spmm(hot.matrix.clone(), hot.x.clone()))?;
-    let hit_probe = target.execute(Request::spmm(hot.matrix.clone(), hot.x.clone()))?;
+    engine.execute(Request::spmm(hot.matrix.clone(), hot.x.clone()))?;
+    let hit_probe = engine.execute(Request::spmm(hot.matrix.clone(), hot.x.clone()))?;
 
     // -- cold probe: unseen structure, deadline == budget ⇒ the tight
     //    path fires deterministically and must degrade, not miss
@@ -769,60 +618,34 @@ pub fn run_serve_bench(config: &ServeBenchConfig) -> Result<ServeBenchReport, Se
         config.k,
         config.seed ^ 3,
     ));
-    let cold_probe = target.execute(Request::spmm(cold_matrix, cold_x).deadline(budget))?;
-
-    // duplicate accounting must be read *before* the standalone probes
-    // below write to (or read from) the same store directory
-    let shard_probe = match (router, victim, failover, &store) {
-        (Some(router), Some(victim), Some((failover_shard, after)), Some(store)) => {
-            let counters = router.manifest().counters;
-            let counter = |name: &str| counters.get(name).copied().unwrap_or(0);
-            let saves = counter("serve.store.save") + counter("serve.store.save_error");
-            let persisted = store.list().map_err(ServeError::Prepare)?.len() as u64;
-            Some(ShardProbe {
-                shards: config.shards,
-                victim,
-                failover_shard,
-                failover_path: after.path,
-                failover_preprocess: after.preprocess,
-                store_warm_hits: counter("serve.store.hit"),
-                duplicate_prepares: saves.saturating_sub(persisted),
-                exact: exact_before && probe.is_exact(Op::Spmm, &after.output),
-                ready_shards: router.health().ready_shards(),
-            })
-        }
-        _ => None,
-    };
+    let cold_probe = engine.execute(Request::spmm(cold_matrix, cold_x).deadline(budget))?;
 
     let batch_probe = config
         .batch
         .map(|batch| run_batch_probe(batch, budget, &hot.matrix, config.k, config.seed))
         .transpose()?;
-    let plan_store_probe = match (&config.plan_store, &store) {
-        (Some(_), Some(store)) => Some(run_plan_store_probe(store, &cases, target.telemetry())?),
-        _ => None,
-    };
+    let plan_store_probe = store
+        .as_deref()
+        .map(|store| run_plan_store_probe(store, &cases, engine.telemetry()))
+        .transpose()?;
     let delta_probe = config
         .deltas
         .then(|| run_delta_probe(&cases, config.seed))
         .transpose()?;
 
-    let stats = target.stats();
-    let cache = target.cache_stats();
+    let stats = engine.stats();
+    let cache = engine.cache_stats();
     let p50_ms = percentile_ms(&tally.latencies, 0.50);
     let p99_ms = percentile_ms(&tally.latencies, 0.99);
     let throughput_rps = tally.throughput_rps(wall);
 
     // record the results into the same manifest that carries the exact
     // serve.* counters, then snapshot
-    let telemetry = target.telemetry();
+    let telemetry = engine.telemetry();
     telemetry.gauge("bench.throughput_rps", throughput_rps);
     telemetry.gauge("bench.p50_ms", p50_ms);
     telemetry.gauge("bench.p99_ms", p99_ms);
     telemetry.gauge("bench.hit_rate", cache.hit_rate());
-    if config.shards > 1 {
-        telemetry.gauge("bench.shards", config.shards as f64);
-    }
     telemetry.meta("bench.op", &config.op.to_string());
     telemetry.meta(
         "bench.hit_probe",
@@ -833,23 +656,6 @@ pub fn run_serve_bench(config: &ServeBenchConfig) -> Result<ServeBenchReport, Se
         ),
     );
     telemetry.meta("bench.cold_probe", &format!("path={}", cold_probe.path));
-    if let Some(probe) = &shard_probe {
-        telemetry.meta(
-            "bench.shard_probe",
-            &format!(
-                "shards={} victim={} failover={} path={} preprocess_ns={} warm_hits={} duplicates={} ready_shards={} exact={}",
-                probe.shards,
-                probe.victim,
-                probe.failover_shard,
-                probe.failover_path,
-                probe.failover_preprocess.as_nanos(),
-                probe.store_warm_hits,
-                probe.duplicate_prepares,
-                probe.ready_shards,
-                probe.exact
-            ),
-        );
-    }
     if let Some(probe) = &batch_probe {
         telemetry.gauge("bench.batch.stream_batches", stats.batches as f64);
         telemetry.gauge(
@@ -893,10 +699,7 @@ pub fn run_serve_bench(config: &ServeBenchConfig) -> Result<ServeBenchReport, Se
             ),
         );
     }
-    let manifest = target.manifest();
-    if let Some(dir) = &ephemeral {
-        let _ = std::fs::remove_dir_all(dir);
-    }
+    let manifest = engine.manifest();
 
     Ok(ServeBenchReport {
         config: config.clone(),
@@ -913,7 +716,6 @@ pub fn run_serve_bench(config: &ServeBenchConfig) -> Result<ServeBenchReport, Se
         cold_probe_path: cold_probe.path,
         batch_probe,
         plan_store_probe,
-        shard_probe,
         delta_probe,
         manifest,
     })
@@ -1016,42 +818,6 @@ mod tests {
         assert_eq!(report2.hit_probe_path, ServePath::CachedPlan);
         assert_eq!(report2.cold_probe_path, ServePath::Fallback);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn sharded_bench_fails_over_without_duplicate_prepares() {
-        let config = ServeBenchConfig {
-            requests: 24,
-            concurrency: 2,
-            workers: 1,
-            cache_capacity: 4,
-            shards: 2,
-            ..ServeBenchConfig::default()
-        };
-        let report = run_serve_bench(&config).unwrap();
-        let probe = report.shard_probe.expect("shards > 1 was configured");
-        assert!(probe.passed(), "{}", report.render());
-        assert!(report.probes_passed(), "{}", report.render());
-        assert_eq!(probe.duplicate_prepares, 0, "{}", report.render());
-        assert_eq!(probe.failover_path, ServePath::CachedPlan);
-        assert!(probe.failover_preprocess.is_zero());
-        assert_ne!(probe.failover_shard, probe.victim);
-        assert_eq!(probe.ready_shards, 1, "one of two shards was killed");
-        assert_eq!(
-            report.manifest.counters.get("serve.router.shard_killed"),
-            Some(&1)
-        );
-        assert!(
-            report.manifest.counters.get("serve.router.routed").copied() >= Some(1),
-            "router must have routed the stream"
-        );
-        assert!(
-            report.manifest.meta.contains_key("bench.shard_probe"),
-            "probe outcome must land in the manifest"
-        );
-        let rendered = report.render();
-        assert!(rendered.contains("sharded: 2 engines"), "{rendered}");
-        assert!(rendered.contains("shard probe"), "{rendered}");
     }
 
     #[test]

@@ -215,7 +215,6 @@ impl PlanCacheConfigBuilder {
 /// `#[non_exhaustive]`: construct it via [`PlanCache::stats`] (or
 /// [`CacheStats::default`]) and read it through the typed accessors,
 /// so new counters can be added without breaking downstream code.
-/// Fleet-level aggregation sums snapshots with [`CacheStats::merge`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub struct CacheStats {
@@ -294,25 +293,6 @@ impl CacheStats {
     /// The configured total capacity bound.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Component-wise sum of two snapshots — the fleet view a
-    /// [`ShardRouter`](crate::ShardRouter) aggregates over its shards.
-    /// Counters add; `len`/`poisoned`/`capacity` add too, so the merged
-    /// snapshot reads as "entries resident fleet-wide out of the
-    /// fleet-wide capacity".
-    #[must_use]
-    pub fn merge(&self, other: &CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits + other.hits,
-            misses: self.misses + other.misses,
-            evictions: self.evictions + other.evictions,
-            inserts: self.inserts + other.inserts,
-            refreshes: self.refreshes + other.refreshes,
-            len: self.len + other.len,
-            poisoned: self.poisoned + other.poisoned,
-            capacity: self.capacity + other.capacity,
-        }
     }
 }
 

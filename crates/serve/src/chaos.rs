@@ -30,7 +30,7 @@
 use crate::batch::BatchConfig;
 use crate::bench::verdict;
 use crate::cache::CacheStats;
-use crate::driver::{cover, zipf_schedule, DeltaChain, Fleet, Op, Stream};
+use crate::driver::{cover, zipf_schedule, DeltaChain, Knobs, Op, Stream};
 use crate::engine::{HealthSnapshot, ServeConfig, ServeStats};
 use crate::error::ServeError;
 use crate::store::PlanStore;
@@ -78,13 +78,6 @@ pub struct ChaosBenchConfig {
     /// prove a failing disk tier degrades to live preparation without
     /// losing exactness. Default: no store.
     pub plan_store: Option<PathBuf>,
-    /// Engines behind the [`ShardRouter`](crate::ShardRouter). At `1`
-    /// (the default) the stream drives a single
-    /// [`ServeEngine`](crate::ServeEngine); above it the same Zipf
-    /// traffic and fault schedule flow through rendezvous routing, and
-    /// the exactness bar is unchanged — every success must stay
-    /// bit-equal whichever shard served it.
-    pub shards: usize,
     /// Live structural deltas: a mutator thread chains
     /// [`apply_delta`](crate::PlanCache::apply_delta) epochs over the
     /// hottest corpus structure *while* the client stream runs. Every
@@ -111,7 +104,6 @@ impl Default for ChaosBenchConfig {
             faults: None,
             batch: None,
             plan_store: None,
-            shards: 1,
             deltas: false,
         }
     }
@@ -180,12 +172,6 @@ impl ChaosBenchReport {
             "chaos-bench: {} requests over {} matrices, {} clients, {} workers, seed {}\n",
             c.requests, self.corpus_size, c.concurrency, c.workers, c.seed
         ));
-        if c.shards > 1 {
-            out.push_str(&format!(
-                "  sharded: {} engines behind rendezvous routing (fleet-merged counters below)\n",
-                c.shards
-            ));
-        }
         out.push_str(&format!(
             "  faults: {}\n",
             c.faults.as_deref().unwrap_or("(none armed)")
@@ -308,8 +294,7 @@ pub fn run_chaos_bench(config: &ChaosBenchConfig) -> Result<ChaosBenchReport, Se
         Some(dir) => Some(Arc::new(PlanStore::open(dir).map_err(ServeError::Prepare)?)),
         None => None,
     };
-    let target = Fleet {
-        shards: config.shards,
+    let engine = Knobs {
         workers: config.workers,
         queue_capacity: config.queue_capacity,
         cache_capacity: config.cache_capacity,
@@ -333,7 +318,7 @@ pub fn run_chaos_bench(config: &ChaosBenchConfig) -> Result<ChaosBenchReport, Se
         deltas: chain.as_ref(),
     };
     let stream_start = Instant::now();
-    let tally = stream.run(&target, 0..schedule.len());
+    let tally = stream.run(&engine);
     let wall = stream_start.elapsed();
 
     let fault_hits: BTreeMap<String, u64> = match (&guard, &config.faults) {
@@ -364,7 +349,7 @@ pub fn run_chaos_bench(config: &ChaosBenchConfig) -> Result<ChaosBenchReport, Se
         let served = [Op::Spmm, Op::Spmv, Op::Sddmm, Op::Spgemm]
             .into_iter()
             .all(|op| {
-                target
+                engine
                     .execute(case.request(op))
                     .is_ok_and(|resp| case.is_exact(op, &resp.output))
             });
@@ -375,16 +360,13 @@ pub fn run_chaos_bench(config: &ChaosBenchConfig) -> Result<ChaosBenchReport, Se
     });
     drop(guard);
 
-    let stats = target.stats();
-    let cache = target.cache_stats();
-    let health = target.health();
-    let telemetry = target.telemetry();
+    let stats = engine.stats();
+    let cache = engine.cache_stats();
+    let health = engine.health();
+    let telemetry = engine.telemetry();
     telemetry.gauge("chaos.ok", tally.ok as f64);
     telemetry.gauge("chaos.failed", tally.failed as f64);
     telemetry.gauge("chaos.exact", tally.exact as f64);
-    if config.shards > 1 {
-        telemetry.gauge("chaos.shards", config.shards as f64);
-    }
     let (deltas_committed, deltas_failed) = chain
         .as_ref()
         .map_or((0, 0), |c| (c.committed(), c.failed()));
@@ -396,7 +378,7 @@ pub fn run_chaos_bench(config: &ChaosBenchConfig) -> Result<ChaosBenchReport, Se
     if let Some(spec) = &config.faults {
         telemetry.meta("chaos.faults", spec);
     }
-    let manifest = target.manifest();
+    let manifest = engine.manifest();
 
     Ok(ChaosBenchReport {
         config: config.clone(),

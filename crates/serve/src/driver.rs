@@ -1,11 +1,10 @@
 //! The one traffic driver behind `serve-bench` and `chaos-bench`.
 //!
-//! It covers a corpus of structures with quantized operands, starts the
-//! serving target (one [`ServeEngine`] or a [`ShardRouter`] fleet),
-//! drives a closed-loop Zipf stream over an op mix — checking every
-//! success bit for bit against the sequential reference when asked —
-//! runs a structural-delta mutator alongside the stream, and reads the
-//! latency and counter snapshots. [`run_serve_bench`] and
+//! It covers a corpus of structures with quantized operands, starts one
+//! [`ServeEngine`], drives a closed-loop Zipf stream over an op mix —
+//! checking every success bit for bit against the sequential reference
+//! when asked — runs a structural-delta mutator alongside the stream,
+//! and reads the latency and counter snapshots. [`run_serve_bench`] and
 //! [`run_chaos_bench`] are presets of it.
 //!
 //! Every operand is quantized onto a small integer grid, so each
@@ -18,20 +17,16 @@
 //! [`run_chaos_bench`]: crate::run_chaos_bench
 
 use crate::batch::BatchConfig;
-use crate::cache::CacheStats;
-use crate::engine::{HealthSnapshot, Request, Response, ServeConfig, ServeEngine, ServeStats};
+use crate::engine::{Request, ServeConfig, ServeEngine};
 use crate::error::ServeError;
 use crate::fingerprint::MatrixFingerprint;
-use crate::router::{RouterConfig, ShardRouter};
 use crate::store::PlanStore;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use spmm_data::generators;
 use spmm_kernels::{sddmm, spgemm, spmm, spmv, Output};
 use spmm_sparse::{CsrMatrix, DenseMatrix, Scalar};
-use spmm_telemetry::{RunManifest, TelemetryHandle};
 use std::collections::HashSet;
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -259,8 +254,7 @@ pub(crate) fn percentile_ms(sorted: &[Duration], q: f64) -> f64 {
 }
 
 /// The serving knobs both presets share.
-pub(crate) struct Fleet {
-    pub(crate) shards: usize,
+pub(crate) struct Knobs {
     pub(crate) workers: usize,
     pub(crate) queue_capacity: usize,
     pub(crate) cache_capacity: usize,
@@ -270,10 +264,9 @@ pub(crate) struct Fleet {
     pub(crate) store: Option<Arc<PlanStore>>,
 }
 
-impl Fleet {
-    /// Starts one engine, or a rendezvous-routed fleet of `shards`
-    /// engines over the shared store tier.
-    pub(crate) fn start<T: Scalar>(self) -> Result<Target<T>, ServeError> {
+impl Knobs {
+    /// Starts the engine the stream drives.
+    pub(crate) fn start<T: Scalar>(self) -> Result<ServeEngine<T>, ServeError> {
         let mut config = ServeConfig::builder()
             .workers(self.workers)
             .queue_capacity(self.queue_capacity)
@@ -286,77 +279,7 @@ impl Fleet {
         if let Some(store) = self.store {
             config = config.plan_store(store);
         }
-        Ok(if self.shards > 1 {
-            let router = RouterConfig::builder()
-                .shards(self.shards)
-                .shard(config.build()?);
-            Target::Router(ShardRouter::start(router.build()?)?)
-        } else {
-            Target::Engine(ServeEngine::start(config.build()?))
-        })
-    }
-}
-
-/// The serving surface a stream drives: one engine, or a fleet behind
-/// a [`ShardRouter`] whose fleet-level merges stand in for the single
-/// engine's counters.
-pub(crate) enum Target<T: Scalar> {
-    Engine(ServeEngine<T>),
-    Router(ShardRouter<T>),
-}
-
-impl<T: Scalar> Target<T> {
-    pub(crate) fn execute(&self, request: Request<T>) -> Result<Response<T>, ServeError> {
-        match self {
-            Target::Engine(engine) => engine.execute(request),
-            Target::Router(router) => router.execute(request),
-        }
-    }
-
-    fn apply_delta(
-        &self,
-        fp: &MatrixFingerprint,
-        (added, removed): &Delta<T>,
-    ) -> Result<Option<MatrixFingerprint>, ServeError> {
-        match self {
-            Target::Engine(engine) => engine.apply_delta(fp, added, removed),
-            Target::Router(router) => router.apply_delta(fp, added, removed),
-        }
-    }
-
-    pub(crate) fn stats(&self) -> ServeStats {
-        match self {
-            Target::Engine(engine) => engine.stats(),
-            Target::Router(router) => router.stats().fleet,
-        }
-    }
-
-    pub(crate) fn cache_stats(&self) -> CacheStats {
-        match self {
-            Target::Engine(engine) => engine.cache_stats(),
-            Target::Router(router) => router.cache_stats(),
-        }
-    }
-
-    pub(crate) fn health(&self) -> HealthSnapshot {
-        match self {
-            Target::Engine(engine) => engine.health(),
-            Target::Router(router) => router.health().fleet().clone(),
-        }
-    }
-
-    pub(crate) fn telemetry(&self) -> &TelemetryHandle {
-        match self {
-            Target::Engine(engine) => engine.telemetry(),
-            Target::Router(router) => router.telemetry(),
-        }
-    }
-
-    pub(crate) fn manifest(&self) -> RunManifest {
-        match self {
-            Target::Engine(engine) => engine.manifest(),
-            Target::Router(router) => router.manifest(),
-        }
+        Ok(ServeEngine::start(config.build()?))
     }
 }
 
@@ -410,16 +333,16 @@ impl<T: Scalar> DeltaChain<T> {
         &self.epochs[self.committed()]
     }
 
-    /// Applies every delta in order through `target`, retrying each
+    /// Applies every delta in order through `engine`, retrying each
     /// until it commits. A persistent fault can pin the chain on the
     /// old epoch: after 32 attempts the mutator stops honestly.
-    fn mutate(&self, target: &Target<T>) {
-        for (e, delta) in self.deltas.iter().enumerate() {
+    fn mutate(&self, engine: &ServeEngine<T>) {
+        for (e, (added, removed)) in self.deltas.iter().enumerate() {
             let fp = MatrixFingerprint::of(&self.epochs[e].matrix);
             let mut attempts = 0;
             loop {
                 attempts += 1;
-                match target.apply_delta(&fp, delta) {
+                match engine.apply_delta(&fp, added, removed) {
                     Ok(Some(_)) => {
                         self.committed.store(e + 1, Ordering::Release);
                         break;
@@ -432,10 +355,10 @@ impl<T: Scalar> DeltaChain<T> {
                     Ok(None) => {}
                 }
                 // no resident plan (cold or evicted), or one the delta
-                // cannot claim (a failed prepare in backoff on the
-                // fingerprint's owner shard): one request through the
-                // serving path (re)prepares it before the retry
-                let _ = target.execute(self.epochs[e].request(Op::Spmm));
+                // cannot claim (a failed prepare in backoff): one
+                // request through the serving path (re)prepares it
+                // before the retry
+                let _ = engine.execute(self.epochs[e].request(Op::Spmm));
                 if attempts >= 32 {
                     return;
                 }
@@ -460,7 +383,7 @@ pub(crate) struct Tally {
 }
 
 impl Tally {
-    pub(crate) fn merge(&mut self, other: Tally) {
+    fn merge(&mut self, other: Tally) {
         self.latencies.extend(other.latencies);
         self.ok += other.ok;
         self.failed += other.failed;
@@ -489,21 +412,20 @@ pub(crate) struct Stream<'a, T> {
 }
 
 impl<T: Scalar> Stream<'_, T> {
-    /// Drives the requests in `range` through `target` with
-    /// `concurrency` clients, client `c` walking the indices `≡ c` modulo
+    /// Drives the whole schedule through `engine` with `concurrency`
+    /// clients, client `c` walking the indices `≡ c` modulo
     /// `concurrency` in order, and the delta mutator alongside when set.
-    pub(crate) fn run(&self, target: &Target<T>, range: Range<usize>) -> Tally {
+    pub(crate) fn run(&self, engine: &ServeEngine<T>) -> Tally {
         let clients = self.concurrency.max(1);
         std::thread::scope(|scope| {
             if let Some(chain) = self.deltas {
-                scope.spawn(move || chain.mutate(target));
+                scope.spawn(move || chain.mutate(engine));
             }
             let handles: Vec<_> = (0..clients)
                 .map(|client| {
-                    let range = range.clone();
                     scope.spawn(move || {
                         let mut tally = Tally::default();
-                        for idx in range.filter(|idx| idx % clients == client) {
+                        for idx in (client..self.schedule.len()).step_by(clients) {
                             let case = match (self.schedule[idx], self.deltas) {
                                 // the mutating structure: whatever the
                                 // mutator does next, the plan must answer
@@ -517,7 +439,7 @@ impl<T: Scalar> Stream<'_, T> {
                                 request = request.deadline(deadline);
                             }
                             let submitted = Instant::now();
-                            match target.execute(request) {
+                            match engine.execute(request) {
                                 Ok(resp) => {
                                     tally.latencies.push(submitted.elapsed());
                                     tally.ok += 1;

@@ -110,14 +110,6 @@ pub struct ServeConfig {
     /// back, and [`ServeEngine::start`] warm-loads every compatible
     /// stored plan before traffic arrives. Default: disabled.
     pub plan_store: Option<Arc<PlanStore>>,
-    /// Whether [`ServeEngine::start`] eagerly materialises every
-    /// compatible stored plan into the cache when a plan store is
-    /// attached. A standalone engine wants this (a restart starts
-    /// warm); a [`ShardRouter`](crate::ShardRouter) shard does not —
-    /// eager loading would duplicate every plan across all shards, so
-    /// the router leaves warm starts to on-demand read-through by the
-    /// owning shard. Default: `true`.
-    pub warm_start: bool,
 }
 
 impl Default for ServeConfig {
@@ -139,7 +131,6 @@ impl Default for ServeConfig {
             clock: cache.clock,
             batch: None,
             plan_store: None,
-            warm_start: true,
         }
     }
 }
@@ -248,13 +239,6 @@ impl ServeConfigBuilder {
     /// plus startup warm-loading).
     pub fn plan_store(mut self, store: Arc<PlanStore>) -> Self {
         self.config.plan_store = Some(store);
-        self
-    }
-
-    /// Sets whether startup eagerly warm-loads every compatible plan
-    /// from the attached store (see [`ServeConfig::warm_start`]).
-    pub fn warm_start(mut self, warm_start: bool) -> Self {
-        self.config.warm_start = warm_start;
         self
     }
 
@@ -469,8 +453,7 @@ impl<T> Ticket<T> {
 ///
 /// `#[non_exhaustive]`: obtain snapshots from [`ServeEngine::stats`]
 /// and read them through the typed accessors, so new counters can be
-/// added without breaking downstream code. Fleet-level aggregation
-/// sums snapshots with [`ServeStats::merge`].
+/// added without breaking downstream code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub struct ServeStats {
@@ -547,24 +530,6 @@ impl ServeStats {
     /// Fusion candidates skipped for deadline reasons.
     pub fn batch_deadline_skips(&self) -> u64 {
         self.batch_deadline_skips
-    }
-
-    /// Component-wise sum of two snapshots — the fleet view a
-    /// [`ShardRouter`](crate::ShardRouter) aggregates over its shards.
-    #[must_use]
-    pub fn merge(&self, other: &ServeStats) -> ServeStats {
-        ServeStats {
-            submitted: self.submitted + other.submitted,
-            rejected: self.rejected + other.rejected,
-            completed: self.completed + other.completed,
-            failed: self.failed + other.failed,
-            fallbacks: self.fallbacks + other.fallbacks,
-            deadline_exceeded: self.deadline_exceeded + other.deadline_exceeded,
-            quarantined: self.quarantined + other.quarantined,
-            batches: self.batches + other.batches,
-            batched_requests: self.batched_requests + other.batched_requests,
-            batch_deadline_skips: self.batch_deadline_skips + other.batch_deadline_skips,
-        }
     }
 }
 
@@ -643,37 +608,15 @@ impl HealthSnapshot {
     pub fn poisoned_plans(&self) -> usize {
         self.poisoned_plans
     }
-
-    /// Component-wise fleet aggregation over two snapshots: gauges and
-    /// counters sum; `accepting` is true when *any* side accepts. On a
-    /// merged snapshot [`ready`](HealthSnapshot::ready) therefore reads
-    /// as "some shard accepts and some shard has live workers" — for
-    /// per-shard readiness routing, consult
-    /// [`RouterHealth`](crate::RouterHealth) instead, which keeps the
-    /// unmerged snapshots.
-    #[must_use]
-    pub fn merge(&self, other: &HealthSnapshot) -> HealthSnapshot {
-        HealthSnapshot {
-            queue_depth: self.queue_depth + other.queue_depth,
-            queue_capacity: self.queue_capacity + other.queue_capacity,
-            workers_alive: self.workers_alive + other.workers_alive,
-            workers_total: self.workers_total + other.workers_total,
-            worker_panics: self.worker_panics + other.worker_panics,
-            accepting: self.accepting || other.accepting,
-            cache: self.cache.merge(&other.cache),
-            open_breakers: self.open_breakers + other.open_breakers,
-            poisoned_plans: self.poisoned_plans + other.poisoned_plans,
-        }
-    }
 }
 
 pub(crate) struct Job<T> {
     pub(crate) request: Request<T>,
     pub(crate) enqueued: Instant,
     pub(crate) reply: mpsc::Sender<Result<Response<T>, ServeError>>,
-    /// The matrix's fingerprint, computed at most once per job: filled
-    /// in at submission when the caller already hashed the matrix (the
-    /// router does), otherwise on first use.
+    /// The matrix's fingerprint, computed at most once per job, on
+    /// first use (plan acquisition or a batch grouping, whichever
+    /// comes first).
     fingerprint: OnceLock<MatrixFingerprint>,
 }
 
@@ -681,13 +624,12 @@ impl<T: Scalar> Job<T> {
     pub(crate) fn new(
         request: Request<T>,
         reply: mpsc::Sender<Result<Response<T>, ServeError>>,
-        fingerprint: Option<MatrixFingerprint>,
     ) -> Self {
         Job {
             request,
             enqueued: Instant::now(),
             reply,
-            fingerprint: fingerprint.map(OnceLock::from).unwrap_or_default(),
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -1048,10 +990,8 @@ impl<T: Scalar> ServeEngine<T> {
             cache_config = cache_config.store(Arc::clone(store));
         }
         let cache = PlanCache::new(cache_config.build());
-        if config.warm_start {
-            if let Some(store) = &config.plan_store {
-                Self::warm_load(store, &cache, &telemetry);
-            }
+        if let Some(store) = &config.plan_store {
+            Self::warm_load(store, &cache, &telemetry);
         }
         let inner = Arc::new(Inner {
             queue: Mutex::new(VecDeque::new()),
@@ -1122,17 +1062,6 @@ impl<T: Scalar> ServeEngine<T> {
     /// [`ServeError::Overloaded`] when the queue is at capacity or the
     /// engine is shutting down — the request was never enqueued.
     pub fn submit(&self, request: Request<T>) -> Result<Ticket<T>, ServeError> {
-        self.submit_fingerprinted(request, None)
-    }
-
-    /// [`submit`](Self::submit) for a caller that already hashed the
-    /// request's matrix: the job carries `fingerprint` instead of
-    /// recomputing it.
-    pub(crate) fn submit_fingerprinted(
-        &self,
-        request: Request<T>,
-        fingerprint: Option<MatrixFingerprint>,
-    ) -> Result<Ticket<T>, ServeError> {
         let (tx, rx) = mpsc::channel();
         {
             let mut queue = lock_clean(&self.inner.queue);
@@ -1147,7 +1076,7 @@ impl<T: Scalar> ServeEngine<T> {
                     queue_capacity: self.inner.queue_capacity,
                 });
             }
-            queue.push_back(Job::new(request, tx, fingerprint));
+            queue.push_back(Job::new(request, tx));
         }
         self.inner.count(&self.inner.submitted, "serve.submitted");
         self.inner.available.notify_one();
@@ -1721,7 +1650,7 @@ mod tests {
                             request = request.deadline(d);
                         }
                         let (tx, rx) = mpsc::channel();
-                        (Job::new(request, tx, None), rx)
+                        (Job::new(request, tx), rx)
                     })
                     .unzip();
                 let results = serve.inner.serve_group(&jobs);

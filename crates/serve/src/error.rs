@@ -79,13 +79,6 @@ pub enum ServeError {
         /// The smallest accepted value.
         minimum: usize,
     },
-    /// Every shard in the router's fleet reported not-ready (shut down
-    /// or without live workers), so the request could not be placed
-    /// anywhere.
-    NoReadyShard {
-        /// The fleet size that was consulted.
-        shards: usize,
-    },
 }
 
 impl fmt::Display for ServeError {
@@ -127,11 +120,6 @@ impl fmt::Display for ServeError {
                 f,
                 "invalid configuration: {field} = {value} (must be at least \
                  {minimum}) — starting with it would deadlock"
-            ),
-            ServeError::NoReadyShard { shards } => write!(
-                f,
-                "no ready shard: all {shards} shards are shut down or have \
-                 no live workers; the request was not placed"
             ),
         }
     }
@@ -182,8 +170,6 @@ mod tests {
         };
         assert!(e.to_string().contains("workers = 0"), "{e}");
         assert!(e.to_string().contains("at least 1"), "{e}");
-        let e = ServeError::NoReadyShard { shards: 4 };
-        assert!(e.to_string().contains("4 shards"), "{e}");
     }
 
     #[test]
@@ -212,7 +198,6 @@ mod tests {
                 value: 0,
                 minimum: 1,
             },
-            ServeError::NoReadyShard { shards: 2 },
         ] {
             assert!(e.source().is_none(), "{e} must be a leaf error");
         }

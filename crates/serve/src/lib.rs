@@ -29,17 +29,15 @@
 //!   its solo answer) and deadline-aware (a tighter-deadline candidate
 //!   never rides along). Opt in via
 //!   [`ServeConfigBuilder::batching`](engine::ServeConfigBuilder::batching).
-//! * [`ShardRouter`] — fleet-scale sharding: N serve engines behind
-//!   rendezvous hashing on the fingerprint, a shared read-through
-//!   [`PlanStore`] tier, fleet-level stats/health aggregation and
-//!   failover that warm-loads plans from the store instead of
-//!   re-preparing (see the [`router`] module docs).
+//! * [`PlanStore`] — an optional on-disk tier under the cache: a
+//!   restarted engine warm-loads every stored plan, and misses read
+//!   through to disk before preparing.
 //! * [`run_serve_bench`] and [`run_chaos_bench`] — the `serve-bench`
 //!   and `chaos-bench` presets of one traffic driver: Zipf matrix
 //!   popularity over a corpus with quantised operands, concurrent
-//!   clients against one engine or a sharded fleet, deterministic
-//!   probes for the caching contract (serve-bench) and fault schedules
-//!   with bit-exact tallies (chaos-bench).
+//!   clients against one engine, deterministic probes for the caching
+//!   contract (serve-bench) and fault schedules with bit-exact tallies
+//!   (chaos-bench).
 //!
 //! ```
 //! use spmm_data::generators;
@@ -66,13 +64,12 @@ mod driver;
 pub mod engine;
 pub mod error;
 pub mod fingerprint;
-pub mod router;
 pub mod store;
 
 pub use batch::BatchConfig;
 pub use bench::{
     run_serve_bench, BatchProbe, BenchOp, DeltaProbe, PlanStoreProbe, ServeBenchConfig,
-    ServeBenchReport, ShardProbe,
+    ServeBenchReport,
 };
 pub use cache::{CacheStats, PlanCache, PlanCacheConfig, PlanCacheConfigBuilder};
 pub use chaos::{run_chaos_bench, ChaosBenchConfig, ChaosBenchReport};
@@ -82,10 +79,6 @@ pub use engine::{
 };
 pub use error::ServeError;
 pub use fingerprint::MatrixFingerprint;
-pub use router::{
-    rendezvous_order, rendezvous_pick, RouterConfig, RouterConfigBuilder, RouterHealth,
-    RouterStats, ShardRouter,
-};
 pub use store::{PlanStore, StoredPlan};
 
 use std::sync::{Mutex, MutexGuard, PoisonError};

@@ -5,7 +5,7 @@
 //! regress to) a deprecated item. It is the in-repo guarantee that a
 //! downstream crate can use the documented API — builder-style
 //! requests, `op_kind`/`k` on [`KernelOp`], the typed [`Output`]
-//! accessors, the stats/health accessor-and-merge surface — without
+//! accessors, the stats/health accessor surface — without
 //! tripping `#[warn(deprecated)]`.
 //!
 //! The pre-redesign spellings (`Request::with_deadline`,
@@ -89,73 +89,32 @@ fn canonical_serving_surface_is_deprecation_free() {
 }
 
 #[test]
-fn canonical_stats_surface_is_accessors_and_merge() {
+fn canonical_stats_surface_is_accessors() {
     let (s, x, _, _) = small_case();
     let serve = ServeEngine::<f64>::start(ServeConfig::default());
     serve.execute(Request::spmm(s.clone(), x.clone())).unwrap();
-    serve.execute(Request::spmm(s, x)).unwrap();
+    let warm = serve.execute(Request::spmm(s.clone(), x)).unwrap();
+    assert_eq!(warm.path, ServePath::CachedPlan);
 
-    // ServeStats: typed accessors, and merge() composing component-wise
-    // — the canonical way to aggregate counters across engines
+    // ServeStats: typed accessors
     let stats = serve.stats();
     assert_eq!(stats.submitted(), 2);
     assert_eq!(stats.completed(), 2);
-    assert_eq!(stats.rejected() + stats.failed(), 0);
-    let doubled = stats.merge(&stats);
-    assert_eq!(doubled.submitted(), 4);
-    assert_eq!(doubled.fallbacks(), 2 * stats.fallbacks());
+    assert_eq!(stats.rejected() + stats.failed() + stats.fallbacks(), 0);
 
     // HealthSnapshot: readiness is derived through the accessors
     let health = serve.health();
     assert!(health.ready() && health.accepting());
     assert!(health.workers_alive() <= health.workers_total());
-    let fleet = health.merge(&health);
-    assert_eq!(fleet.workers_total(), 2 * health.workers_total());
+    assert_eq!(health.cache().inserts(), 1);
 
-    // CacheStats: one cold miss, one warm hit; merges sum
+    // CacheStats: one cold miss, one warm hit
     let cache = serve.cache_stats();
     assert_eq!(cache.hits(), 1);
     assert_eq!(cache.misses(), 1);
     assert!(!cache.is_empty() && cache.len() <= cache.capacity());
-    assert_eq!(cache.merge(&cache).inserts(), 2 * cache.inserts());
-}
 
-#[test]
-fn canonical_router_surface_is_deprecation_free() {
-    let (s, x, _, _) = small_case();
-
-    // RouterConfig through the builder, ShardRouter through the
-    // prelude; the fallible ServeConfig builder is the canonical shard
-    // template path
-    let router = ShardRouter::<f64>::start(
-        RouterConfig::builder()
-            .shards(2)
-            .shard(ServeConfig::builder().workers(1).build().unwrap())
-            .build()
-            .unwrap(),
-    )
-    .unwrap();
+    // the cached plan is keyed by the structural fingerprint
     let fp = MatrixFingerprint::of(&s);
-    let owner = router.owner(&fp);
-    assert!(owner < 2);
-    let warm = {
-        router.execute(Request::spmm(s.clone(), x.clone())).unwrap();
-        router.execute(Request::spmm(s, x)).unwrap()
-    };
-    assert_eq!(warm.path, ServePath::CachedPlan);
-
-    // fleet aggregation is RouterStats/RouterHealth over the same
-    // accessor surface
-    let stats: RouterStats = router.stats();
-    assert_eq!(stats.fleet().completed(), 2);
-    assert_eq!(stats.per_shard().len(), 2);
-    assert_eq!(stats.routed(), 2);
-    let health: RouterHealth = router.health();
-    assert!(health.ready());
-    assert_eq!(health.ready_shards(), 2);
-
-    // rendezvous placement helpers are part of the public surface
-    let order = rendezvous_order(fp.hash(), &[0, 1]);
-    assert_eq!(order[0], owner as u64);
-    assert_eq!(rendezvous_pick(fp.hash(), &[0, 1]), Some(owner as u64));
+    assert!(serve.update_values(&fp, s.values()).unwrap());
 }

@@ -1,8 +1,7 @@
 //! The adaptive-sparse-tiling decomposition itself.
 
 use crate::config::AsptConfig;
-use rayon::prelude::*;
-use spmm_sparse::{CsrMatrix, Scalar};
+use spmm_sparse::{par, CsrMatrix, Scalar};
 use spmm_telemetry::TelemetryHandle;
 use std::collections::HashMap;
 
@@ -115,14 +114,11 @@ impl<T: Scalar> AsptMatrix<T> {
         let nrows = m.nrows();
         let npanels = nrows.div_ceil(config.panel_height);
 
-        let outs: Vec<PanelOut<T>> = (0..npanels)
-            .into_par_iter()
-            .map(|p| {
-                let row_start = p * config.panel_height;
-                let row_end = (row_start + config.panel_height).min(nrows);
-                tile_panel(m, config, row_start, row_end)
-            })
-            .collect();
+        let outs: Vec<PanelOut<T>> = par::map(npanels, |p| {
+            let row_start = p * config.panel_height;
+            let row_end = (row_start + config.panel_height).min(nrows);
+            tile_panel(m, config, row_start, row_end)
+        });
 
         // assemble the sparse remainder (rows in original order)
         let mut rowptr = Vec::with_capacity(nrows + 1);
@@ -446,73 +442,71 @@ impl<T: Scalar> AsptMatrix<T> {
             old_rowptr[r + 1] += old_rowptr[r];
         }
 
-        let outs: Vec<PanelOut<T>> = (0..npanels)
-            .into_par_iter()
-            .map(|p| -> Result<PanelOut<T>, SparseError> {
-                let row_start = p * self.config.panel_height;
-                let row_end = (row_start + self.config.panel_height).min(self.nrows);
-                if touched[p] {
-                    return Ok(tile_panel(reordered, &self.config, row_start, row_end));
+        let outs: Vec<PanelOut<T>> = par::map(npanels, |p| -> Result<PanelOut<T>, SparseError> {
+            let row_start = p * self.config.panel_height;
+            let row_end = (row_start + self.config.panel_height).min(self.nrows);
+            if touched[p] {
+                return Ok(tile_panel(reordered, &self.config, row_start, row_end));
+            }
+            // surviving panel: same layout, remapped src + values
+            let changed = |r: usize| {
+                SparseError::InvalidStructure(format!(
+                    "splice: row {r} changed structure but panel {p} was not marked touched"
+                ))
+            };
+            for r in row_start..row_end {
+                if reordered.row_nnz(r) != old_rowptr[r + 1] - old_rowptr[r] {
+                    return Err(changed(r));
                 }
-                // surviving panel: same layout, remapped src + values
-                let changed = |r: usize| {
-                    SparseError::InvalidStructure(format!(
-                        "splice: row {r} changed structure but panel {p} was not marked touched"
-                    ))
-                };
-                for r in row_start..row_end {
-                    if reordered.row_nnz(r) != old_rowptr[r + 1] - old_rowptr[r] {
-                        return Err(changed(r));
-                    }
-                }
-                let old_panel = &self.panels[p];
-                let mut tiles = old_panel.tiles.clone();
-                for tile in &mut tiles {
-                    for rel in 0..(row_end - row_start) {
-                        let r = row_start + rel;
-                        for k in tile.rowptr[rel]..tile.rowptr[rel + 1] {
-                            let off = match (tile.src_idx[k] as usize).checked_sub(old_rowptr[r]) {
-                                Some(off) if off < reordered.row_nnz(r) => off,
-                                _ => return Err(changed(r)),
-                            };
-                            let new_src = reordered.rowptr()[r] + off;
-                            if reordered.colidx()[new_src] != tile.colidx[k] {
-                                return Err(changed(r));
-                            }
-                            tile.src_idx[k] = new_src as u32;
-                            tile.values[k] = reordered.values()[new_src];
-                        }
-                    }
-                }
-                let rem_rowptr = self.remainder.rowptr();
-                let mut rest: Vec<Vec<(u32, T, u32)>> = Vec::with_capacity(row_end - row_start);
-                for r in row_start..row_end {
-                    let mut rest_row = Vec::with_capacity(self.remainder.row_nnz(r));
-                    for e in rem_rowptr[r]..rem_rowptr[r + 1] {
-                        let off = match (self.remainder_src[e] as usize).checked_sub(old_rowptr[r])
-                        {
+            }
+            let old_panel = &self.panels[p];
+            let mut tiles = old_panel.tiles.clone();
+            for tile in &mut tiles {
+                for rel in 0..(row_end - row_start) {
+                    let r = row_start + rel;
+                    for k in tile.rowptr[rel]..tile.rowptr[rel + 1] {
+                        let off = match (tile.src_idx[k] as usize).checked_sub(old_rowptr[r]) {
                             Some(off) if off < reordered.row_nnz(r) => off,
                             _ => return Err(changed(r)),
                         };
                         let new_src = reordered.rowptr()[r] + off;
-                        let c = self.remainder.colidx()[e];
-                        if reordered.colidx()[new_src] != c {
+                        if reordered.colidx()[new_src] != tile.colidx[k] {
                             return Err(changed(r));
                         }
-                        rest_row.push((c, reordered.values()[new_src], new_src as u32));
+                        tile.src_idx[k] = new_src as u32;
+                        tile.values[k] = reordered.values()[new_src];
                     }
-                    rest.push(rest_row);
                 }
-                Ok(PanelOut {
-                    panel: Panel {
-                        row_start,
-                        row_end,
-                        tiles,
-                    },
-                    rest,
-                })
+            }
+            let rem_rowptr = self.remainder.rowptr();
+            let mut rest: Vec<Vec<(u32, T, u32)>> = Vec::with_capacity(row_end - row_start);
+            for r in row_start..row_end {
+                let mut rest_row = Vec::with_capacity(self.remainder.row_nnz(r));
+                for e in rem_rowptr[r]..rem_rowptr[r + 1] {
+                    let off = match (self.remainder_src[e] as usize).checked_sub(old_rowptr[r]) {
+                        Some(off) if off < reordered.row_nnz(r) => off,
+                        _ => return Err(changed(r)),
+                    };
+                    let new_src = reordered.rowptr()[r] + off;
+                    let c = self.remainder.colidx()[e];
+                    if reordered.colidx()[new_src] != c {
+                        return Err(changed(r));
+                    }
+                    rest_row.push((c, reordered.values()[new_src], new_src as u32));
+                }
+                rest.push(rest_row);
+            }
+            Ok(PanelOut {
+                panel: Panel {
+                    row_start,
+                    row_end,
+                    tiles,
+                },
+                rest,
             })
-            .collect::<Result<_, _>>()?;
+        })
+        .into_iter()
+        .collect::<Result<_, _>>()?;
 
         // assemble exactly like `build`: remainder rows in order, then
         // full re-validation through `from_parts`
@@ -634,24 +628,22 @@ pub fn dense_ratio_of<T: Scalar>(m: &CsrMatrix<T>, config: &AsptConfig) -> f64 {
         return 0.0;
     }
     let npanels = m.nrows().div_ceil(config.panel_height);
-    let dense: usize = (0..npanels)
-        .into_par_iter()
-        .map(|p| {
-            let row_start = p * config.panel_height;
-            let row_end = (row_start + config.panel_height).min(m.nrows());
-            let mut counts: HashMap<u32, u32> = HashMap::new();
-            for r in row_start..row_end {
-                for &c in m.row_cols(r) {
-                    *counts.entry(c).or_insert(0) += 1;
-                }
+    let panel_dense = |p: usize| {
+        let row_start = p * config.panel_height;
+        let row_end = (row_start + config.panel_height).min(m.nrows());
+        let mut counts: HashMap<u32, u32> = HashMap::new();
+        for r in row_start..row_end {
+            for &c in m.row_cols(r) {
+                *counts.entry(c).or_insert(0) += 1;
             }
-            counts
-                .values()
-                .filter(|&&cnt| cnt as usize >= config.min_col_nnz)
-                .map(|&cnt| cnt as usize)
-                .sum::<usize>()
-        })
-        .sum();
+        }
+        counts
+            .values()
+            .filter(|&&cnt| cnt as usize >= config.min_col_nnz)
+            .map(|&cnt| cnt as usize)
+            .sum::<usize>()
+    };
+    let dense = par::fold(npanels, panel_dense, 0, |sum, d| sum + d);
     dense as f64 / m.nnz() as f64
 }
 

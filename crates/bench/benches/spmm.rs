@@ -1,4 +1,4 @@
-//! CPU SpMM kernel throughput: row-wise sequential vs rayon vs
+//! CPU SpMM kernel throughput: row-wise sequential vs row-parallel vs
 //! ASpT-structured, on a scattered and a clustered matrix.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};

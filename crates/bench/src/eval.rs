@@ -8,7 +8,6 @@
 //! * for every requested `K`: simulated cuSPARSE-like, ASpT-NR and
 //!   ASpT-RR reports for SpMM, and ASpT-NR / ASpT-RR for SDDMM.
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use spmm_core::prelude::*;
 
@@ -121,13 +120,15 @@ pub struct MatrixEval {
     pub per_k: Vec<KEval>,
 }
 
-/// Runs the full evaluation pass over the corpus (parallel across
-/// matrices).
+/// Runs the full evaluation pass over the corpus, one matrix after
+/// another, so each matrix's preprocessing time (Fig 12) is taken with
+/// the machine to itself; each preparation spreads its own stages over
+/// the pool.
 pub fn evaluate_corpus(options: &EvalOptions) -> Vec<MatrixEval> {
     let corpus = Corpus::<f32>::generate(options.profile, options.seed);
     corpus
         .matrices
-        .par_iter()
+        .iter()
         .map(|entry| evaluate_matrix(entry, options))
         .collect()
 }

@@ -27,7 +27,8 @@
 //!    remainder average similarity > 0.1), or resolved by simulating
 //!    both variants and keeping the faster.
 //!
-//! Numerics run on the CPU (rayon); performance is evaluated on a
+//! Numerics run on the CPU, spread over every core by a persistent
+//! worker pool ([`sparse::par`]); performance is evaluated on a
 //! P100-parameterised memory-hierarchy simulator ([`gpu_sim`]).
 //!
 //! ## Quickstart

@@ -10,9 +10,8 @@
 //! Like the other format baselines it helps only when blocks are
 //! actually populated.
 
-use rayon::prelude::*;
 use spmm_gpu_sim::{BlockTrace, DeviceConfig, SimReport};
-use spmm_sparse::{fma_kernel, CooMatrix, CsrMatrix, DenseMatrix, Scalar, SparseError};
+use spmm_sparse::{fma_kernel, par, CooMatrix, CsrMatrix, DenseMatrix, Scalar, SparseError};
 
 /// A sparse matrix in CSB layout.
 #[derive(Debug, Clone, PartialEq)]
@@ -426,31 +425,22 @@ fma_kernel! {
         m.check_dims(x)?;
         let k = x.ncols();
         let mut y = DenseMatrix::zeros(m.nrows, k);
-        let mut chunks: Vec<&mut [T]> = Vec::with_capacity(m.nblock_rows);
-        let mut rest: &mut [T] = y.data_mut();
-        for br in 0..m.nblock_rows {
-            let rows = (br * m.beta + m.beta).min(m.nrows) - br * m.beta;
-            let (head, tail) = rest.split_at_mut(rows * k);
-            chunks.push(head);
-            rest = tail;
-        }
-        (0..m.nblock_rows)
-            .into_par_iter()
-            .zip(chunks)
-            .for_each(|(br, y_chunk)| {
-                for b in m.blockptr[br]..m.blockptr[br + 1] {
-                    let col_base = m.block_col[b] as usize * m.beta;
-                    for e in m.entryptr[b]..m.entryptr[b + 1] {
-                        let r = m.rel_row[e] as usize;
-                        let c = col_base + m.rel_col[e] as usize;
-                        let v = m.values[e];
-                        let y_row = &mut y_chunk[r * k..(r + 1) * k];
-                        for (yj, &xj) in y_row.iter_mut().zip(x.row(c)) {
-                            *yj = v.mul_add(xj, *yj);
-                        }
+        // block row `br` owns output rows `br·β .. (br+1)·β`; with k = 0
+        // there is no output to split
+        par::chunks_mut(y.data_mut(), (m.beta * k).max(1), |br, y_chunk| {
+            for b in m.blockptr[br]..m.blockptr[br + 1] {
+                let col_base = m.block_col[b] as usize * m.beta;
+                for e in m.entryptr[b]..m.entryptr[b + 1] {
+                    let r = m.rel_row[e] as usize;
+                    let c = col_base + m.rel_col[e] as usize;
+                    let v = m.values[e];
+                    let y_row = &mut y_chunk[r * k..(r + 1) * k];
+                    for (yj, &xj) in y_row.iter_mut().zip(x.row(c)) {
+                        *yj = v.mul_add(xj, *yj);
                     }
                 }
-            });
+            }
+        });
         Ok(y)
     }
 }

@@ -6,9 +6,8 @@
 //! makes warp access perfectly coalesced — and what makes padding so
 //! expensive: every row pays for the longest row.
 
-use rayon::prelude::*;
 use spmm_gpu_sim::{BlockTrace, DeviceConfig, SimReport};
-use spmm_sparse::{fma_kernel, CsrMatrix, DenseMatrix, Scalar, SparseError};
+use spmm_sparse::{fma_kernel, par, CsrMatrix, DenseMatrix, Scalar, SparseError};
 
 /// Sentinel column index marking a padding slot.
 pub const PAD: u32 = u32::MAX;
@@ -228,21 +227,18 @@ fma_kernel! {
         let k = x.ncols();
         let mut y = DenseMatrix::zeros(m.nrows, k);
         // k = 0 leaves no data to chunk; a zero chunk size would panic
-        y.data_mut()
-            .par_chunks_mut(k.max(1))
-            .enumerate()
-            .for_each(|(i, y_row)| {
-                for slot in 0..m.width {
-                    let c = m.colidx[slot * m.nrows + i];
-                    if c == PAD {
-                        continue;
-                    }
-                    let v = m.values[slot * m.nrows + i];
-                    for (yj, &xj) in y_row.iter_mut().zip(x.row(c as usize)) {
-                        *yj = v.mul_add(xj, *yj);
-                    }
+        par::chunks_mut(y.data_mut(), k.max(1), |i, y_row| {
+            for slot in 0..m.width {
+                let c = m.colidx[slot * m.nrows + i];
+                if c == PAD {
+                    continue;
                 }
-            });
+                let v = m.values[slot * m.nrows + i];
+                for (yj, &xj) in y_row.iter_mut().zip(x.row(c as usize)) {
+                    *yj = v.mul_add(xj, *yj);
+                }
+            }
+        });
         Ok(y)
     }
 }

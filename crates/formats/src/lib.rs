@@ -23,7 +23,7 @@
 //!   register-blocking family §6 also cites.
 //!
 //! Each format provides lossless conversion from/to CSR, exact CPU SpMM
-//! kernels (sequential + rayon) and a simulator trace builder
+//! kernels (sequential + parallel) and a simulator trace builder
 //! compatible with [`spmm_gpu_sim`].
 
 #![warn(missing_docs)]

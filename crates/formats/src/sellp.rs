@@ -9,9 +9,8 @@
 //! like the paper's reordering it must be undone on output, which the
 //! SpMM kernels here do transparently.
 
-use rayon::prelude::*;
 use spmm_gpu_sim::{BlockTrace, DeviceConfig, SimReport};
-use spmm_sparse::{fma_kernel, CsrMatrix, DenseMatrix, Permutation, Scalar, SparseError};
+use spmm_sparse::{fma_kernel, par, CsrMatrix, DenseMatrix, Permutation, Scalar, SparseError};
 
 /// Sentinel column index marking a padding slot.
 pub const PAD: u32 = u32::MAX;
@@ -443,24 +442,22 @@ fma_kernel! {
             chunks.push(head);
             rest = tail;
         }
-        m.slices
-            .par_iter()
-            .zip(chunks)
-            .for_each(|(slice, y_chunk)| {
-                for r in 0..slice.height {
-                    let y_row = &mut y_chunk[r * k..(r + 1) * k];
-                    for slot in 0..slice.width {
-                        let c = m.colidx[slice.offset + slot * slice.height + r];
-                        if c == PAD {
-                            continue;
-                        }
-                        let v = m.values[slice.offset + slot * slice.height + r];
-                        for (yj, &xj) in y_row.iter_mut().zip(x.row(c as usize)) {
-                            *yj = v.mul_add(xj, *yj);
-                        }
+        par::chunks_mut(&mut chunks, 1, |s, y_chunk| {
+            let (slice, y_chunk) = (&m.slices[s], &mut *y_chunk[0]);
+            for r in 0..slice.height {
+                let y_row = &mut y_chunk[r * k..(r + 1) * k];
+                for slot in 0..slice.width {
+                    let c = m.colidx[slice.offset + slot * slice.height + r];
+                    if c == PAD {
+                        continue;
+                    }
+                    let v = m.values[slice.offset + slot * slice.height + r];
+                    for (yj, &xj) in y_row.iter_mut().zip(x.row(c as usize)) {
+                        *yj = v.mul_add(xj, *yj);
                     }
                 }
-            });
+            }
+        });
         if m.perm.is_identity() {
             return Ok(y_perm);
         }

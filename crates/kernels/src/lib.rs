@@ -5,9 +5,9 @@
 //! every transformation (row reordering, tiling, remainder ordering)
 //! preserves results:
 //!
-//! * [`spmm`] — Alg 1 row-wise SpMM (sequential reference + rayon
-//!   row-parallel) and the ASpT-structured kernel (dense tiles
-//!   accumulated panel-parallel + remainder).
+//! * [`spmm`] — Alg 1 row-wise SpMM (sequential reference + row-parallel
+//!   on the `spmm_sparse::par` pool) and the ASpT-structured kernel
+//!   (dense tiles accumulated panel-parallel + remainder).
 //! * [`micro`] — monomorphized `[T; KB]` register-accumulator SpMM
 //!   microkernels for the k-blocked hot path (KB ∈ {8, 16, 32}), the
 //!   plan's width set from its `k_hint` by rule, bit-identical to the

@@ -11,9 +11,8 @@
 use std::marker::PhantomData;
 use std::ops::Range;
 
-use rayon::prelude::*;
 use spmm_aspt::Panel;
-use spmm_sparse::{Permutation, SparseError};
+use spmm_sparse::{par, Permutation, SparseError};
 
 /// Where reordered row `r` goes: row `old_of(r)` of the caller's
 /// buffer. Built only as the identity or from a [`Permutation`], which
@@ -157,18 +156,20 @@ impl<'a, T: Send, S: RowSpans> OutRows<'a, T, S> {
             );
             end = p.row_end;
         }
-        panels.par_iter().for_each(|panel| {
-            f(
-                panel,
-                PanelRows {
-                    ptr: self.ptr,
-                    spans: self.spans,
-                    map: self.map,
-                    rows: panel.rows(),
-                    _out: PhantomData,
-                },
-            )
-        });
+        par::for_each(panels.len(), |i| f(&panels[i], self.rows_of(&panels[i])));
+    }
+
+    /// The output rows of `panel`'s reordered rows. A method, so the
+    /// task closure captures the whole (`Sync`) view rather than its
+    /// raw-pointer field.
+    fn rows_of<P>(&self, panel: &Panel<P>) -> PanelRows<'_, T, S> {
+        PanelRows {
+            ptr: self.ptr,
+            spans: self.spans,
+            map: self.map,
+            rows: panel.rows(),
+            _out: PhantomData,
+        }
     }
 }
 
@@ -284,8 +285,8 @@ mod tests {
         });
     }
 
-    /// The view is shared by reference across the panel tasks, so it
-    /// must stay `Sync` for a threaded rayon.
+    /// The view is shared by reference across the panel tasks, which
+    /// run on the pool's threads, so it must stay `Sync`.
     #[test]
     fn the_view_is_sync() {
         fn sync<S: Sync>() {}

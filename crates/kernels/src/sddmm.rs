@@ -16,9 +16,8 @@
 //! and a row's nonzeros lie side by side only in the row order
 //! (DESIGN.md §12).
 
-use rayon::prelude::*;
 use spmm_aspt::Panel;
-use spmm_sparse::{fma_kernel, CsrMatrix, DenseMatrix, Scalar, SparseError};
+use spmm_sparse::{fma_kernel, par, CsrMatrix, DenseMatrix, Scalar, SparseError};
 
 use crate::rows::{Offsets, OutRows};
 
@@ -87,17 +86,13 @@ fma_kernel! {
         y: &DenseMatrix<T>,
     ) -> Result<Vec<T>, SparseError> {
         check_dims(s.nrows(), s.ncols(), x, y)?;
-        let out: Vec<T> = (0..s.nrows())
-            .into_par_iter()
-            .flat_map_iter(|i| {
-                let y_row = y.row(i);
-                let (cols, vals) = s.row(i);
-                cols.iter()
-                    .zip(vals)
-                    .map(move |(&c, &v)| dot(y_row, x.row(c as usize)) * v)
-            })
-            .collect();
-        Ok(out)
+        Ok(par::flat_map(s.nrows(), |i, out| {
+            let y_row = y.row(i);
+            let (cols, vals) = s.row(i);
+            for (&c, &v) in cols.iter().zip(vals) {
+                out.push(dot(y_row, x.row(c as usize)) * v);
+            }
+        }))
     }
 }
 

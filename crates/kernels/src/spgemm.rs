@@ -18,8 +18,7 @@
 //! [`spgemm_gustavson_par`] and [`spgemm_clustered`].
 
 use crate::rows::RowMap;
-use rayon::prelude::*;
-use spmm_sparse::{fma_kernel, CsrMatrix, Scalar, SparseError};
+use spmm_sparse::{fma_kernel, par, CsrMatrix, Scalar, SparseError};
 
 fn check_dims<T: Scalar>(a: &CsrMatrix<T>, b: &CsrMatrix<T>) -> Result<(), SparseError> {
     if a.ncols() != b.nrows() {
@@ -120,8 +119,8 @@ fma_kernel! {
 }
 
 fma_kernel! {
-    /// Row-parallel naive Gustavson: one rayon task (and one fresh
-    /// accumulator) per row. Bit-identical to [`spgemm_gustavson_seq`] —
+    /// Row-parallel naive Gustavson: one fresh accumulator per row, rows
+    /// spread over the pool. Bit-identical to [`spgemm_gustavson_seq`] —
     /// rows are independent and the per-row fold order is shared. This is
     /// the serving layer's fallback kernel.
     pub fn spgemm_gustavson_par<T: Scalar>(
@@ -129,20 +128,17 @@ fma_kernel! {
         b: &CsrMatrix<T>,
     ) -> Result<CsrMatrix<T>, SparseError> {
         check_dims(a, b)?;
-        let rows: Vec<(Vec<u32>, Vec<T>)> = (0..a.nrows())
-            .into_par_iter()
-            .map(|i| {
-                let mut acc = vec![T::ZERO; b.ncols()];
-                let mut present = vec![false; b.ncols()];
-                let mut touched = Vec::new();
-                let (a_cols, a_vals) = a.row(i);
-                accumulate_row(a_cols, a_vals, b, &mut acc, &mut present, &mut touched);
-                let mut cols = Vec::with_capacity(touched.len());
-                let mut vals = Vec::with_capacity(touched.len());
-                drain_row(&mut acc, &mut present, &mut touched, &mut cols, &mut vals);
-                (cols, vals)
-            })
-            .collect();
+        let rows: Vec<(Vec<u32>, Vec<T>)> = par::map(a.nrows(), |i| {
+            let mut acc = vec![T::ZERO; b.ncols()];
+            let mut present = vec![false; b.ncols()];
+            let mut touched = Vec::new();
+            let (a_cols, a_vals) = a.row(i);
+            accumulate_row(a_cols, a_vals, b, &mut acc, &mut present, &mut touched);
+            let mut cols = Vec::with_capacity(touched.len());
+            let mut vals = Vec::with_capacity(touched.len());
+            drain_row(&mut acc, &mut present, &mut touched, &mut cols, &mut vals);
+            (cols, vals)
+        });
         Ok(assemble(a.nrows(), b.ncols(), rows))
     }
 }
@@ -176,27 +172,24 @@ fma_kernel! {
         check_dims(a, b)?;
         let h = panel_height.max(1);
         let npanels = a.nrows().div_ceil(h);
-        let panels: Vec<Vec<(Vec<u32>, Vec<T>)>> = (0..npanels)
-            .into_par_iter()
-            .map(|p| {
-                let row_start = p * h;
-                let row_end = (row_start + h).min(a.nrows());
-                // one accumulator per panel, shared by every row in it
-                let mut acc = vec![T::ZERO; b.ncols()];
-                let mut present = vec![false; b.ncols()];
-                let mut touched = Vec::new();
-                let mut rows = Vec::with_capacity(row_end - row_start);
-                for i in row_start..row_end {
-                    let (a_cols, a_vals) = a.row(i);
-                    accumulate_row(a_cols, a_vals, b, &mut acc, &mut present, &mut touched);
-                    let mut cols = Vec::with_capacity(touched.len());
-                    let mut vals = Vec::with_capacity(touched.len());
-                    drain_row(&mut acc, &mut present, &mut touched, &mut cols, &mut vals);
-                    rows.push((cols, vals));
-                }
-                rows
-            })
-            .collect();
+        let panels: Vec<Vec<(Vec<u32>, Vec<T>)>> = par::map(npanels, |p| {
+            let row_start = p * h;
+            let row_end = (row_start + h).min(a.nrows());
+            // one accumulator per panel, shared by every row in it
+            let mut acc = vec![T::ZERO; b.ncols()];
+            let mut present = vec![false; b.ncols()];
+            let mut touched = Vec::new();
+            let mut rows = Vec::with_capacity(row_end - row_start);
+            for i in row_start..row_end {
+                let (a_cols, a_vals) = a.row(i);
+                accumulate_row(a_cols, a_vals, b, &mut acc, &mut present, &mut touched);
+                let mut cols = Vec::with_capacity(touched.len());
+                let mut vals = Vec::with_capacity(touched.len());
+                drain_row(&mut acc, &mut present, &mut touched, &mut cols, &mut vals);
+                rows.push((cols, vals));
+            }
+            rows
+        });
         let mut rows = vec![(Vec::new(), Vec::new()); a.nrows()];
         for (i, row) in panels.into_iter().flatten().enumerate() {
             rows[map.old_of(i)] = row;

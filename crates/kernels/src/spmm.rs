@@ -1,8 +1,7 @@
 //! SpMM kernels: `Y = S · X` (paper Alg 1).
 
-use rayon::prelude::*;
 use spmm_aspt::{AsptMatrix, Panel};
-use spmm_sparse::{fma_kernel, CsrMatrix, DenseMatrix, Scalar, SparseError};
+use spmm_sparse::{fma_kernel, par, CsrMatrix, DenseMatrix, Scalar, SparseError};
 
 use crate::rows::{OutRows, PanelRows, RowMap, Stride};
 
@@ -93,8 +92,8 @@ fma_kernel! {
 }
 
 fma_kernel! {
-    /// Row-parallel SpMM: each rayon task owns one output row, mirroring
-    /// the GPU's warp-per-row mapping.
+    /// Row-parallel SpMM: each task owns its output rows, mirroring the
+    /// GPU's warp-per-row mapping.
     pub fn spmm_rowwise_par<T: Scalar>(
         s: &CsrMatrix<T>,
         x: &DenseMatrix<T>,
@@ -102,15 +101,12 @@ fma_kernel! {
         let (m, k) = check_dims(s, x)?;
         let mut y = DenseMatrix::zeros(m, k);
         // k = 0 leaves no data to chunk; a zero chunk size would panic
-        y.data_mut()
-            .par_chunks_mut(k.max(1))
-            .enumerate()
-            .for_each(|(i, y_row)| {
-                let (cols, vals) = s.row(i);
-                for (&c, &v) in cols.iter().zip(vals) {
-                    axpy(y_row, v, x.row(c as usize));
-                }
-            });
+        par::chunks_mut(y.data_mut(), k.max(1), |i, y_row| {
+            let (cols, vals) = s.row(i);
+            for (&c, &v) in cols.iter().zip(vals) {
+                axpy(y_row, v, x.row(c as usize));
+            }
+        });
         Ok(y)
     }
 }

@@ -9,9 +9,8 @@
 //! [`crate::spmm::spmm_aspt`]) — so every variant here is bit-identical
 //! to the matching SpMM kernel applied to an `n × 1` operand.
 
-use rayon::prelude::*;
 use spmm_aspt::AsptMatrix;
-use spmm_sparse::{fma_kernel, CsrMatrix, Scalar, SparseError};
+use spmm_sparse::{fma_kernel, par, CsrMatrix, Scalar, SparseError};
 
 use crate::rows::{OutRows, RowMap, Stride};
 
@@ -44,16 +43,16 @@ fma_kernel! {
 }
 
 fma_kernel! {
-    /// Row-parallel SpMV: each rayon task owns one output element,
+    /// Row-parallel SpMV: each task owns its output elements,
     /// mirroring the GPU's warp-per-row mapping. Bit-identical to
     /// [`spmv_rowwise_seq`] (rows are independent).
     pub fn spmv_rowwise_par<T: Scalar>(s: &CsrMatrix<T>, x: &[T]) -> Result<Vec<T>, SparseError> {
         check_dims(s.ncols(), x)?;
         let mut y = vec![T::ZERO; s.nrows()];
-        y.par_iter_mut().enumerate().for_each(|(i, out)| {
+        par::chunks_mut(&mut y, 1, |i, out| {
             let (cols, vals) = s.row(i);
             for (&c, &v) in cols.iter().zip(vals) {
-                *out = v.mul_add(x[c as usize], *out);
+                out[0] = v.mul_add(x[c as usize], out[0]);
             }
         });
         Ok(y)

@@ -14,7 +14,7 @@
 
 use crate::hash::hash_u64_slice;
 use crate::minhash::SignatureMatrix;
-use rayon::prelude::*;
+use spmm_sparse::par;
 use std::collections::HashMap;
 
 /// Parameters of the banding step.
@@ -49,28 +49,23 @@ pub fn candidate_pairs(sigs: &SignatureMatrix, config: &BandingConfig) -> Vec<(u
         return Vec::new();
     }
 
-    let mut pairs: Vec<(u32, u32)> = (0..nbands)
-        .into_par_iter()
-        .flat_map_iter(|band| {
-            let lo = band * config.bsize;
-            let hi = lo + config.bsize;
-            let mut buckets: HashMap<u64, Vec<u32>> = HashMap::new();
-            for i in 0..sigs.nrows() {
-                if sigs.is_empty_row(i) {
-                    continue;
-                }
-                let key = hash_u64_slice(&sigs.row(i)[lo..hi], config.seed ^ band as u64);
-                buckets.entry(key).or_default().push(i as u32);
+    let mut pairs: Vec<(u32, u32)> = par::flat_map(nbands, |band, out| {
+        let lo = band * config.bsize;
+        let hi = lo + config.bsize;
+        let mut buckets: HashMap<u64, Vec<u32>> = HashMap::new();
+        for i in 0..sigs.nrows() {
+            if sigs.is_empty_row(i) {
+                continue;
             }
-            let mut out = Vec::new();
-            for rows in buckets.into_values() {
-                emit_bucket_pairs(&rows, config.max_bucket, &mut out);
-            }
-            out.into_iter()
-        })
-        .collect();
+            let key = hash_u64_slice(&sigs.row(i)[lo..hi], config.seed ^ band as u64);
+            buckets.entry(key).or_default().push(i as u32);
+        }
+        for rows in buckets.into_values() {
+            emit_bucket_pairs(&rows, config.max_bucket, out);
+        }
+    });
 
-    pairs.par_sort_unstable();
+    pairs.sort_unstable();
     pairs.dedup();
     pairs
 }

@@ -7,9 +7,8 @@
 
 use crate::banding::{candidate_pairs, BandingConfig};
 use crate::minhash::MinHasher;
-use rayon::prelude::*;
 use spmm_sparse::similarity::jaccard;
-use spmm_sparse::{CsrMatrix, Scalar};
+use spmm_sparse::{par, CsrMatrix, Scalar};
 use spmm_telemetry::TelemetryHandle;
 
 /// Configuration of the LSH black box (paper defaults: `siglen = 128`,
@@ -88,19 +87,17 @@ pub fn generate_candidates_with<T: Scalar>(
         raw
     };
     let _span = telemetry.span("exact");
-    let pairs: Vec<CandidatePair> = raw
-        .into_par_iter()
-        .filter_map(|(i, j)| {
-            let s = jaccard(m.row_cols(i as usize), m.row_cols(j as usize));
-            (s > config.min_similarity || (config.min_similarity == 0.0 && s > 0.0)).then_some(
-                CandidatePair {
-                    i,
-                    j,
-                    similarity: s,
-                },
-            )
-        })
-        .collect();
+    let pairs: Vec<CandidatePair> = par::flat_map(raw.len(), |p, out| {
+        let (i, j) = raw[p];
+        let s = jaccard(m.row_cols(i as usize), m.row_cols(j as usize));
+        if s > config.min_similarity || (config.min_similarity == 0.0 && s > 0.0) {
+            out.push(CandidatePair {
+                i,
+                j,
+                similarity: s,
+            });
+        }
+    });
     telemetry.counter("lsh.candidates", pairs.len() as u64);
     pairs
 }

@@ -8,29 +8,25 @@
 //! providing an oracle clustering quality bound in the ablations.
 
 use crate::candidates::CandidatePair;
-use rayon::prelude::*;
 use spmm_sparse::similarity::jaccard;
-use spmm_sparse::{CsrMatrix, Scalar};
+use spmm_sparse::{par, CsrMatrix, Scalar};
 
 /// Computes every pair of rows with Jaccard similarity strictly above
 /// `min_similarity` (use 0.0 for "any overlap"). Cost is
 /// `O(N² · d̄)` — intended for matrices up to a few thousand rows.
 pub fn exact_pairs<T: Scalar>(m: &CsrMatrix<T>, min_similarity: f64) -> Vec<CandidatePair> {
     let n = m.nrows();
-    (0..n as u32)
-        .into_par_iter()
-        .flat_map_iter(|i| {
-            let row_i = m.row_cols(i as usize);
-            (i + 1..n as u32).filter_map(move |j| {
-                let s = jaccard(row_i, m.row_cols(j as usize));
-                (s > min_similarity && s > 0.0).then_some(CandidatePair {
-                    i,
-                    j,
-                    similarity: s,
-                })
+    par::flat_map(n, |i, out| {
+        let row_i = m.row_cols(i);
+        out.extend((i + 1..n).filter_map(|j| {
+            let s = jaccard(row_i, m.row_cols(j));
+            (s > min_similarity && s > 0.0).then_some(CandidatePair {
+                i: i as u32,
+                j: j as u32,
+                similarity: s,
             })
-        })
-        .collect()
+        }))
+    })
 }
 
 /// Fraction of `reference` pairs that `found` recovered (pairs keyed by

@@ -19,9 +19,9 @@
 //!    its priority queue on exact similarities, Alg 3 line 28).
 //!
 //! Total cost matches the paper's bound
-//! `siglen·nnz + (siglen/bsize)·N + d_max·E`. The signature pass and the
-//! exact-similarity pass are rayon-parallel ("the first part is
-//! embarrassingly parallel", §5.4).
+//! `siglen·nnz + (siglen/bsize)·N + d_max·E`. The signature, banding and
+//! exact-similarity passes run on the `spmm_sparse::par` pool ("the first
+//! part is embarrassingly parallel", §5.4).
 
 #![warn(missing_docs)]
 

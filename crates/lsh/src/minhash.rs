@@ -6,8 +6,7 @@
 //! of agreeing components estimates the Jaccard similarity.
 
 use crate::hash::UniversalHash;
-use rayon::prelude::*;
-use spmm_sparse::{CsrMatrix, Scalar};
+use spmm_sparse::{par, CsrMatrix, Scalar};
 
 /// Sentinel signature component for empty rows; empty rows never match
 /// anything (two empty rows have Jaccard 0 by our convention).
@@ -66,9 +65,9 @@ impl MinHasher {
         let siglen = self.siglen();
         let nrows = m.nrows();
         let mut data = vec![0u64; nrows * siglen];
-        data.par_chunks_mut(siglen)
-            .enumerate()
-            .for_each(|(i, chunk)| self.signature_into(m.row_cols(i), chunk));
+        par::chunks_mut(&mut data, siglen, |i, chunk| {
+            self.signature_into(m.row_cols(i), chunk)
+        });
         SignatureMatrix {
             nrows,
             siglen,

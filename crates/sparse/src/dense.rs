@@ -96,12 +96,6 @@ impl<T: Scalar> DenseMatrix<T> {
         &mut self.data[i * self.ncols + j]
     }
 
-    /// Splits the buffer into disjoint mutable row chunks, one per row —
-    /// the shape rayon kernels need for safe row-parallel writes.
-    pub fn par_rows_mut(&mut self) -> std::slice::ChunksMut<'_, T> {
-        self.data.chunks_mut(self.ncols)
-    }
-
     /// Sets every element to `v`.
     pub fn fill(&mut self, v: T) {
         self.data.fill(v);
@@ -198,17 +192,6 @@ mod tests {
         assert_eq!(a.max_abs_diff(&a), 0.0);
         let n = DenseMatrix::from_vec(1, 2, vec![3.0f64, 4.0]);
         assert!((n.frobenius_norm() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn par_rows_mut_chunks() {
-        let mut m = DenseMatrix::from_fn(3, 2, |_, _| 0.0f64);
-        for (i, row) in m.par_rows_mut().enumerate() {
-            for v in row {
-                *v = i as f64;
-            }
-        }
-        assert_eq!(m.row(2), &[2.0, 2.0]);
     }
 
     #[test]

@@ -20,6 +20,8 @@
 //! * [`mm_io`] — Matrix Market exchange-format reader/writer so real
 //!   SuiteSparse / Network Repository matrices can be loaded when
 //!   available.
+//! * [`par`] — data-parallel loops on a persistent pool of helper
+//!   threads; every result is the same bits at any thread count.
 //! * [`simd`] — [`fma_kernel!`], which compiles a multiply-add kernel
 //!   twice (AVX2+FMA and portable) and picks the copy per call.
 //!
@@ -35,6 +37,7 @@ pub mod csr;
 pub mod dense;
 pub mod error;
 pub mod mm_io;
+pub mod par;
 pub mod perm;
 pub mod scalar;
 pub mod simd;

@@ -12,7 +12,7 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssi
 ///
 /// The bound set is deliberately minimal: arithmetic, comparison,
 /// conversion to/from `f64` for test tolerances, and `Send + Sync` so
-/// values can cross rayon task boundaries.
+/// values can cross between the [`par`](crate::par) pool's threads.
 pub trait Scalar:
     Copy
     + Default

@@ -36,6 +36,12 @@ pub fn use_fma_copy() -> bool {
     !PORTABLE_ONLY.with(Cell::get) && fma_available()
 }
 
+/// Whether [`with_portable`] is in force on this thread; the pool hands
+/// it to the helpers that run this thread's tasks.
+pub(crate) fn portable_forced() -> bool {
+    PORTABLE_ONLY.with(Cell::get)
+}
+
 /// Runs `f` with every dispatched kernel called on this thread taking
 /// its portable copy. Tests use it to compare the two copies.
 #[doc(hidden)]
@@ -54,7 +60,8 @@ pub fn with_portable<R>(f: impl FnOnce() -> R) -> R {
 /// a portable copy, chosen by one CPU-feature check per call.
 ///
 /// The body is stamped into each copy as written, so closures inside it
-/// (rayon `for_each` bodies included) take the copy's target features.
+/// (the [`par`](crate::par) loop bodies included) take the copy's target
+/// features.
 /// Helpers the body calls must be `#[inline(always)]` and called
 /// directly, not passed as `Fn` values, or they run without the
 /// features. Doc comments go inside the invocation.

@@ -6,8 +6,8 @@
 //! second-round skip heuristic (§4) are built on these functions.
 
 use crate::csr::CsrMatrix;
+use crate::par;
 use crate::scalar::Scalar;
-use rayon::prelude::*;
 
 /// Jaccard similarity `|a ∩ b| / |a ∪ b|` of two strictly-increasing
 /// index slices. Two empty sets have similarity 0 by convention.
@@ -47,33 +47,32 @@ pub fn row_jaccard<T: Scalar>(m: &CsrMatrix<T>, i: usize, j: usize) -> f64 {
 /// Average Jaccard similarity between consecutive rows,
 /// `(1/(n-1)) Σ J(S_i, S_{i+1})` — the §4 indicator for "already well
 /// clustered". Returns 0 for matrices with fewer than two rows.
+///
+/// The similarities are computed in parallel but summed in row order,
+/// so the value, and the skip decision it feeds, is the same bits at
+/// any thread count.
 pub fn avg_consecutive_similarity<T: Scalar>(m: &CsrMatrix<T>) -> f64 {
     if m.nrows() < 2 {
         return 0.0;
     }
-    let total: f64 = (0..m.nrows() - 1)
-        .into_par_iter()
-        .map(|i| jaccard(m.row_cols(i), m.row_cols(i + 1)))
-        .sum();
-    total / (m.nrows() - 1) as f64
+    let pair = |i: usize| jaccard(m.row_cols(i), m.row_cols(i + 1));
+    par::fold(m.nrows() - 1, pair, 0.0, |sum, s| sum + s) / (m.nrows() - 1) as f64
 }
 
 /// Average consecutive similarity of a matrix *under a row order* given
 /// as `order[new] = old`, without materialising the permuted matrix.
+/// Summed in order, like [`avg_consecutive_similarity`].
 pub fn avg_consecutive_similarity_ordered<T: Scalar>(m: &CsrMatrix<T>, order: &[u32]) -> f64 {
     if order.len() < 2 {
         return 0.0;
     }
-    let total: f64 = (0..order.len() - 1)
-        .into_par_iter()
-        .map(|k| {
-            jaccard(
-                m.row_cols(order[k] as usize),
-                m.row_cols(order[k + 1] as usize),
-            )
-        })
-        .sum();
-    total / (order.len() - 1) as f64
+    let pair = |k: usize| {
+        jaccard(
+            m.row_cols(order[k] as usize),
+            m.row_cols(order[k + 1] as usize),
+        )
+    };
+    par::fold(order.len() - 1, pair, 0.0, |sum, s| sum + s) / (order.len() - 1) as f64
 }
 
 #[cfg(test)]
@@ -157,5 +156,35 @@ mod tests {
         assert!((via_order - via_matrix).abs() < 1e-12);
         // grouping identical rows lifts the average: (1 + 0 + 1)/3
         assert!((via_order - 2.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn averages_sum_in_row_order() {
+        // row i holds columns 0..=(i % 13), so consecutive similarities
+        // run through fractions like 5/6 and 1/13 whose sum depends on
+        // the grouping
+        let rows: Vec<Vec<u32>> = (0..4000).map(|i| (0..=(i % 13)).collect()).collect();
+        let refs: Vec<&[u32]> = rows.iter().map(Vec::as_slice).collect();
+        let m = from_rows(rows.len(), 13, &refs);
+        let sims: Vec<f64> = (0..rows.len() - 1)
+            .map(|i| row_jaccard(&m, i, i + 1))
+            .collect();
+        let left = sims.iter().fold(0.0, |a, &b| a + b);
+        let chunked: f64 = sims.chunks(64).map(|c| c.iter().sum::<f64>()).sum();
+        assert_ne!(
+            left.to_bits(),
+            chunked.to_bits(),
+            "the test needs order to matter"
+        );
+
+        let want = left / sims.len() as f64;
+        let order: Vec<u32> = (0..rows.len() as u32).collect();
+        for avg in [
+            avg_consecutive_similarity(&m),
+            avg_consecutive_similarity_ordered(&m, &order),
+            crate::par::with_helpers_off(|| avg_consecutive_similarity(&m)),
+        ] {
+            assert_eq!(avg.to_bits(), want.to_bits());
+        }
     }
 }

@@ -11,7 +11,7 @@ use std::io::Write;
 
 use spmm_rr::kernels::spmm::{spmm_aspt, spmm_aspt_kblocked};
 use spmm_rr::prelude::*;
-use spmm_rr::sparse::simd;
+use spmm_rr::sparse::{par, simd};
 
 /// The operands of one shape: `s` is `m × n` (also as ASpT, SELL-P at
 /// σ = 32 and σ = 0, CSB and ELL, and prepared as an engine), `x` is
@@ -190,6 +190,10 @@ fn shapes<T: Scalar>() -> Vec<(String, Operands<T>)> {
 }
 
 fn check_copies_agree<T: Scalar>() {
+    // panel tasks may run on the pool's helpers; they must take the copy
+    // the calling thread picked, or the comparison below is void
+    let helper_copies = simd::with_portable(|| par::map(256, |_| simd::use_fma_copy()));
+    assert!(helper_copies.iter().all(|&fast| !fast));
     let table = kernels::<T>();
     for (shape, ops) in shapes::<T>() {
         for (kernel, run) in &table {

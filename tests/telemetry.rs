@@ -1,10 +1,9 @@
 //! Telemetry integration tests: recording must never change numerics,
-//! counters must survive rayon parallelism, and manifests must
-//! round-trip through their JSON form.
+//! counters must stay exact when threads add to them at once, and
+//! manifests must round-trip through their JSON form.
 
-use rayon::prelude::*;
 use spmm_rr::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 fn test_config(telemetry: TelemetryHandle) -> EngineConfig {
     EngineConfig::builder()
@@ -54,13 +53,24 @@ fn telemetry_on_is_bit_identical_to_noop() {
 }
 
 #[test]
-fn counters_are_exact_under_rayon_parallelism() {
+fn counters_are_exact_under_concurrent_threads() {
+    const THREADS: u64 = 4;
     let collector = Arc::new(Collector::new());
     let handle = TelemetryHandle::new(collector.clone());
     let span = handle.span("parallel_work");
-    (0..1000u64).into_par_iter().for_each(|i| {
-        handle.counter("work.items", 1);
-        handle.counter("work.weight", i);
+    // every thread waits for the rest, so their increments overlap
+    let start = Barrier::new(THREADS as usize);
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let (handle, start) = (&handle, &start);
+            s.spawn(move || {
+                start.wait();
+                for i in (t..1000).step_by(THREADS as usize) {
+                    handle.counter("work.items", 1);
+                    handle.counter("work.weight", i);
+                }
+            });
+        }
     });
     span.end();
     let manifest = collector.manifest();

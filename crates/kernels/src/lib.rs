@@ -48,3 +48,4 @@ pub use autotune::{
 pub use engine::{Engine, EngineConfig, EngineConfigBuilder, KernelOp, Output, PrepareReport};
 pub use format::{FormatChoice, FormatPayload};
 pub use micro::{micro_width_for, spmm_aspt_kblocked_auto, widest_micro_width, MICRO_WIDTHS};
+pub use rows::PARALLEL_MIN_WORK;

@@ -101,7 +101,7 @@ fma_kernel! {
         let k = x.ncols();
         let remainder = aspt.remainder();
         let full_end = k - k % KB;
-        out.for_each_panel(aspt.panels(), |panel, mut rows| {
+        out.for_each_panel(aspt.panels(), aspt.nnz() * k, |panel, mut rows| {
             let x = (x.data(), k);
             let n = rows.len();
             let mut c0 = 0;

@@ -14,6 +14,21 @@ use std::ops::Range;
 use spmm_aspt::Panel;
 use spmm_sparse::{par, Permutation, SparseError};
 
+/// The multiply-adds (nonzeros × dense columns) from which a kernel
+/// call spreads its panels over the worker pool: 2^23, 2–3 ms of one
+/// core's work on the reference host (2 vCPUs, 3–4 G multiply-adds/s).
+///
+/// A helper that is parked, or whose core the host has lent to another
+/// tenant, joins a loop late: 76 µs at the median on a quiet host and
+/// 1.77 ms in a busy period (EXPERIMENTS.md, "Helper wake-up"). A call
+/// not much longer than that gains only when the other core happens to
+/// be free at that instant, so its speed follows the host's load from
+/// one run to the next: a 4.2 M multiply-add SpMM ran at 10.7 GFLOP/s
+/// on a quiet host and at 7.6–10.6 with one busy process beside it,
+/// against 6.9 on one thread. A call of this size outlasts even the
+/// busy-period wake-up, so a late helper still takes a share.
+pub const PARALLEL_MIN_WORK: usize = 1 << 23;
+
 /// Where reordered row `r` goes: row `old_of(r)` of the caller's
 /// buffer. Built only as the identity or from a [`Permutation`], which
 /// is a checked bijection, so two reordered rows never share an output
@@ -138,12 +153,14 @@ impl<'a, T: Send, S: RowSpans> OutRows<'a, T, S> {
         })
     }
 
-    /// Runs `f` once per panel, panels in parallel; each call gets
-    /// exclusive access to the output rows of its panel's rows.
+    /// Runs `f` once per panel; each call gets exclusive access to the
+    /// output rows of its panel's rows. The panels run in parallel when
+    /// the call does at least [`PARALLEL_MIN_WORK`] multiply-adds
+    /// (`work`), and in order on the calling thread otherwise.
     ///
     /// # Panics
     /// If the panels are out of order, overlap or run past the rows.
-    pub(crate) fn for_each_panel<P: Sync, F>(self, panels: &[Panel<P>], f: F)
+    pub(crate) fn for_each_panel<P: Sync, F>(self, panels: &[Panel<P>], work: usize, f: F)
     where
         F: Fn(&Panel<P>, PanelRows<'_, T, S>) + Sync + Send,
     {
@@ -155,6 +172,9 @@ impl<'a, T: Send, S: RowSpans> OutRows<'a, T, S> {
                 self.nrows
             );
             end = p.row_end;
+        }
+        if work < PARALLEL_MIN_WORK {
+            return panels.iter().for_each(|p| f(p, self.rows_of(p)));
         }
         par::for_each(panels.len(), |i| f(&panels[i], self.rows_of(&panels[i])));
     }
@@ -244,7 +264,7 @@ mod tests {
         let perm = Permutation::from_order(vec![2, 0, 3, 1]).unwrap();
         let mut out = vec![0.0; 8];
         let rows = OutRows::new(&mut out, 4, Stride(2), RowMap::of(&perm)).unwrap();
-        rows.for_each_panel(&panels(4, 3), |panel, mut rows| {
+        rows.for_each_panel(&panels(4, 3), 0, |panel, mut rows| {
             for rel in 0..rows.len() {
                 rows.row_mut(rel).fill((panel.row_start + rel) as f64);
             }
@@ -255,7 +275,7 @@ mod tests {
         let ptr = [0, 1, 1, 4, 5];
         let mut vals = vec![0.0; 5];
         let rows = OutRows::new(&mut vals, 4, Offsets(&ptr), RowMap::IDENTITY).unwrap();
-        rows.for_each_panel(&panels(4, 2), |panel, mut rows| {
+        rows.for_each_panel(&panels(4, 2), 0, |panel, mut rows| {
             for rel in 0..rows.len() {
                 rows.row_mut(rel).fill((panel.row_start + rel) as f64);
             }
@@ -279,10 +299,34 @@ mod tests {
     fn a_row_past_the_panel_is_refused() {
         let mut out = vec![0.0f64; 4];
         let rows = OutRows::new(&mut out, 4, Stride(1), RowMap::IDENTITY).unwrap();
-        rows.for_each_panel(&panels(4, 2), |_, mut rows| {
+        rows.for_each_panel(&panels(4, 2), 0, |_, mut rows| {
             let past = rows.len();
             rows.row_mut(past)[0] = 1.0;
         });
+    }
+
+    #[test]
+    fn only_calls_past_the_work_threshold_use_the_pool() {
+        let caller = std::thread::current().id();
+        let on_caller = |work| {
+            let mut out = vec![0.0f64; 64];
+            let rows = OutRows::new(&mut out, 64, Stride(1), RowMap::IDENTITY).unwrap();
+            let alone = std::sync::atomic::AtomicBool::new(true);
+            rows.for_each_panel(&panels(64, 1), work, |_, _| {
+                // long enough for a parked helper to wake and join
+                let t = std::time::Instant::now();
+                while t.elapsed() < std::time::Duration::from_micros(50) {}
+                if std::thread::current().id() != caller {
+                    alone.store(false, std::sync::atomic::Ordering::Relaxed);
+                }
+            });
+            alone.into_inner()
+        };
+        assert!(on_caller(PARALLEL_MIN_WORK - 1));
+        if par::max_helpers() > 0 {
+            // other tests may hold the helpers for a while
+            assert!((0..500).any(|_| !on_caller(PARALLEL_MIN_WORK)));
+        }
     }
 
     /// The view is shared by reference across the panel tasks, which

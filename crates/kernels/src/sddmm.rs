@@ -193,7 +193,7 @@ fma_kernel! {
         out: OutRows<'_, T, Offsets<'_>>,
     ) {
         let k = x.ncols();
-        out.for_each_panel(panels, |panel, mut rows| {
+        out.for_each_panel(panels, s.nnz() * k, |panel, mut rows| {
             for rel in 0..rows.len() {
                 let r = panel.row_start + rel;
                 let y_row = &y.row(rows.map().old_of(r))[..k];

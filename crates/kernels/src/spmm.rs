@@ -180,7 +180,8 @@ pub(crate) fn panel_block_pass<T: Scalar>(
 fma_kernel! {
     /// The generic column-blocked ASpT SpMM body, accumulating each
     /// reordered row `r` into the output row `out` maps it to, so the
-    /// rows of `out` must start at zero. Panels run as parallel tasks;
+    /// rows of `out` must start at zero. Panels run as parallel tasks
+    /// (on the caller alone below [`crate::PARALLEL_MIN_WORK`]);
     /// each sweeps its column blocks through [`panel_block_pass`].
     pub(crate) fn spmm_aspt_kblocked_rows<T: Scalar>(
         aspt: &AsptMatrix<T>,
@@ -191,7 +192,7 @@ fma_kernel! {
         let k = x.ncols();
         let kb = k_block.max(1);
         let remainder = aspt.remainder();
-        out.for_each_panel(aspt.panels(), |panel, mut rows| {
+        out.for_each_panel(aspt.panels(), aspt.nnz() * k, |panel, mut rows| {
             let mut c0 = 0;
             while c0 < k {
                 let c1 = (c0 + kb).min(k);

@@ -101,7 +101,7 @@ fma_kernel! {
     /// checks `x.len()`.
     pub(crate) fn spmv_aspt_rows<T: Scalar>(aspt: &AsptMatrix<T>, x: &[T], out: OutRows<'_, T, Stride>) {
         let remainder = aspt.remainder();
-        out.for_each_panel(aspt.panels(), |panel, mut rows| {
+        out.for_each_panel(aspt.panels(), aspt.nnz(), |panel, mut rows| {
             let n = rows.len();
             for tile in &panel.tiles {
                 let (rp, tc, tv) = (&tile.rowptr[..], &tile.colidx[..], &tile.values[..]);

@@ -1,7 +1,8 @@
 //! The worker pool changes who computes, never what.
 //!
 //! Every prepared plan and every kernel output is the same bits with
-//! the helpers forced off and with the pool; eight callers at once all
+//! the helpers forced off and with the pool, below and above the work
+//! from which kernel calls spread their panels; eight callers at once all
 //! get exact answers; the process holds at most
 //! `available_parallelism() − 1` helpers; and a panicking task reaches
 //! its caller without breaking the pool. CI also runs this file pinned
@@ -12,6 +13,7 @@ use std::sync::Barrier;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use spmm_rr::kernels::PARALLEL_MIN_WORK;
 use spmm_rr::prelude::*;
 use spmm_rr::sparse::par;
 
@@ -70,18 +72,43 @@ fn every_output_is_the_same_bits_with_and_without_helpers() {
     }
 }
 
+/// A matrix and a width whose SpMM and SDDMM calls spread their panels
+/// over the pool; the corpus calls above all run on the calling thread.
+fn past_the_work_threshold() -> (CsrMatrix<f64>, usize) {
+    let m = generators::shuffled_block_diagonal::<f64>(1024, 16, 64, 12, 17);
+    let k = 64;
+    assert!(m.nnz() * k >= PARALLEL_MIN_WORK);
+    (m, k)
+}
+
+#[test]
+fn kernel_calls_past_the_work_threshold_are_the_same_bits() {
+    let (m, k) = past_the_work_threshold();
+    let engine = Engine::prepare(&m, &EngineConfig::default()).expect("valid CSR");
+    let x = generators::random_dense::<f64>(m.ncols(), k, 19);
+    let y = generators::random_dense::<f64>(m.nrows(), k, 23);
+    let run = || {
+        (
+            bits(engine.spmm(&x).expect("spmm").data()),
+            bits(&engine.sddmm(&x, &y).expect("sddmm")),
+        )
+    };
+    assert!(run() == par::with_helpers_off(run));
+}
+
 #[test]
 fn eight_callers_at_once_get_exact_answers() {
-    let m = generators::shuffled_block_diagonal::<f64>(64, 32, 128, 24, 11);
+    // calls big enough to take the pool, so the callers contend for it
+    let (m, k) = past_the_work_threshold();
     let engine = Engine::prepare(&m, &EngineConfig::default()).expect("valid CSR");
-    let x = generators::random_dense::<f64>(m.ncols(), 32, 13);
+    let x = generators::random_dense::<f64>(m.ncols(), k, 13);
     let want = par::with_helpers_off(|| bits(engine.spmm(&x).expect("spmm").data()));
     let start = Barrier::new(8);
     thread::scope(|s| {
         for _ in 0..8 {
             s.spawn(|| {
                 start.wait();
-                for _ in 0..20 {
+                for _ in 0..4 {
                     assert_eq!(bits(engine.spmm(&x).expect("spmm").data()), want);
                 }
             });

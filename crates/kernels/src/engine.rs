@@ -3,12 +3,13 @@
 //! [`Engine::prepare`] plans the reordering (with the §4 skip
 //! heuristics), materialises the reordered matrix, builds the ASpT
 //! decomposition and records the preprocessing wall-clock time (the
-//! quantity of Fig 12 / Tables 3–4). The `spmm`/`sddmm` methods then
-//! execute against the decomposition and return outputs **in the
-//! caller's original row / nonzero order**, so reordering is invisible
-//! to users of the results. The kernels write that order themselves:
-//! the row permutation is paid once, at prepare, and no call copies a
-//! reordered operand or result.
+//! quantity of Fig 12 / Tables 3–4). The kernel methods then walk the
+//! reordered rows, one ASpT panel per task, and return outputs **in
+//! the caller's original row / nonzero order**, so reordering is
+//! invisible to users of the results. The kernels write that order
+//! themselves: the row permutation is paid once, at prepare, and no
+//! call copies a reordered operand or result. SpMM, SpMV and SDDMM
+//! give the bits of the sequential row-wise references on any input.
 
 use spmm_aspt::{dense_ratio_of, AsptMatrix};
 use spmm_faults::FaultPoint;
@@ -25,12 +26,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::format::FormatPayload;
-use crate::micro::{spmm_aspt_kblocked_rows_auto, widest_micro_width};
+use crate::micro::{spmm_rows_auto, widest_micro_width};
 use crate::rows::{Offsets, OutRows, RowMap};
 use crate::sddmm::sddmm_rows;
 use crate::spgemm::spgemm_clustered_rows;
 use crate::spmm::{check_aspt_dims, dense_rows};
-use crate::spmv::{spmv_aspt_rows, vector_rows};
+use crate::spmv::{spmv_rows, vector_rows};
 
 /// Fault point at the head of [`Engine::prepare`], after the CSR
 /// invariants check: an injected error surfaces exactly like a
@@ -626,9 +627,9 @@ impl<T: Scalar> Engine<T> {
         self.micro_width = width;
     }
 
-    /// Always `None`: the engine runs one layout, its ASpT tiles, and
-    /// holds no format payload. Kept only for the benchmark harness,
-    /// which still imports it.
+    /// Always `None`: the engine runs one layout, its reordered CSR
+    /// split into panel tasks, and holds no format payload. Kept only
+    /// for the benchmark harness, which still imports it.
     pub fn format_payload(&self) -> Option<&FormatPayload<T>> {
         None
     }
@@ -645,7 +646,9 @@ impl<T: Scalar> Engine<T> {
         &self.plan
     }
 
-    /// The ASpT decomposition executed by the kernels.
+    /// The ASpT decomposition of the reordered matrix: its panels split
+    /// every kernel call into tasks, and the simulator and the free
+    /// ASpT kernels run its tiles.
     pub fn aspt(&self) -> &AsptMatrix<T> {
         &self.aspt
     }
@@ -751,7 +754,8 @@ impl<T: Scalar> Engine<T> {
                 self.record_exec_counters();
                 crate::spmv::check_dims(self.aspt.ncols(), x)?;
                 let mut y = vec![T::ZERO; self.aspt.nrows()];
-                spmv_aspt_rows(&self.aspt, x, vector_rows(&mut y, self.row_map())?);
+                let out = vector_rows(&mut y, self.row_map())?;
+                spmv_rows(&self.reordered, self.aspt.panels(), x, out);
                 Ok(Output::Vector(y))
             }
             KernelOp::Spgemm { b } => {
@@ -781,8 +785,9 @@ impl<T: Scalar> Engine<T> {
     }
 
     /// Like [`Self::spmm`], writing the result into a caller-provided
-    /// output. The call zeroes `y` and the kernel accumulates each row
-    /// of it in place, so the call allocates no output of its own.
+    /// output. The kernel writes every row of `y` once, whatever it held
+    /// before, so the call neither clears `y` nor allocates an output of
+    /// its own.
     ///
     /// # Errors
     /// Fails on operand shape mismatches (`y` must be
@@ -795,7 +800,6 @@ impl<T: Scalar> Engine<T> {
                 got: format!("{} x {}", y.nrows(), y.ncols()),
             });
         }
-        y.data_mut().fill(T::ZERO);
         self.spmm_rows(x, y)
     }
 
@@ -808,16 +812,22 @@ impl<T: Scalar> Engine<T> {
         }
     }
 
-    /// The one SpMM kernel call: the ASpT kernel swept in blocks of the
-    /// plan's microkernel width (the whole of `k` in one block when the
-    /// plan has none), each reordered row accumulated straight into its
-    /// row of `y`, which must be zero.
+    /// The one SpMM kernel call, over the reordered rows, one panel per
+    /// task: each row swept once per block of the plan's microkernel
+    /// width (whole, when the plan has none) and written once, straight
+    /// to its row of `y`.
     fn spmm_rows(&self, x: &DenseMatrix<T>, y: &mut DenseMatrix<T>) -> Result<(), SparseError> {
         let _span = self.telemetry.span("exec.spmm");
         self.record_exec_counters();
         check_aspt_dims(&self.aspt, x)?;
-        let width = self.micro_width.unwrap_or(x.ncols()).max(1);
-        spmm_aspt_kblocked_rows_auto(&self.aspt, x, width, dense_rows(y, self.row_map())?);
+        let out = dense_rows(y, self.row_map())?;
+        spmm_rows_auto(
+            &self.reordered,
+            self.aspt.panels(),
+            x,
+            self.micro_width,
+            out,
+        );
         Ok(())
     }
 
@@ -854,9 +864,9 @@ impl<T: Scalar> Engine<T> {
     }
 
     /// `y = S · x`, rows of `y` in the original row order of `S` — the
-    /// `k = 1` fast path over the dense tiles, bit-identical to
-    /// [`Engine::spmm`] with a 1-column operand. Wrapper over
-    /// [`Engine::execute`].
+    /// `k = 1` fast path over the reordered rows, bit-identical to
+    /// `spmv_rowwise_seq` and to [`Engine::spmm`] with a 1-column
+    /// operand. Wrapper over [`Engine::execute`].
     ///
     /// # Errors
     /// Fails when `x.len()` differs from `S.ncols`.
@@ -902,20 +912,13 @@ impl<T: Scalar> Engine<T> {
         Ok(())
     }
 
-    /// Number of nonzeros processed per kernel call, with the
-    /// dense-tile / sparse-remainder split.
+    /// Number of nonzeros processed per kernel call.
     fn record_exec_counters(&self) {
         if !self.telemetry.is_enabled() {
             return;
         }
         self.telemetry
             .counter("exec.nnz_processed", self.aspt.nnz() as u64);
-        self.telemetry
-            .counter("exec.nnz_dense", self.aspt.nnz_dense() as u64);
-        self.telemetry.counter(
-            "exec.nnz_sparse",
-            (self.aspt.nnz() - self.aspt.nnz_dense()) as u64,
-        );
     }
 
     /// Simulated SpMM performance of this engine's configuration
@@ -1424,6 +1427,42 @@ mod tests {
         // wrong shape rejected
         let mut bad = DenseMatrix::zeros(m.nrows() + 1, 8);
         assert!(engine.spmm_into(&x, &mut bad).is_err());
+    }
+
+    /// `spmm_into` writes every row of the caller's buffer once, so
+    /// nothing it held before shows through: not on a plan that permutes
+    /// rows, not in rows without nonzeros, at no micro width.
+    #[test]
+    fn spmm_into_overwrites_a_nan_filled_buffer() {
+        let full = generators::shuffled_block_diagonal::<f64>(64, 16, 48, 16, 11);
+        let entries = (0..full.nrows())
+            .filter(|i| i % 5 != 0)
+            .flat_map(|i| {
+                let (cols, vals) = full.row(i);
+                cols.iter().zip(vals).map(move |(&c, &v)| (i as u32, c, v))
+            })
+            .collect();
+        let coo = spmm_sparse::CooMatrix::from_entries(full.nrows(), full.ncols(), entries);
+        let m = CsrMatrix::from_coo(&coo.unwrap());
+        let config = EngineConfig::builder()
+            .reorder(
+                ReorderConfig::builder()
+                    .policy(ReorderPolicy::always())
+                    .build(),
+            )
+            .build();
+        let mut engine = Engine::prepare(&m, &config).unwrap();
+        assert!(!engine.plan().row_perm.is_identity());
+        for k in [1, 8, 13, 32, 40] {
+            let x = generators::random_dense::<f64>(m.ncols(), k, 2);
+            let reference = spmm_rowwise_seq(&m, &x).unwrap();
+            for width in [None, Some(8), Some(16), Some(32)] {
+                engine.set_micro_width(width);
+                let mut y = DenseMatrix::from_vec(m.nrows(), k, vec![f64::NAN; m.nrows() * k]);
+                engine.spmm_into(&x, &mut y).unwrap();
+                assert_eq!(y.data(), reference.data(), "k = {k}, width {width:?}");
+            }
+        }
     }
 
     #[test]

@@ -6,12 +6,13 @@
 //! preserves results:
 //!
 //! * [`spmm`] — Alg 1 row-wise SpMM (sequential reference + row-parallel
-//!   on the `spmm_sparse::par` pool) and the ASpT-structured kernel
-//!   (dense tiles accumulated panel-parallel + remainder).
+//!   on the `spmm_sparse::par` pool), the engine's row body over the
+//!   reordered CSR, and the ASpT-structured kernel (dense tiles
+//!   accumulated panel-parallel + remainder).
 //! * [`micro`] — monomorphized `[T; KB]` register-accumulator SpMM
-//!   microkernels for the k-blocked hot path (KB ∈ {8, 16, 32}), the
-//!   plan's width set from its `k_hint` by rule, bit-identical to the
-//!   generic kernels.
+//!   microkernels (KB ∈ {8, 16, 32}) for the engine's row body and the
+//!   ASpT tile walk, the plan's width set from its `k_hint` by rule,
+//!   bit-identical to the generic kernels.
 //! * [`sddmm`] — Alg 2 SDDMM, same three variants; the ASpT one runs
 //!   several of a row's dot chains at once.
 //! * [`spmv`] — the dedicated `k = 1` path: flat-slice operand, scalar
@@ -26,7 +27,7 @@
 //!   variants, keep the fastest.
 //! * [`mod@format`] — the format zoo: SELL-C-σ and CSB layouts raced
 //!   against the incumbent ASpT layout on the simulator. The engine
-//!   itself runs one layout, its ASpT tiles.
+//!   itself runs one layout, its reordered CSR split into panel tasks.
 
 #![warn(missing_docs)]
 

@@ -5,39 +5,48 @@
 //! output block back to memory after every nonzero. This module
 //! monomorphizes the inner loops over the k-block width `KB ∈ {8, 16,
 //! 32}` ([`MICRO_WIDTHS`]) and the scalar type, using `[T; KB]`
-//! register accumulators: the output block is loaded once per run of
-//! nonzeros (a dense-tile row or a sparse-remainder row), accumulated
-//! in registers across the run, and stored once. Like every kernel with
-//! a multiply-add loop, each body is an
+//! register accumulators that are stored once per run of nonzeros. Like
+//! every kernel with a multiply-add loop, each body is an
 //! [`fma_kernel!`](spmm_sparse::fma_kernel): on an AVX2+FMA host the
-//! fixed-width block becomes straight-line `vfmadd` code. Like the
-//! generic kernel, each body accumulates every reordered row straight
-//! into the caller's row that the plan's row permutation maps it to.
-//! `spmm-rr microbench` (Quick corpus, k = 96, f32) measured these
-//! bodies at 2.2× the generic kernel overall on a Xeon with AVX-512
-//! and FMA (2.4× at width 8, 2.3× at 16, 1.6–1.7× at 32).
+//! fixed-width block becomes straight-line `vfmadd` code.
 //!
-//! **Bit-exactness.** Per output element the accumulation is the same
-//! sequential `mul_add` chain in the same nonzero order as the generic
-//! kernels — columns never mix, blocking only partitions columns — so
-//! every specialized kernel is bit-identical to its generic
-//! counterpart. SDDMM ([`crate::sddmm`]) has no width here: it keeps
-//! one sequential chain *per output*, with `G` outputs in flight side by
-//! side; a lane-parallel dot that splits one output's chain would
-//! reassociate the reduction and is deliberately not used.
+//! Two families of bodies share the register accumulator:
+//!
+//! * **The engine's** (`spmm_rows_micro`, dispatched by
+//!   `spmm_rows_auto`): [`Engine::spmm`](crate::Engine::spmm) walks the
+//!   reordered CSR rows, one ASpT panel per task. Each row runs once per
+//!   column block, from a zeroed accumulator over its nonzeros in CSR
+//!   order, and is stored once to its caller row. Every element is the
+//!   chain `spmm_rowwise_seq` computes, so the engine's SpMM has the
+//!   reference's bits on any input.
+//! * **The ASpT tile walk** ([`spmm_aspt_kblocked_auto`]): the paper's
+//!   kernel in the decomposed matrix's own row order, each dense-tile
+//!   row and remainder row a run that loads the output block, adds to
+//!   it and stores it. `spmm-rr microbench` (Quick corpus, k = 96, f32)
+//!   measured these bodies at 2.2× the generic tile kernel on a Xeon
+//!   with AVX-512 and FMA (2.4× at width 8, 2.3× at 16, 1.6–1.7× at 32).
+//!
+//! **Bit-exactness.** Blocking only partitions columns and never mixes
+//! them, so every specialized body is bit-identical to its generic
+//! counterpart: the engine's to `spmm_rowwise_seq`, the tile walk's to
+//! [`spmm_aspt_kblocked`](crate::spmm::spmm_aspt_kblocked). SDDMM
+//! ([`crate::sddmm`]) has no width here: it keeps one sequential chain
+//! *per output*, with `G` outputs in flight side by side; a
+//! lane-parallel dot that splits one output's chain would reassociate
+//! the reduction and is deliberately not used.
 //!
 //! A plan's width follows from its `k_hint` by rule
-//! ([`widest_micro_width`]) and is recorded in the `.spmmplan` codec;
-//! every prepared SpMM goes through the [`spmm_aspt_kblocked_auto`]
-//! dispatcher at the plan's width, which falls back to the generic
-//! slice path for any other width. The trailing `k % KB` columns always
-//! take the generic path.
+//! ([`widest_micro_width`]) and is recorded in the `.spmmplan` codec.
+//! Any other width, and the trailing `k % KB` columns, take the generic
+//! path.
 
-use spmm_aspt::AsptMatrix;
-use spmm_sparse::{fma_kernel, DenseMatrix, Scalar, SparseError};
+use spmm_aspt::{AsptMatrix, Panel};
+use spmm_sparse::{fma_kernel, CsrMatrix, DenseMatrix, Scalar, SparseError};
 
 use crate::rows::{OutRows, RowMap, Stride};
-use crate::spmm::{check_aspt_dims, dense_rows, panel_block_pass, spmm_aspt_kblocked_rows};
+use crate::spmm::{
+    check_aspt_dims, dense_rows, panel_block_pass, row_block, spmm_aspt_kblocked_rows, spmm_rows,
+};
 
 /// K-block widths with monomorphized kernel bodies, in ascending order.
 pub const MICRO_WIDTHS: [usize; 3] = [8, 16, 32];
@@ -58,22 +67,20 @@ pub fn widest_micro_width(k: usize) -> Option<usize> {
     MICRO_WIDTHS.iter().rev().copied().find(|&w| w <= k)
 }
 
-/// The register-accumulator body: `y_block += Σ vals[e] * X[cols[e]]`
-/// over one `KB`-wide column block starting at `c0`, with the block
-/// held in a `[T; KB]` across all nonzeros of the run. Accumulation
-/// order per element is identical to chaining [`axpy`](crate::spmm)
-/// per nonzero. `X` comes in as its data and width, held in the
-/// caller's locals (see `axpy_run` in [`crate::spmm`]).
+/// The register-accumulator body: `acc + Σ vals[e] * X[cols[e]]` over
+/// one `KB`-wide column block starting at `c0`, with the block held in
+/// a `[T; KB]` across all nonzeros of the run. Accumulation order per
+/// element is identical to chaining [`axpy`](crate::spmm) per nonzero.
+/// `X` comes in as its data and width, held in the caller's locals (see
+/// `axpy_run` in [`crate::spmm`]).
 #[inline(always)]
-fn axpy_run_micro<T: Scalar, const KB: usize>(
-    y_block: &mut [T],
+fn block_sum<T: Scalar, const KB: usize>(
+    mut acc: [T; KB],
     cols: &[u32],
     vals: &[T],
     (xd, xk): (&[T], usize),
     c0: usize,
-) {
-    let y_arr: &mut [T; KB] = y_block.try_into().expect("y block width must equal KB");
-    let mut acc = *y_arr;
+) -> [T; KB] {
     for (&c, &v) in cols.iter().zip(vals) {
         let at = c as usize * xk + c0;
         let x_arr: &[T; KB] = xd[at..at + KB]
@@ -83,7 +90,69 @@ fn axpy_run_micro<T: Scalar, const KB: usize>(
             acc[j] = v.mul_add(x_arr[j], acc[j]);
         }
     }
-    *y_arr = acc;
+    acc
+}
+
+/// `y_block` as the `[T; KB]` it is.
+#[inline(always)]
+fn as_block<T, const KB: usize>(y_block: &mut [T]) -> &mut [T; KB] {
+    y_block.try_into().expect("y block width must equal KB")
+}
+
+fma_kernel! {
+    /// The engine's SpMM body at width `KB`, over the reordered CSR
+    /// matrix `s`, one panel per task. Each row is swept once per
+    /// `KB`-wide column block: a `[T; KB]` register accumulator starts
+    /// at zero, runs over the row's nonzeros in CSR order and is stored
+    /// once, to the caller's row that `out` maps the row to. The
+    /// trailing `k % KB` columns take the generic row body. Every row of
+    /// `out` is written, so it need not start at zero, and each element
+    /// is the same sequential chain as in `spmm_rowwise_seq`: a row
+    /// permutation keeps the order within each row.
+    fn spmm_rows_micro<T: Scalar, const KB: usize>(
+        s: &CsrMatrix<T>,
+        panels: &[Panel<T>],
+        x: &DenseMatrix<T>,
+        out: OutRows<'_, T, Stride>,
+    ) {
+        let k = x.ncols();
+        let full_end = k - k % KB;
+        out.for_each_panel(panels, s.nnz() * k, |panel, mut rows| {
+            let x = (x.data(), k);
+            for rel in 0..rows.len() {
+                let (cols, vals) = s.row(panel.row_start + rel);
+                let y_row = rows.row_mut(rel);
+                let mut c0 = 0;
+                while c0 < full_end {
+                    *as_block(&mut y_row[c0..c0 + KB]) =
+                        block_sum::<T, KB>([T::ZERO; KB], cols, vals, x, c0);
+                    c0 += KB;
+                }
+                if full_end < k {
+                    row_block(&mut y_row[full_end..], cols, vals, x, full_end);
+                }
+            }
+        });
+    }
+}
+
+/// The engine's SpMM: routes the widths in [`MICRO_WIDTHS`] to their
+/// register bodies and every other width (or none) to the generic row
+/// body. Every width gives the bits of `spmm_rowwise_seq`. The caller
+/// checks the operand shapes.
+pub(crate) fn spmm_rows_auto<T: Scalar>(
+    s: &CsrMatrix<T>,
+    panels: &[Panel<T>],
+    x: &DenseMatrix<T>,
+    width: Option<usize>,
+    out: OutRows<'_, T, Stride>,
+) {
+    match width {
+        Some(8) => spmm_rows_micro::<T, 8>(s, panels, x, out),
+        Some(16) => spmm_rows_micro::<T, 16>(s, panels, x, out),
+        Some(32) => spmm_rows_micro::<T, 32>(s, panels, x, out),
+        _ => spmm_rows(s, panels, x, out),
+    }
 }
 
 fma_kernel! {
@@ -111,16 +180,16 @@ fma_kernel! {
                     for rel in 0..n {
                         let (lo, hi) = (rp[rel], rp[rel + 1]);
                         if lo < hi {
-                            let y_block = &mut rows.row_mut(rel)[c0..c0 + KB];
-                            axpy_run_micro::<T, KB>(y_block, &tc[lo..hi], &tv[lo..hi], x, c0);
+                            let y_block = as_block::<T, KB>(&mut rows.row_mut(rel)[c0..c0 + KB]);
+                            *y_block = block_sum(*y_block, &tc[lo..hi], &tv[lo..hi], x, c0);
                         }
                     }
                 }
                 for rel in 0..n {
                     let (cols, vals) = remainder.row(panel.row_start + rel);
                     if !cols.is_empty() {
-                        let y_block = &mut rows.row_mut(rel)[c0..c0 + KB];
-                        axpy_run_micro::<T, KB>(y_block, cols, vals, x, c0);
+                        let y_block = as_block::<T, KB>(&mut rows.row_mut(rel)[c0..c0 + KB]);
+                        *y_block = block_sum(*y_block, cols, vals, x, c0);
                     }
                 }
                 c0 += KB;
@@ -146,26 +215,14 @@ pub fn spmm_aspt_kblocked_auto<T: Scalar>(
 ) -> Result<DenseMatrix<T>, SparseError> {
     check_aspt_dims(aspt, x)?;
     let mut y = DenseMatrix::zeros(aspt.nrows(), x.ncols());
-    spmm_aspt_kblocked_rows_auto(aspt, x, k_block, dense_rows(&mut y, RowMap::IDENTITY)?);
-    Ok(y)
-}
-
-/// [`spmm_aspt_kblocked_auto`] into `out`, each reordered row
-/// accumulated into the output row `out` maps it to: the body every
-/// prepared SpMM runs. The rows of `out` must start at zero, and the
-/// caller checks the operand shapes.
-pub(crate) fn spmm_aspt_kblocked_rows_auto<T: Scalar>(
-    aspt: &AsptMatrix<T>,
-    x: &DenseMatrix<T>,
-    k_block: usize,
-    out: OutRows<'_, T, Stride>,
-) {
+    let out = dense_rows(&mut y, RowMap::IDENTITY)?;
     match k_block {
         8 => spmm_aspt_kblocked_micro::<T, 8>(aspt, x, out),
         16 => spmm_aspt_kblocked_micro::<T, 16>(aspt, x, out),
         32 => spmm_aspt_kblocked_micro::<T, 32>(aspt, x, out),
         _ => spmm_aspt_kblocked_rows(aspt, x, k_block, out),
     }
+    Ok(y)
 }
 
 #[cfg(test)]

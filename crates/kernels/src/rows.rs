@@ -1,7 +1,7 @@
 //! Writes to a kernel's output rows in the caller's row order.
 //!
-//! The ASpT kernels walk the rows of the *reordered* matrix, one panel
-//! per task. [`OutRows`] lets each task write reordered row `r` straight
+//! The engine's kernels walk the rows of the *reordered* matrix, one
+//! ASpT panel per task. [`OutRows`] lets each task write reordered row `r` straight
 //! to row `old_of(r)` of the caller's buffer, so no reordered copy of
 //! the output is made and permuted back afterwards. SpMM, SpMV and SDDMM
 //! all write through it: SpMM and SpMV rows are `k`-element strides of a
@@ -15,18 +15,23 @@ use spmm_aspt::Panel;
 use spmm_sparse::{par, Permutation, SparseError};
 
 /// The multiply-adds (nonzeros × dense columns) from which a kernel
-/// call spreads its panels over the worker pool: 2^23, 2–3 ms of one
-/// core's work on the reference host (2 vCPUs, 3–4 G multiply-adds/s).
+/// call spreads its panels over the worker pool: 2^23, 0.9–1.6 ms of
+/// one core's work for the SpMM row body on the reference host (2
+/// vCPUs, 5–9 G multiply-adds/s on perfbench's train-loop matrices).
 ///
 /// A helper that is parked, or whose core the host has lent to another
 /// tenant, joins a loop late: 76 µs at the median on a quiet host and
 /// 1.77 ms in a busy period (EXPERIMENTS.md, "Helper wake-up"). A call
 /// not much longer than that gains only when the other core happens to
-/// be free at that instant, so its speed follows the host's load from
-/// one run to the next: a 4.2 M multiply-add SpMM ran at 10.7 GFLOP/s
-/// on a quiet host and at 7.6–10.6 with one busy process beside it,
-/// against 6.9 on one thread. A call of this size outlasts even the
-/// busy-period wake-up, so a late helper still takes a share.
+/// be free at that instant. Paired calls at train-loop's size (12.6 M
+/// multiply-adds, EXPERIMENTS.md, "The engine's SpMM walks CSR rows")
+/// show both sides of this bound. On a quiet host the pool takes
+/// 0.54–0.61× the time of the caller alone and wins 198–200 of 200
+/// pairs. Beside one busy process it ties at the median (0.99–1.50×)
+/// and still wins at p10, as the parent's tile body did (1.01–1.34×).
+/// A higher bound would give up the quiet host's gain on every
+/// train-loop call; a lower one would expose shorter calls, where the
+/// late helper takes a larger share of the time, to the same tie.
 pub const PARALLEL_MIN_WORK: usize = 1 << 23;
 
 /// Where reordered row `r` goes: row `old_of(r)` of the caller's

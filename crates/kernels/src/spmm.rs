@@ -1,4 +1,16 @@
 //! SpMM kernels: `Y = S · X` (paper Alg 1).
+//!
+//! [`Engine::spmm`](crate::Engine::spmm) runs `spmm_rows` here (a plan
+//! with no microkernel width) or the register bodies of [`crate::micro`]:
+//! both walk the reordered CSR rows, one ASpT panel per task, and write
+//! each row once to its caller row, with the bits of
+//! [`spmm_rowwise_seq`]. On a CPU the cache keeps a panel's `X` rows hot
+//! across its rows, so the tiles give the engine's SpMM nothing but its
+//! task split, while walking them stores every output row once per tile
+//! it touches. The free kernels [`spmm_aspt()`] and
+//! [`spmm_aspt_kblocked`] keep the paper's tile walk (each dense tile
+//! over the panel's rows, then the remainder) for the simulator's
+//! structure, `spmm-rr microbench` and the benchmark's plan check.
 
 use spmm_aspt::{AsptMatrix, Panel};
 use spmm_sparse::{fma_kernel, par, CsrMatrix, DenseMatrix, Scalar, SparseError};
@@ -45,6 +57,21 @@ fn axpy_run<T: Scalar>(
         let at = c as usize * xk;
         axpy(y_block, v, &xd[at + c0..at + c1]);
     }
+}
+
+/// One row's block `c0..c0 + y_block.len()` computed from zero: the
+/// generic CSR-row body, the chain of [`axpy`] per nonzero that
+/// `spmm_rowwise_seq` runs, restricted to the block's columns.
+#[inline(always)]
+pub(crate) fn row_block<T: Scalar>(
+    y_block: &mut [T],
+    cols: &[u32],
+    vals: &[T],
+    x: (&[T], usize),
+    c0: usize,
+) {
+    y_block.fill(T::ZERO);
+    axpy_run(y_block, cols, vals, x, c0);
 }
 
 /// Checks `S.ncols == X.nrows` for an ASpT operand.
@@ -198,6 +225,28 @@ fma_kernel! {
                 let c1 = (c0 + kb).min(k);
                 panel_block_pass(panel, remainder, &mut rows, (x.data(), k), (c0, c1));
                 c0 = c1;
+            }
+        });
+    }
+}
+
+fma_kernel! {
+    /// The engine's generic SpMM body, for plans with no microkernel
+    /// width: each row of the reordered CSR matrix `s`, one panel per
+    /// task, computed whole through [`row_block`] into the caller's row
+    /// that `out` maps it to. Every row of `out` is written, so it need
+    /// not start at zero. The caller checks the operand shapes.
+    pub(crate) fn spmm_rows<T: Scalar>(
+        s: &CsrMatrix<T>,
+        panels: &[Panel<T>],
+        x: &DenseMatrix<T>,
+        out: OutRows<'_, T, Stride>,
+    ) {
+        let k = x.ncols();
+        out.for_each_panel(panels, s.nnz() * k, |panel, mut rows| {
+            for rel in 0..rows.len() {
+                let (cols, vals) = s.row(panel.row_start + rel);
+                row_block(rows.row_mut(rel), cols, vals, (x.data(), k), 0);
             }
         });
     }

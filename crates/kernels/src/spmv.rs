@@ -8,8 +8,13 @@
 //! order of their SpMM counterparts ([`crate::spmm::spmm_rowwise_seq`],
 //! [`crate::spmm::spmm_aspt`]) — so every variant here is bit-identical
 //! to the matching SpMM kernel applied to an `n × 1` operand.
+//!
+//! [`Engine::spmv`](crate::Engine::spmv) runs `spmv_rows`, SpMM's
+//! engine body at `k = 1`: it walks the reordered CSR rows, not the
+//! tiles, and gives the bits of [`spmv_rowwise_seq`]. [`spmv_aspt`]
+//! keeps the tile walk of the paper's ASpT kernel.
 
-use spmm_aspt::AsptMatrix;
+use spmm_aspt::{AsptMatrix, Panel};
 use spmm_sparse::{fma_kernel, par, CsrMatrix, Scalar, SparseError};
 
 use crate::rows::{OutRows, RowMap, Stride};
@@ -59,20 +64,6 @@ fma_kernel! {
     }
 }
 
-/// ASpT-structured SpMV in the decomposed matrix's own row order:
-/// dense tiles accumulate per panel (the staged-X kernel with a
-/// one-element stage), the sparse remainder accumulates row-wise into
-/// the same output. The per-element accumulation order — tiles in panel
-/// order, then the remainder row — is exactly that of
-/// [`crate::spmm::spmm_aspt`], so the result is bit-identical to the
-/// SpMM kernel on an `n × 1` operand.
-pub fn spmv_aspt<T: Scalar>(aspt: &AsptMatrix<T>, x: &[T]) -> Result<Vec<T>, SparseError> {
-    check_dims(aspt.ncols(), x)?;
-    let mut y = vec![T::ZERO; aspt.nrows()];
-    spmv_aspt_rows(aspt, x, vector_rows(&mut y, RowMap::IDENTITY)?);
-    Ok(y)
-}
-
 /// The entries of `y` as one-element kernel output rows, reordered row
 /// `r` going to entry `map.old_of(r)`.
 pub(crate) fn vector_rows<'a, T: Scalar>(
@@ -94,13 +85,18 @@ fn dot_run<T: Scalar>(mut acc: T, cols: &[u32], vals: &[T], x: &[T]) -> T {
 }
 
 fma_kernel! {
-    /// The ASpT SpMV body, writing each reordered row `r` to the output
-    /// entry `out` maps it to. Each panel task zeroes its entries, runs
-    /// each dense tile over all its rows (the tile's staged `x` entries
-    /// stay hot across them), then the remainder row by row. The caller
-    /// checks `x.len()`.
-    pub(crate) fn spmv_aspt_rows<T: Scalar>(aspt: &AsptMatrix<T>, x: &[T], out: OutRows<'_, T, Stride>) {
+    /// ASpT-structured SpMV in the decomposed matrix's own row order:
+    /// per panel, each dense tile runs over all the panel's rows (the
+    /// tile's staged `x` entries stay hot across them), then the
+    /// remainder row by row. The per-element accumulation order — tiles
+    /// in panel order, then the remainder row — is exactly that of
+    /// [`crate::spmm::spmm_aspt`], so the result is bit-identical to the
+    /// SpMM kernel on an `n × 1` operand.
+    pub fn spmv_aspt<T: Scalar>(aspt: &AsptMatrix<T>, x: &[T]) -> Result<Vec<T>, SparseError> {
+        check_dims(aspt.ncols(), x)?;
+        let mut y = vec![T::ZERO; aspt.nrows()];
         let remainder = aspt.remainder();
+        let out = vector_rows(&mut y, RowMap::IDENTITY)?;
         out.for_each_panel(aspt.panels(), aspt.nnz(), |panel, mut rows| {
             let n = rows.len();
             for tile in &panel.tiles {
@@ -119,6 +115,29 @@ fma_kernel! {
                     let y = &mut rows.row_mut(rel)[0];
                     *y = dot_run(*y, cols, vals, x);
                 }
+            }
+        });
+        Ok(y)
+    }
+}
+
+fma_kernel! {
+    /// The engine's SpMV body: the engine's SpMM row body at `k = 1`.
+    /// Each row of the reordered CSR matrix `s`, one panel per task,
+    /// runs its nonzeros in CSR order through one register accumulator
+    /// that starts at zero, and stores it once, to the caller's entry
+    /// that `out` maps the row to. Bit-identical to
+    /// [`spmv_rowwise_seq`]. The caller checks `x.len()`.
+    pub(crate) fn spmv_rows<T: Scalar>(
+        s: &CsrMatrix<T>,
+        panels: &[Panel<T>],
+        x: &[T],
+        out: OutRows<'_, T, Stride>,
+    ) {
+        out.for_each_panel(panels, s.nnz(), |panel, mut rows| {
+            for rel in 0..rows.len() {
+                let (cols, vals) = s.row(panel.row_start + rel);
+                rows.row_mut(rel)[0] = dot_run(T::ZERO, cols, vals, x);
             }
         });
     }

@@ -8,17 +8,22 @@
 //! Two bit-equality bars, matching the kernels' contracts:
 //!
 //! * `spmm_aspt_kblocked_auto` ≡ `spmm_aspt` ≡ `spmm_aspt_kblocked` —
-//!   ASpT kernels accumulate tiles before the remainder, so their bar
-//!   is the ASpT family itself, not the CSR-ordered reference;
-//! * `Engine::spmm` ≡ `spmm_rowwise_seq` on integer-valued operands,
-//!   where every summation order is exact — whatever micro width the
-//!   plan carries.
+//!   the free ASpT kernels accumulate tiles before the remainder, so
+//!   their bar is the ASpT family itself, not the CSR-ordered reference;
+//! * `Engine::spmm` ≡ `spmm_rowwise_seq` and `Engine::spmv` ≡
+//!   `spmv_rowwise_seq` on *any* operands, unquantized ones included:
+//!   the engine walks the reordered CSR rows, and a row permutation
+//!   keeps the nonzero order within each row, so every output element
+//!   is the reference's own chain — whatever micro width the plan
+//!   carries, with or without the pool's helpers, in both compiled
+//!   copies.
 
 use proptest::prelude::*;
 use spmm_rr::kernels::autotune::choose_micro_width;
 use spmm_rr::kernels::spmm::spmm_aspt_kblocked;
-use spmm_rr::kernels::widest_micro_width;
+use spmm_rr::kernels::{widest_micro_width, PARALLEL_MIN_WORK};
 use spmm_rr::prelude::*;
+use spmm_rr::sparse::{par, simd};
 
 /// Raw IEEE-754 bits of every element, so comparisons catch sign-of-zero
 /// and NaN-payload drift that `==` on floats would wave through.
@@ -110,21 +115,18 @@ fn every_width_is_bit_identical_in_f64() {
 /// Engine-level contract: `Engine::spmm` sweeps `k` in blocks of the
 /// plan's micro width, and no width — none, or any specialized one,
 /// dividing `k` or not, `k = 0` included — changes a single output
-/// bit. Operands sit on an integer grid so the sequential reference is
-/// exact whatever order the tiles accumulate in.
+/// bit. The operands are random and unquantized: every width must give
+/// the sequential reference's bits.
 #[test]
 fn engine_kblocked_execution_is_width_invariant() {
-    let quantize = |v: &mut [f32]| v.iter_mut().for_each(|x| *x = (*x * 8.0).round());
-    let mut m = generators::shuffled_block_diagonal::<f32>(64, 16, 48, 16, 43);
-    quantize(m.values_mut());
+    let m = generators::shuffled_block_diagonal::<f32>(64, 16, 48, 16, 43);
     let mut engine = Engine::prepare(&m, &EngineConfig::default()).unwrap();
     assert!(
         engine.plan().needs_reordering(),
         "the row map must be exercised"
     );
     for k in [0usize, 1, 7, 8, 20, 48] {
-        let mut x = generators::random_dense::<f32>(m.ncols(), k, 47 ^ k as u64);
-        quantize(x.data_mut());
+        let x = generators::random_dense::<f32>(m.ncols(), k, 47 ^ k as u64);
         let reference = bits(&spmm_rowwise_seq(&m, &x).unwrap());
         for width in [None, Some(8), Some(16), Some(32)] {
             engine.set_micro_width(width);
@@ -133,6 +135,106 @@ fn engine_kblocked_execution_is_width_invariant() {
             assert_eq!(bits(&y), reference, "micro width {width:?} at k = {k}");
         }
     }
+}
+
+/// `Engine::spmm` and `Engine::spmv` against the row-wise references
+/// on `m`, bit for bit, at each `k` and the width a plan for that `k`
+/// carries (and at no width), with the helpers on and off and in both
+/// compiled copies. Returns whether the plan permutes rows.
+fn engine_matches_the_references<T: Scalar>(
+    m: &CsrMatrix<T>,
+    config: &EngineConfig,
+    ks: &[usize],
+) -> bool {
+    let engine = Engine::prepare(m, config).unwrap();
+    let v = generators::random_dense::<T>(m.ncols(), 1, 5)
+        .data()
+        .to_vec();
+    let spmv_ref = spmv_rowwise_seq(m, &v).unwrap();
+    for &k in ks {
+        let x = generators::random_dense::<T>(m.ncols(), k, 3 + k as u64);
+        let reference = bits(&spmm_rowwise_seq(m, &x).unwrap());
+        for width in [widest_micro_width(k), None] {
+            let mut e = engine.clone();
+            e.set_micro_width(width);
+            let run = || (bits(&e.spmm(&x).unwrap()), e.spmv(&v).unwrap());
+            let runs = [
+                ("pool", run()),
+                ("one thread", par::with_helpers_off(run)),
+                ("portable", simd::with_portable(run)),
+                (
+                    "portable, one thread",
+                    simd::with_portable(|| par::with_helpers_off(run)),
+                ),
+            ];
+            for (mode, (spmm, spmv)) in runs {
+                assert!(spmm == reference, "SpMM k = {k}, width {width:?}, {mode}");
+                assert!(
+                    spmv.iter()
+                        .map(|y| y.to_bits64())
+                        .eq(spmv_ref.iter().map(|y| y.to_bits64())),
+                    "SpMV width {width:?}, {mode}"
+                );
+            }
+        }
+    }
+    !engine.plan().row_perm.is_identity()
+}
+
+fn corpus_engines_match_the_references<T: Scalar>() {
+    let always = EngineConfig::builder()
+        .reorder(
+            ReorderConfig::builder()
+                .policy(ReorderPolicy::always())
+                .build(),
+        )
+        .build();
+    let (mut permuted, mut identity) = (0, 0);
+    for cm in Corpus::<T>::generate(CorpusProfile::Quick, 71).iter() {
+        for config in [&EngineConfig::default(), &always] {
+            let reordered =
+                engine_matches_the_references(&cm.matrix, config, &[1, 7, 8, 16, 32, 33, 64]);
+            *(if reordered {
+                &mut permuted
+            } else {
+                &mut identity
+            }) += 1;
+        }
+    }
+    assert!(
+        permuted > 0 && identity > 0,
+        "{permuted} permuted, {identity} identity plans"
+    );
+}
+
+#[test]
+fn engine_spmm_and_spmv_equal_the_row_wise_references_f32() {
+    corpus_engines_match_the_references::<f32>();
+}
+
+#[test]
+fn engine_spmm_and_spmv_equal_the_row_wise_references_f64() {
+    corpus_engines_match_the_references::<f64>();
+}
+
+/// A call past `PARALLEL_MIN_WORK` spreads its panels over the pool,
+/// which the corpus calls above do not.
+#[test]
+fn engine_calls_past_the_work_threshold_equal_the_references() {
+    let m = generators::shuffled_block_diagonal::<f64>(1024, 16, 64, 12, 17);
+    let k = 64;
+    assert!(m.nnz() * k >= PARALLEL_MIN_WORK);
+    assert!(engine_matches_the_references(
+        &m,
+        &EngineConfig::default(),
+        &[k]
+    ));
+    let m32 = generators::shuffled_block_diagonal::<f32>(1024, 16, 64, 12, 17);
+    assert!(engine_matches_the_references(
+        &m32,
+        &EngineConfig::default(),
+        &[k]
+    ));
 }
 
 /// The plan's width is a rule of its `k_hint`, and the rule is exactly

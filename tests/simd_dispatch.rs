@@ -56,7 +56,7 @@ fn sparse<T: Scalar>(r: Result<CsrMatrix<T>, SparseError>) -> Vec<u64> {
 /// Every dispatched kernel, at every micro width the engine can pick
 /// (`None` runs the whole of `k` as one block, as `Engine::spmm` does).
 fn kernels<T: Scalar>() -> Vec<(String, Kernel<T>)> {
-    let fixed: [(&str, KernelFn<T>); 19] = [
+    let fixed: [(&str, KernelFn<T>); 20] = [
         ("spmm_rowwise_seq", |o| dense(spmm_rowwise_seq(&o.s, &o.x))),
         ("spmm_rowwise_par", |o| dense(spmm_rowwise_par(&o.s, &o.x))),
         ("spmm_aspt", |o| dense(spmm_aspt(&o.aspt, &o.x))),
@@ -72,6 +72,7 @@ fn kernels<T: Scalar>() -> Vec<(String, Kernel<T>)> {
         ("spmv_rowwise_seq", |o| values(spmv_rowwise_seq(&o.s, &o.v))),
         ("spmv_rowwise_par", |o| values(spmv_rowwise_par(&o.s, &o.v))),
         ("spmv_aspt", |o| values(spmv_aspt(&o.aspt, &o.v))),
+        ("Engine::spmv", |o| values(o.engine.spmv(&o.v))),
         ("spgemm_gustavson_seq", |o| {
             sparse(spgemm_gustavson_seq(&o.s, &o.b))
         }),

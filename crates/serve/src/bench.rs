@@ -25,9 +25,7 @@
 
 use crate::batch::BatchConfig;
 use crate::cache::CacheStats;
-use crate::driver::{
-    cover, percentile_ms, structural_delta, zipf_schedule, Case, Knobs, Op, Stream,
-};
+use crate::driver::{cover, percentile_ms, structural_delta, zipf_schedule, Case, Op, Stream};
 use crate::engine::{Request, ServeConfig, ServeEngine, ServePath, ServeStats};
 use crate::error::ServeError;
 use crate::fingerprint::MatrixFingerprint;
@@ -570,16 +568,18 @@ pub fn run_serve_bench(config: &ServeBenchConfig) -> Result<ServeBenchReport, Se
         Some(dir) => Some(Arc::new(PlanStore::open(dir).map_err(ServeError::Prepare)?)),
         None => None,
     };
-    let engine = Knobs {
-        workers: config.workers,
-        queue_capacity: config.queue_capacity,
-        cache_capacity: config.cache_capacity,
-        preprocess_budget: budget,
-        seed: config.seed,
-        batch: config.batch,
-        store: store.clone(),
+    let mut serve_config = ServeConfig::builder()
+        .workers(config.workers)
+        .queue_capacity(config.queue_capacity)
+        .cache_capacity(config.cache_capacity)
+        .preprocess_budget(budget);
+    if let Some(batch) = config.batch {
+        serve_config = serve_config.batching(batch);
     }
-    .start::<f32>()?;
+    if let Some(store) = &store {
+        serve_config = serve_config.plan_store(Arc::clone(store));
+    }
+    let engine = ServeEngine::<f32>::start(serve_config.build()?);
 
     let mix: &[Op] = match config.op {
         // every 5th request exercises the SDDMM path

@@ -1,4 +1,4 @@
-//! Sharded, capacity-bounded LRU cache of prepared plans.
+//! Capacity-bounded LRU cache of prepared plans, behind one lock.
 //!
 //! The cache maps a [`MatrixFingerprint`] to an `Arc<Engine<T>>` — one
 //! paid-for run of the Fig 5 preprocessing pipeline, shared by every
@@ -6,36 +6,43 @@
 //! serving layer:
 //!
 //! * **Coalesced preparation.** A fingerprint's slot is inserted
-//!   atomically under its shard lock, so under a thundering herd
-//!   exactly one caller runs `Engine::prepare`; the rest block on the
-//!   slot's condvar and share the result.
-//! * **Bounded capacity.** The cache holds at most `capacity` entries
-//!   in total, whatever shards their fingerprints hash to; an insert
-//!   past the bound evicts the least-recently-used *settled* entry of
-//!   the whole cache, locking one shard at a time. In-flight prepares
-//!   are never evicted (doing so would let a concurrent lookup of the
-//!   same fingerprint re-prepare it); a cache whose other residents are
-//!   all in flight briefly overflows instead. The eviction order is the
-//!   global LRU order, which the tests pin down.
+//!   atomically under the map lock, so under a thundering herd exactly
+//!   one caller runs `Engine::prepare`; the rest block on the slot's
+//!   condvar and share the result.
+//! * **Bounded capacity.** An insert and the evictions it causes happen
+//!   in one critical section: an insert past `capacity` evicts the
+//!   least-recently-used *settled* entries until the cache is back
+//!   within its bound. In-flight prepares and claimed mutations are
+//!   never evicted (doing so would let a concurrent lookup of the same
+//!   fingerprint re-prepare it), so the cache exceeds its capacity only
+//!   while every other resident slot is in flight; that overflow is
+//!   bounded by the number of in-flight slots and drains on the next
+//!   insert. The eviction order is the LRU order, which the tests pin
+//!   down.
 //! * **Exact counters.** Every lookup increments exactly one of
 //!   hit/miss (hit: a usable or in-flight entry existed; miss: this
 //!   call created the slot, claimed a retry, was suppressed, or found
-//!   nothing), under the shard lock's serialization — the
-//!   `serve.cache.*` telemetry counters in the run manifest agree with
-//!   [`CacheStats`] under any interleaving.
+//!   nothing), decided under the map lock — the `serve.cache.*`
+//!   telemetry counters in the run manifest agree with [`CacheStats`]
+//!   under any interleaving.
+//!
+//! Locks are taken map → slot, never the other way. `prepare`, the
+//! store's loads and saves, [`Engine::apply_delta`] and every condvar
+//! wait run outside the map lock.
 //!
 //! Failure handling is stateful, not fire-and-forget:
 //!
 //! * A prepare that **returns an error** leaves the slot `Failed` with
 //!   a per-fingerprint failure count. Lookups inside the exponential
-//!   backoff window (base × 2ⁿ⁻¹, capped, plus deterministic
-//!   seed-derived jitter) fast-fail with [`ServeError::RetryBackoff`]
-//!   without running the pipeline; the first lookup past the window
-//!   claims the slot and retries.
-//! * After [`PlanCacheConfig::breaker_threshold`] consecutive failures
-//!   the fingerprint's **circuit breaker opens**: lookups fast-fail
-//!   with [`ServeError::BreakerOpen`] until the cooldown elapses, then
-//!   exactly one half-open probe is admitted — success closes the
+//!   backoff window ([`RETRY_BACKOFF_BASE`] × 2ⁿ⁻¹, plus a jitter of up
+//!   to 25 % derived from the fingerprint and the failure count)
+//!   fast-fail with [`ServeError::RetryBackoff`] without running the
+//!   pipeline; the first lookup past the window claims the slot and
+//!   retries.
+//! * After [`BREAKER_THRESHOLD`] consecutive failures the
+//!   fingerprint's **circuit breaker opens**: lookups fast-fail with
+//!   [`ServeError::BreakerOpen`] until [`BREAKER_COOLDOWN`] elapses,
+//!   then exactly one half-open probe is admitted — success closes the
 //!   breaker, failure re-opens it for another cooldown. Transitions
 //!   are counted as `serve.breaker.{open,half_open,close}` and retry
 //!   outcomes as `serve.retry.{suppressed,attempt,scheduled}`.
@@ -58,7 +65,7 @@ use spmm_sparse::{Scalar, SparseError};
 use spmm_telemetry::TelemetryHandle;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
@@ -75,33 +82,28 @@ pub static FAULT_SERVE_CACHE_PREPARE: FaultPoint = FaultPoint::new("serve.cache.
 /// the old fingerprint's slot is restored and keeps serving.
 pub static FAULT_SERVE_CACHE_DELTA: FaultPoint = FaultPoint::new("serve.cache.delta");
 
+/// Consecutive prepare failures that open a fingerprint's circuit
+/// breaker.
+pub const BREAKER_THRESHOLD: u32 = 3;
+
+/// How long an open breaker suppresses attempts before admitting a
+/// half-open probe.
+pub const BREAKER_COOLDOWN: Duration = Duration::from_millis(250);
+
+/// The backoff window after a first failed prepare; the second failure
+/// doubles it. The third opens the breaker, so these two windows (plus
+/// jitter) are the only ones.
+pub const RETRY_BACKOFF_BASE: Duration = Duration::from_millis(10);
+
 /// Construction options for [`PlanCache`].
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct PlanCacheConfig {
-    /// Total capacity bound across all shards (at least 1 is enforced).
-    /// Default 32.
+    /// Capacity bound (at least 1 is enforced). Default 32.
     pub capacity: usize,
-    /// Number of independently locked shards. More shards cut
-    /// contention. Default 8.
-    pub shards: usize,
     /// Sink for the `serve.cache.*`, `serve.retry.*` and
     /// `serve.breaker.*` counters. Disabled by default.
     pub telemetry: TelemetryHandle,
-    /// First backoff window after a failed prepare; window `n` is
-    /// `base × 2ⁿ⁻¹` (capped) plus jitter. Default 10 ms.
-    pub retry_backoff_base: Duration,
-    /// Upper bound on the raw (pre-jitter) backoff window. Default 1 s.
-    pub retry_backoff_cap: Duration,
-    /// Consecutive prepare failures that open the fingerprint's
-    /// circuit breaker. Default 3.
-    pub breaker_threshold: u32,
-    /// How long an open breaker suppresses attempts before admitting a
-    /// half-open probe. Default 250 ms.
-    pub breaker_cooldown: Duration,
-    /// Seed for the deterministic backoff jitter (combined with the
-    /// fingerprint and failure count). Default 0.
-    pub retry_jitter_seed: u64,
     /// Time source for backoff windows and breaker cooldowns. Tests
     /// inject a manual clock; defaults to the system clock.
     pub clock: ClockHandle,
@@ -117,13 +119,7 @@ impl Default for PlanCacheConfig {
     fn default() -> Self {
         PlanCacheConfig {
             capacity: 32,
-            shards: 8,
             telemetry: TelemetryHandle::default(),
-            retry_backoff_base: Duration::from_millis(10),
-            retry_backoff_cap: Duration::from_secs(1),
-            breaker_threshold: 3,
-            breaker_cooldown: Duration::from_millis(250),
-            retry_jitter_seed: 0,
             clock: ClockHandle::default(),
             store: None,
         }
@@ -144,51 +140,15 @@ pub struct PlanCacheConfigBuilder {
 }
 
 impl PlanCacheConfigBuilder {
-    /// Sets the total capacity bound.
+    /// Sets the capacity bound.
     pub fn capacity(mut self, capacity: usize) -> Self {
         self.config.capacity = capacity;
-        self
-    }
-
-    /// Sets the shard count.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.config.shards = shards;
         self
     }
 
     /// Sets the telemetry sink.
     pub fn telemetry(mut self, telemetry: TelemetryHandle) -> Self {
         self.config.telemetry = telemetry;
-        self
-    }
-
-    /// Sets the first backoff window after a failed prepare.
-    pub fn retry_backoff_base(mut self, base: Duration) -> Self {
-        self.config.retry_backoff_base = base;
-        self
-    }
-
-    /// Sets the upper bound on the raw backoff window.
-    pub fn retry_backoff_cap(mut self, cap: Duration) -> Self {
-        self.config.retry_backoff_cap = cap;
-        self
-    }
-
-    /// Sets the consecutive-failure count that opens the breaker.
-    pub fn breaker_threshold(mut self, threshold: u32) -> Self {
-        self.config.breaker_threshold = threshold;
-        self
-    }
-
-    /// Sets the open-breaker cooldown before a half-open probe.
-    pub fn breaker_cooldown(mut self, cooldown: Duration) -> Self {
-        self.config.breaker_cooldown = cooldown;
-        self
-    }
-
-    /// Sets the backoff jitter seed.
-    pub fn retry_jitter_seed(mut self, seed: u64) -> Self {
-        self.config.retry_jitter_seed = seed;
         self
     }
 
@@ -235,7 +195,7 @@ pub struct CacheStats {
     /// Entries currently poisoned (a prepare panicked); recover them
     /// with [`PlanCache::clear_poisoned`].
     pub poisoned: usize,
-    /// The configured total capacity bound.
+    /// The configured capacity bound.
     pub capacity: usize,
 }
 
@@ -290,7 +250,7 @@ impl CacheStats {
         self.poisoned
     }
 
-    /// The configured total capacity bound.
+    /// The configured capacity bound.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
@@ -344,11 +304,11 @@ struct PlanSlot<T> {
 }
 
 impl<T: Scalar> PlanSlot<T> {
-    fn preparing() -> Self {
-        PlanSlot {
-            state: Mutex::new(SlotState::Preparing),
+    fn new(state: SlotState<T>) -> Arc<Self> {
+        Arc::new(PlanSlot {
+            state: Mutex::new(state),
             ready: Condvar::new(),
-        }
+        })
     }
 
     fn fulfill(&self, new: SlotState<T>) {
@@ -411,7 +371,7 @@ impl<T: Scalar> PlanSlot<T> {
 #[derive(Debug)]
 struct Entry<T> {
     slot: Arc<PlanSlot<T>>,
-    /// Global tick of the last lookup that touched this entry.
+    /// Tick of the last lookup that touched this entry.
     last_used: u64,
     /// Epoch of the plan: `0` for a plan prepared (or warm-loaded)
     /// from scratch, `n+1` for a plan installed by a structural delta
@@ -432,30 +392,18 @@ impl<T> Entry<T> {
     }
 }
 
-#[derive(Debug, Default)]
-struct Shard<T> {
-    entries: HashMap<MatrixFingerprint, Entry<T>>,
-}
+type Entries<T> = HashMap<MatrixFingerprint, Entry<T>>;
 
-/// Sharded LRU cache of fingerprint → prepared plan (see the module
-/// docs for the concurrency and failure-recovery contracts).
+/// LRU cache of fingerprint → prepared plan (see the module docs for
+/// the concurrency and failure-recovery contracts).
 #[derive(Debug)]
 pub struct PlanCache<T> {
-    shards: Vec<Mutex<Shard<T>>>,
+    entries: Mutex<Entries<T>>,
     capacity: usize,
-    /// Entries across all shards: raised under the inserting shard's
-    /// lock, lowered under the removing shard's lock. `Relaxed`: it is a
-    /// count and publishes no other data.
-    resident: AtomicUsize,
     telemetry: TelemetryHandle,
-    retry_backoff_base: Duration,
-    retry_backoff_cap: Duration,
-    breaker_threshold: u32,
-    breaker_cooldown: Duration,
-    retry_jitter_seed: u64,
     clock: ClockHandle,
     store: Option<Arc<PlanStore>>,
-    /// Monotonic lookup clock driving LRU recency.
+    /// Lookup clock driving LRU recency, advanced under the map lock.
     tick: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -464,21 +412,24 @@ pub struct PlanCache<T> {
     refreshes: AtomicU64,
 }
 
+/// Backoff window after the `failures`-th consecutive failure:
+/// `RETRY_BACKOFF_BASE × 2^(failures-1)` plus a deterministic jitter
+/// of up to 25 % derived from the fingerprint and the failure count.
+/// Only failures below [`BREAKER_THRESHOLD`] back off.
+fn backoff_after(fp: &MatrixFingerprint, failures: u32) -> Duration {
+    debug_assert!((1..BREAKER_THRESHOLD).contains(&failures));
+    let raw = RETRY_BACKOFF_BASE * (1 << (failures - 1));
+    let quarter = raw.as_nanos() as u64 / 4;
+    raw + Duration::from_nanos(splitmix64(fp.hash() ^ u64::from(failures)) % (quarter + 1))
+}
+
 impl<T: Scalar> PlanCache<T> {
     /// An empty cache with the given configuration.
     pub fn new(config: PlanCacheConfig) -> Self {
         PlanCache {
-            shards: (0..config.shards.max(1))
-                .map(|_| Mutex::new(Shard::default()))
-                .collect(),
+            entries: Mutex::new(HashMap::new()),
             capacity: config.capacity.max(1),
-            resident: AtomicUsize::new(0),
             telemetry: config.telemetry,
-            retry_backoff_base: config.retry_backoff_base,
-            retry_backoff_cap: config.retry_backoff_cap,
-            breaker_threshold: config.breaker_threshold.max(1),
-            breaker_cooldown: config.breaker_cooldown,
-            retry_jitter_seed: config.retry_jitter_seed,
             clock: config.clock,
             store: config.store,
             tick: AtomicU64::new(0),
@@ -488,11 +439,6 @@ impl<T: Scalar> PlanCache<T> {
             inserts: AtomicU64::new(0),
             refreshes: AtomicU64::new(0),
         }
-    }
-
-    fn shard_for(&self, fp: &MatrixFingerprint) -> &Mutex<Shard<T>> {
-        // the FNV hash is well mixed; the low bits pick the shard
-        &self.shards[(fp.hash() as usize) % self.shards.len()]
     }
 
     fn next_tick(&self) -> u64 {
@@ -509,23 +455,46 @@ impl<T: Scalar> PlanCache<T> {
         self.telemetry.counter("serve.cache.miss", 1);
     }
 
-    /// Backoff window after the `failures`-th consecutive failure:
-    /// `base × 2^(failures-1)` capped at the configured ceiling, plus
-    /// a deterministic jitter of up to 25 % derived from the jitter
-    /// seed, the fingerprint and the failure count.
-    fn backoff_after(&self, fp: &MatrixFingerprint, failures: u32) -> Duration {
-        let exp = failures.saturating_sub(1).min(16);
-        let raw = self
-            .retry_backoff_base
-            .saturating_mul(1u32 << exp)
-            .min(self.retry_backoff_cap);
-        let quarter = (raw.as_nanos() / 4).min(u128::from(u64::MAX)) as u64;
-        let jitter = if quarter == 0 {
-            0
-        } else {
-            splitmix64(self.retry_jitter_seed ^ fp.hash() ^ u64::from(failures)) % (quarter + 1)
-        };
-        raw + Duration::from_nanos(jitter)
+    /// Inserts a new entry for `fp` under the held map lock, then
+    /// evicts least-recently-used *settled* entries other than `fp`
+    /// until the cache is back within its capacity — all in the one
+    /// critical section, so no reader ever sees an insert without its
+    /// evictions.
+    ///
+    /// In-flight (`Preparing`) slots are never evicted: dropping one
+    /// hides the prepare from later lookups of the same fingerprint,
+    /// which then also miss the store (the first write-through has not
+    /// landed yet) and pay for a duplicate prepare — exactly the
+    /// coalescing the slot exists to provide. Claimed (`Updating`)
+    /// slots are likewise pinned: evicting one orphans the mutation's
+    /// settle, silently discarding a refresh or a delta restore. If
+    /// every other resident slot is pinned the cache overflows its
+    /// capacity instead, by at most the number of pinned slots, and
+    /// drains on the next insert.
+    fn insert_locked(&self, entries: &mut Entries<T>, fp: MatrixFingerprint, entry: Entry<T>) {
+        entries.insert(fp, entry);
+        self.inserts.fetch_add(1, Ordering::Relaxed);
+        self.telemetry.counter("serve.cache.insert", 1);
+        while entries.len() > self.capacity {
+            let victim = entries
+                .iter()
+                .filter(|(k, e)| **k != fp && e.evictable())
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(k, _)| *k);
+            let Some(victim) = victim else {
+                return;
+            };
+            entries.remove(&victim);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+            self.telemetry.counter("serve.cache.eviction", 1);
+        }
+    }
+
+    /// The slot cached under `fp`, with its generation.
+    fn slot(&self, fp: &MatrixFingerprint) -> Option<(Arc<PlanSlot<T>>, u64)> {
+        lock_clean(&self.entries)
+            .get(fp)
+            .map(|e| (Arc::clone(&e.slot), e.generation))
     }
 
     /// Non-blocking lookup: `Some` iff a fully prepared plan is cached
@@ -533,30 +502,26 @@ impl<T: Scalar> PlanCache<T> {
     /// otherwise. This is the deadline-pressured path — a caller that
     /// would fall back rather than wait for an in-flight prepare.
     pub fn try_get(&self, fp: &MatrixFingerprint) -> Option<Arc<Engine<T>>> {
-        let tick = self.next_tick();
-        let mut shard = lock_clean(self.shard_for(fp));
-        if let Some(entry) = shard.entries.get_mut(fp) {
-            let ready = {
-                let state = lock_clean(&entry.slot.state);
-                match &*state {
-                    // an in-flight mutation still serves its pre-
-                    // mutation snapshot: deltas have no eviction window
-                    SlotState::Ready(engine) | SlotState::Updating(engine) => {
-                        Some(Arc::clone(engine))
-                    }
-                    _ => None,
-                }
+        let mut entries = lock_clean(&self.entries);
+        let engine = entries.get_mut(fp).and_then(|entry| {
+            let ready = match &*lock_clean(&entry.slot.state) {
+                // an in-flight mutation still serves its pre-mutation
+                // snapshot: deltas have no eviction window
+                SlotState::Ready(engine) | SlotState::Updating(engine) => Some(Arc::clone(engine)),
+                _ => None,
             };
-            if let Some(engine) = ready {
-                entry.last_used = tick;
-                drop(shard);
-                self.count_hit();
-                return Some(engine);
+            if ready.is_some() {
+                entry.last_used = self.next_tick();
             }
+            ready
+        });
+        drop(entries);
+        if engine.is_some() {
+            self.count_hit();
+        } else {
+            self.count_miss();
         }
-        drop(shard);
-        self.count_miss();
-        None
+        engine
     }
 
     /// The coalescing lookup: returns the cached plan for `fp`,
@@ -567,7 +532,7 @@ impl<T: Scalar> PlanCache<T> {
     ///
     /// Concurrent calls on the same fingerprint run `prepare` exactly
     /// once; the others block until it resolves. `prepare` runs
-    /// *outside* the shard lock, so unrelated fingerprints are never
+    /// *outside* the map lock, so unrelated fingerprints are never
     /// blocked behind a slow preprocessing run.
     ///
     /// # Errors
@@ -587,35 +552,29 @@ impl<T: Scalar> PlanCache<T> {
         fp: MatrixFingerprint,
         prepare: impl FnOnce() -> Result<Engine<T>, SparseError>,
     ) -> Result<(Arc<Engine<T>>, bool), ServeError> {
-        let tick = self.next_tick();
         let (slot, created) = {
-            let mut shard = lock_clean(self.shard_for(&fp));
-            match shard.entries.get_mut(&fp) {
+            let mut entries = lock_clean(&self.entries);
+            let tick = self.next_tick();
+            match entries.get_mut(&fp) {
                 Some(entry) => {
                     entry.last_used = tick;
                     (Arc::clone(&entry.slot), false)
                 }
                 None => {
-                    let slot = Arc::new(PlanSlot::preparing());
-                    shard.entries.insert(
-                        fp,
-                        Entry {
-                            slot: Arc::clone(&slot),
-                            last_used: tick,
-                            generation: 0,
-                        },
-                    );
-                    self.resident.fetch_add(1, Ordering::Relaxed);
+                    let slot = PlanSlot::new(SlotState::Preparing);
+                    let entry = Entry {
+                        slot: Arc::clone(&slot),
+                        last_used: tick,
+                        generation: 0,
+                    };
+                    self.insert_locked(&mut entries, fp, entry);
                     (slot, true)
                 }
             }
         };
         let mut prior: Option<FailureState> = None;
         if created {
-            self.evict_over_capacity(&fp);
             self.count_miss();
-            self.inserts.fetch_add(1, Ordering::Relaxed);
-            self.telemetry.counter("serve.cache.insert", 1);
         } else {
             // Resolve the existing slot: wait on in-flight/ready slots,
             // claim or suppress failed ones.
@@ -706,13 +665,12 @@ impl<T: Scalar> PlanCache<T> {
                 let now = self.clock.now();
                 let failures = prior.as_ref().map_or(0, |p| p.failures).saturating_add(1);
                 let probe_failed = prior.as_ref().is_some_and(|p| p.breaker == Breaker::Open);
-                let (breaker, next_retry_at) = if probe_failed || failures >= self.breaker_threshold
-                {
+                let (breaker, next_retry_at) = if probe_failed || failures >= BREAKER_THRESHOLD {
                     self.telemetry.counter("serve.breaker.open", 1);
-                    (Breaker::Open, now + self.breaker_cooldown)
+                    (Breaker::Open, now + BREAKER_COOLDOWN)
                 } else {
                     self.telemetry.counter("serve.retry.scheduled", 1);
-                    (Breaker::Closed, now + self.backoff_after(&fp, failures))
+                    (Breaker::Closed, now + backoff_after(&fp, failures))
                 };
                 slot.fulfill(SlotState::Failed(FailureState {
                     error: e.clone(),
@@ -736,28 +694,16 @@ impl<T: Scalar> PlanCache<T> {
     /// neither a hit nor a miss (no lookup happened). Returns `false`
     /// without touching the cache when `fp` already has an entry.
     pub fn insert_ready(&self, fp: MatrixFingerprint, engine: Arc<Engine<T>>) -> bool {
-        let tick = self.next_tick();
-        let mut shard = lock_clean(self.shard_for(&fp));
-        if shard.entries.contains_key(&fp) {
+        let mut entries = lock_clean(&self.entries);
+        if entries.contains_key(&fp) {
             return false;
         }
-        let slot = Arc::new(PlanSlot {
-            state: Mutex::new(SlotState::Ready(engine)),
-            ready: Condvar::new(),
-        });
-        shard.entries.insert(
-            fp,
-            Entry {
-                slot,
-                last_used: tick,
-                generation: 0,
-            },
-        );
-        self.resident.fetch_add(1, Ordering::Relaxed);
-        drop(shard);
-        self.evict_over_capacity(&fp);
-        self.inserts.fetch_add(1, Ordering::Relaxed);
-        self.telemetry.counter("serve.cache.insert", 1);
+        let entry = Entry {
+            slot: PlanSlot::new(SlotState::Ready(engine)),
+            last_used: self.next_tick(),
+            generation: 0,
+        };
+        self.insert_locked(&mut entries, fp, entry);
         true
     }
 
@@ -779,12 +725,8 @@ impl<T: Scalar> PlanCache<T> {
     /// [`ServeError::Prepare`] on a value-length mismatch, plus
     /// whatever an in-flight prepare for this fingerprint resolves to.
     pub fn update_values(&self, fp: &MatrixFingerprint, values: &[T]) -> Result<bool, ServeError> {
-        let slot = {
-            let shard = lock_clean(self.shard_for(fp));
-            match shard.entries.get(fp) {
-                Some(entry) => Arc::clone(&entry.slot),
-                None => return Ok(false),
-            }
+        let Some((slot, _)) = self.slot(fp) else {
+            return Ok(false);
         };
         let current = slot.claim_for_update()?;
         let refreshed = match current.with_updated_values(values) {
@@ -836,12 +778,8 @@ impl<T: Scalar> PlanCache<T> {
         added: &[(usize, usize, T)],
         removed: &[(usize, usize)],
     ) -> Result<Option<MatrixFingerprint>, ServeError> {
-        let (slot, old_generation) = {
-            let shard = lock_clean(self.shard_for(fp));
-            match shard.entries.get(fp) {
-                Some(entry) => (Arc::clone(&entry.slot), entry.generation),
-                None => return Ok(None),
-            }
+        let Some((slot, old_generation)) = self.slot(fp) else {
+            return Ok(None);
         };
         self.telemetry.counter("serve.delta.attempt", 1);
         let old = match slot.claim_for_update() {
@@ -897,9 +835,9 @@ impl<T: Scalar> PlanCache<T> {
         // commit: install the new epoch first, release the old slot
         // second — at no instant is neither fingerprint serveable
         {
+            let mut entries = lock_clean(&self.entries);
             let tick = self.next_tick();
-            let mut shard = lock_clean(self.shard_for(&new_fp));
-            match shard.entries.get_mut(&new_fp) {
+            match entries.get_mut(&new_fp) {
                 Some(entry) => {
                     // the structure was independently cached (or a
                     // prior delta landed on the same structure): the
@@ -912,24 +850,15 @@ impl<T: Scalar> PlanCache<T> {
                         .fulfill(SlotState::Ready(Arc::clone(&new_engine)));
                 }
                 None => {
-                    shard.entries.insert(
-                        new_fp,
-                        Entry {
-                            slot: Arc::new(PlanSlot {
-                                state: Mutex::new(SlotState::Ready(Arc::clone(&new_engine))),
-                                ready: Condvar::new(),
-                            }),
-                            last_used: tick,
-                            generation: old_generation + 1,
-                        },
-                    );
-                    self.resident.fetch_add(1, Ordering::Relaxed);
-                    self.inserts.fetch_add(1, Ordering::Relaxed);
-                    self.telemetry.counter("serve.cache.insert", 1);
+                    let entry = Entry {
+                        slot: PlanSlot::new(SlotState::Ready(Arc::clone(&new_engine))),
+                        last_used: tick,
+                        generation: old_generation + 1,
+                    };
+                    self.insert_locked(&mut entries, new_fp, entry);
                 }
             }
         }
-        self.evict_over_capacity(&new_fp);
         slot.fulfill(SlotState::Ready(old));
         self.telemetry.counter("serve.delta.commit", 1);
         Ok(Some(new_fp))
@@ -940,22 +869,14 @@ impl<T: Scalar> PlanCache<T> {
     /// [`PlanCache::apply_delta`] on a generation-`n` plan. `None`
     /// when nothing is cached under `fp`.
     pub fn generation(&self, fp: &MatrixFingerprint) -> Option<u64> {
-        lock_clean(self.shard_for(fp))
-            .entries
-            .get(fp)
-            .map(|e| e.generation)
+        lock_clean(&self.entries).get(fp).map(|e| e.generation)
     }
 
     /// Drops the entry for `fp` (the targeted recovery path for a
     /// poisoned or persistently failing plan). Returns whether an
     /// entry was removed.
     pub fn remove(&self, fp: &MatrixFingerprint) -> bool {
-        let mut shard = lock_clean(self.shard_for(fp));
-        let removed = shard.entries.remove(fp).is_some();
-        if removed {
-            self.resident.fetch_sub(1, Ordering::Relaxed);
-        }
-        removed
+        lock_clean(&self.entries).remove(fp).is_some()
     }
 
     /// Sweeps every poisoned slot out of the cache, making their
@@ -963,105 +884,24 @@ impl<T: Scalar> PlanCache<T> {
     /// fingerprints to [`PlanCache::remove`]. Returns how many slots
     /// were cleared.
     pub fn clear_poisoned(&self) -> usize {
-        let mut cleared = 0;
-        for shard in &self.shards {
-            let mut shard = lock_clean(shard);
-            let poisoned: Vec<MatrixFingerprint> = shard
-                .entries
-                .iter()
-                .filter(|(_, e)| matches!(&*lock_clean(&e.slot.state), SlotState::Poisoned))
-                .map(|(fp, _)| *fp)
-                .collect();
-            for fp in poisoned {
-                shard.entries.remove(&fp);
-                self.resident.fetch_sub(1, Ordering::Relaxed);
-                cleared += 1;
-            }
-        }
-        cleared
+        let mut entries = lock_clean(&self.entries);
+        let before = entries.len();
+        entries.retain(|_, e| !matches!(&*lock_clean(&e.slot.state), SlotState::Poisoned));
+        before - entries.len()
     }
 
-    /// Evicts the least-recently-used *settled* entries of the whole
-    /// cache until it is back within its capacity. `keep`, the entry
-    /// the caller just inserted, is never a victim.
-    ///
-    /// No two shard locks are ever held at once: a scan locks each
-    /// shard in turn to find its oldest evictable entry, then the
-    /// victim's shard is locked again and the entry removed only if it
-    /// is still evictable and untouched since the scan (otherwise the
-    /// scan repeats). The resident count is lowered under that lock and
-    /// only while it exceeds the capacity, so concurrent evictors never
-    /// take the cache below it. Inserts evict after they land, so a
-    /// concurrent reader can see one extra entry per inserting thread.
-    ///
-    /// In-flight (`Preparing`) slots are never evicted: dropping one
-    /// hides the prepare from later lookups of the same fingerprint,
-    /// which then also miss the store (the first write-through has not
-    /// landed yet) and pay for a duplicate prepare — exactly the
-    /// coalescing the slot exists to provide. Claimed (`Updating`)
-    /// slots are likewise pinned: evicting one orphans the mutation's
-    /// settle, silently discarding a refresh or a delta restore. If
-    /// every other resident slot is in flight the cache briefly
-    /// overflows its capacity instead; the overflow is bounded by the
-    /// number of concurrent preparers (worker count) and drains on the
-    /// next insert.
-    fn evict_over_capacity(&self, keep: &MatrixFingerprint) {
-        while self.resident.load(Ordering::Relaxed) > self.capacity {
-            let mut oldest: Option<(u64, usize, MatrixFingerprint)> = None;
-            for (i, shard) in self.shards.iter().enumerate() {
-                let shard = lock_clean(shard);
-                let candidate = shard
-                    .entries
-                    .iter()
-                    .filter(|(fp, e)| *fp != keep && e.evictable())
-                    .min_by_key(|(_, e)| e.last_used);
-                if let Some((fp, e)) = candidate {
-                    if oldest.is_none_or(|(t, _, _)| e.last_used < t) {
-                        oldest = Some((e.last_used, i, *fp));
-                    }
-                }
-            }
-            let Some((last_used, i, fp)) = oldest else {
-                return;
-            };
-            let mut shard = lock_clean(&self.shards[i]);
-            let untouched = shard
-                .entries
-                .get(&fp)
-                .is_some_and(|e| e.last_used == last_used && e.evictable());
-            if untouched
-                && self
-                    .resident
-                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-                        (n > self.capacity).then(|| n - 1)
-                    })
-                    .is_ok()
-            {
-                shard.entries.remove(&fp);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                self.telemetry.counter("serve.cache.eviction", 1);
-            }
-        }
-    }
-
-    /// Counts entries matching `pred` across all shards (shard lock →
-    /// slot lock, the same order every reader takes).
+    /// Counts entries matching `pred` (map lock → slot lock, the same
+    /// order every reader takes).
     fn count_slots(&self, pred: impl Fn(&SlotState<T>) -> bool) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| {
-                lock_clean(shard)
-                    .entries
-                    .values()
-                    .filter(|e| pred(&lock_clean(&e.slot.state)))
-                    .count()
-            })
-            .sum()
+        lock_clean(&self.entries)
+            .values()
+            .filter(|e| pred(&lock_clean(&e.slot.state)))
+            .count()
     }
 
-    /// Entries currently cached across all shards.
+    /// Entries currently cached.
     pub fn len(&self) -> usize {
-        self.resident.load(Ordering::Relaxed)
+        lock_clean(&self.entries).len()
     }
 
     /// Whether the cache holds no entries.
@@ -1069,7 +909,7 @@ impl<T: Scalar> PlanCache<T> {
         self.len() == 0
     }
 
-    /// The configured total capacity bound.
+    /// The configured capacity bound.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
@@ -1116,13 +956,8 @@ mod tests {
         Engine::prepare(m, &EngineConfig::default())
     }
 
-    fn single_shard(capacity: usize) -> PlanCache<f64> {
-        PlanCache::new(
-            PlanCacheConfig::builder()
-                .capacity(capacity)
-                .shards(1)
-                .build(),
-        )
+    fn cache_of(capacity: usize) -> PlanCache<f64> {
+        PlanCache::new(PlanCacheConfig::builder().capacity(capacity).build())
     }
 
     fn injected() -> Result<Engine<f64>, SparseError> {
@@ -1131,7 +966,7 @@ mod tests {
 
     #[test]
     fn eviction_order_is_deterministic_lru() {
-        let cache = single_shard(2);
+        let cache = cache_of(2);
         let (ma, mb, mc) = (matrix(1), matrix(2), matrix(3));
         let (fa, fb, fc) = (
             MatrixFingerprint::of(&ma),
@@ -1159,7 +994,7 @@ mod tests {
 
     #[test]
     fn thundering_herd_prepares_exactly_once() {
-        let cache = Arc::new(single_shard(8));
+        let cache = Arc::new(cache_of(8));
         let m = Arc::new(matrix(7));
         let fp = MatrixFingerprint::of(&*m);
         let prepares = Arc::new(AtomicUsize::new(0));
@@ -1192,9 +1027,9 @@ mod tests {
         // A `Preparing` slot must never be the LRU victim: evicting it
         // hides the prepare from a concurrent lookup of the same
         // fingerprint, which then re-runs the pipeline (and, with a
-        // store tier, double-saves the plan). The shard overflows its
+        // store tier, double-saves the plan). The cache overflows its
         // capacity instead and drains once the slot settles.
-        let cache = Arc::new(single_shard(1));
+        let cache = Arc::new(cache_of(1));
         let ma = Arc::new(matrix(11));
         let mb = matrix(12);
         let fa = MatrixFingerprint::of(&*ma);
@@ -1217,13 +1052,13 @@ mod tests {
         };
         entered_rx.recv().unwrap();
 
-        // B lands in the full single-slot shard while A is in flight:
+        // B lands in the full single-slot cache while A is in flight:
         // the insert must not evict A's preparing slot
         cache
             .get_or_prepare(MatrixFingerprint::of(&mb), || prepare(&mb))
             .unwrap();
         assert_eq!(cache.stats().evictions, 0, "in-flight A was evicted");
-        assert_eq!(cache.len(), 2, "shard overflows instead of evicting");
+        assert_eq!(cache.len(), 2, "cache overflows instead of evicting");
 
         // a second lookup of A coalesces onto the surviving slot —
         // whether it arrives before or after the release, the prepare
@@ -1255,7 +1090,7 @@ mod tests {
 
     #[test]
     fn value_updates_keep_fingerprint_entry_and_counters() {
-        let cache = single_shard(4);
+        let cache = cache_of(4);
         let m = matrix(11);
         let fp = MatrixFingerprint::of(&m);
         cache.get_or_prepare(fp, || prepare(&m)).unwrap();
@@ -1289,13 +1124,8 @@ mod tests {
     #[test]
     fn failed_prepare_persists_backs_off_then_retries() {
         let (clock, driver) = ClockHandle::manual();
-        let cache: PlanCache<f64> = PlanCache::new(
-            PlanCacheConfig::builder()
-                .capacity(4)
-                .shards(1)
-                .clock(clock)
-                .build(),
-        );
+        let cache: PlanCache<f64> =
+            PlanCache::new(PlanCacheConfig::builder().capacity(4).clock(clock).build());
         let m = matrix(13);
         let fp = MatrixFingerprint::of(&m);
         let err = cache.get_or_prepare(fp, injected).unwrap_err();
@@ -1320,20 +1150,15 @@ mod tests {
 
     #[test]
     fn backoff_windows_grow_exponentially_with_deterministic_jitter() {
-        let windows = |seed: u64| -> Vec<Duration> {
+        // the breaker opens at the third failure, so failures 1 and 2
+        // are the only ones that back off
+        let windows = || -> Vec<Duration> {
             let (clock, driver) = ClockHandle::manual();
-            let cache: PlanCache<f64> = PlanCache::new(
-                PlanCacheConfig::builder()
-                    .capacity(4)
-                    .shards(1)
-                    .breaker_threshold(u32::MAX)
-                    .retry_jitter_seed(seed)
-                    .clock(clock)
-                    .build(),
-            );
+            let cache: PlanCache<f64> =
+                PlanCache::new(PlanCacheConfig::builder().capacity(4).clock(clock).build());
             let m = matrix(23);
             let fp = MatrixFingerprint::of(&m);
-            (0..4)
+            (1..BREAKER_THRESHOLD)
                 .map(|_| {
                     cache.get_or_prepare(fp, injected).unwrap_err();
                     let err = cache
@@ -1347,29 +1172,22 @@ mod tests {
                 })
                 .collect()
         };
-        let (a, b, c) = (windows(7), windows(7), windows(8));
-        assert_eq!(a, b, "same seed ⇒ identical schedule");
-        assert_ne!(a, c, "different seed ⇒ different jitter");
+        let a = windows();
+        assert_eq!(a, windows(), "same fingerprint ⇒ identical schedule");
+        assert_eq!(a.len(), 2);
         for (i, w) in a.iter().enumerate() {
-            // default base 10 ms doubles per failure, jitter ≤ 25 %
-            let raw = Duration::from_millis(10) * (1 << i);
+            // 10 ms, then 20 ms, each with jitter ≤ 25 %
+            let raw = RETRY_BACKOFF_BASE * (1 << i);
             assert!(*w >= raw && *w <= raw + raw / 4, "window {i}: {w:?}");
         }
     }
 
     #[test]
     fn breaker_opens_at_threshold_and_recovers_via_half_open_probe() {
-        let cooldown = Duration::from_millis(250);
+        let cooldown = BREAKER_COOLDOWN;
         let (clock, driver) = ClockHandle::manual();
-        let cache: PlanCache<f64> = PlanCache::new(
-            PlanCacheConfig::builder()
-                .capacity(4)
-                .shards(1)
-                .breaker_threshold(3)
-                .breaker_cooldown(cooldown)
-                .clock(clock)
-                .build(),
-        );
+        let cache: PlanCache<f64> =
+            PlanCache::new(PlanCacheConfig::builder().capacity(4).clock(clock).build());
         let m = matrix(19);
         let fp = MatrixFingerprint::of(&m);
         for attempt in 1..=3u32 {
@@ -1417,7 +1235,7 @@ mod tests {
 
     #[test]
     fn panicked_prepare_poisons_deterministically_until_removed() {
-        let cache = Arc::new(single_shard(4));
+        let cache = Arc::new(cache_of(4));
         let m = matrix(17);
         let fp = MatrixFingerprint::of(&m);
         let preparer = {
@@ -1443,7 +1261,7 @@ mod tests {
 
     #[test]
     fn clear_poisoned_sweeps_only_poisoned_slots() {
-        let cache = Arc::new(single_shard(4));
+        let cache = Arc::new(cache_of(4));
         let (ma, mb) = (matrix(31), matrix(32));
         let (fa, fb) = (MatrixFingerprint::of(&ma), MatrixFingerprint::of(&mb));
         cache.get_or_prepare(fa, || prepare(&ma)).unwrap();
@@ -1477,7 +1295,7 @@ mod tests {
     #[test]
     fn structural_delta_installs_new_epoch_and_keeps_old_serveable() {
         let _quiet = spmm_faults::quiesce();
-        let cache = single_shard(8);
+        let cache = cache_of(8);
         let m = matrix(61);
         let fp = MatrixFingerprint::of(&m);
         cache.get_or_prepare(fp, || prepare(&m)).unwrap();
@@ -1517,7 +1335,6 @@ mod tests {
         let cache: PlanCache<f64> = PlanCache::new(
             PlanCacheConfig::builder()
                 .capacity(8)
-                .shards(1)
                 .telemetry(TelemetryHandle::new(tel.clone()))
                 .build(),
         );
@@ -1572,13 +1389,8 @@ mod tests {
         // values came back. The claim (Ready → Updating) makes the
         // refresh wait for the delta to settle.
         let (clock, _driver) = ClockHandle::manual();
-        let cache: PlanCache<f64> = PlanCache::new(
-            PlanCacheConfig::builder()
-                .capacity(4)
-                .shards(1)
-                .clock(clock)
-                .build(),
-        );
+        let cache: PlanCache<f64> =
+            PlanCache::new(PlanCacheConfig::builder().capacity(4).clock(clock).build());
         let m = matrix(71);
         let fp = MatrixFingerprint::of(&m);
         cache.get_or_prepare(fp, || prepare(&m)).unwrap();
@@ -1586,8 +1398,8 @@ mod tests {
         // simulate the in-flight delta exactly as apply_delta does:
         // claim the slot, settle later
         let slot = {
-            let shard = lock_clean(cache.shard_for(&fp));
-            Arc::clone(&shard.entries.get(&fp).unwrap().slot)
+            let entries = lock_clean(&cache.entries);
+            Arc::clone(&entries.get(&fp).unwrap().slot)
         };
         let claimed = slot.claim_for_update().unwrap();
 
@@ -1700,7 +1512,6 @@ mod tests {
         PlanCache::new(
             PlanCacheConfig::builder()
                 .capacity(4)
-                .shards(1)
                 .telemetry(telemetry)
                 .store(Arc::new(PlanStore::open(dir).unwrap()))
                 .build(),
@@ -1775,7 +1586,7 @@ mod tests {
 
     #[test]
     fn insert_ready_seeds_without_counting_lookups() {
-        let cache = single_shard(4);
+        let cache = cache_of(4);
         let m = matrix(47);
         let fp = MatrixFingerprint::of(&m);
         let engine = Arc::new(prepare(&m).unwrap());
@@ -1797,46 +1608,79 @@ mod tests {
     }
 
     #[test]
-    fn capacity_is_a_global_bound_whatever_the_shards() {
+    fn capacity_bounds_every_insert_even_under_concurrent_inserts() {
         let m = matrix(7);
-        let engine = prepare(&m).unwrap();
-        // hash % 8 picks the shard: spread over every shard, or all on one
+        let engine = Arc::new(prepare(&m).unwrap());
+        let fp_of = |i: u64| MatrixFingerprint::from_raw(96, 96, 480, i);
+
+        // one thread: both insert paths share the bound, and the
+        // survivors are the C most recently inserted plans
         for capacity in [1usize, 3, 12, 16] {
-            for (layout, stride) in [("spread", 1), ("one shard", 8)] {
-                let cache = PlanCache::<f64>::new(
-                    PlanCacheConfig::builder()
-                        .capacity(capacity)
-                        .shards(8)
-                        .build(),
-                );
-                let fps: Vec<MatrixFingerprint> = (0..2 * capacity as u64 + 3)
-                    .map(|i| MatrixFingerprint::from_raw(96, 96, 480, stride * i))
-                    .collect();
-                for (i, fp) in fps.iter().enumerate() {
-                    // both insert paths share the bound
-                    if i % 2 == 0 {
-                        cache.get_or_prepare(*fp, || Ok(engine.clone())).unwrap();
-                    } else {
-                        assert!(cache.insert_ready(*fp, Arc::new(engine.clone())));
-                    }
-                    assert!(cache.len() <= capacity, "{layout}, capacity {capacity}");
+            let cache = cache_of(capacity);
+            let fps: Vec<MatrixFingerprint> = (0..2 * capacity as u64 + 3).map(fp_of).collect();
+            for (i, fp) in fps.iter().enumerate() {
+                if i % 2 == 0 {
+                    let engine = (*engine).clone();
+                    cache.get_or_prepare(*fp, || Ok(engine)).unwrap();
+                } else {
+                    assert!(cache.insert_ready(*fp, Arc::clone(&engine)));
                 }
-                let stats = cache.stats();
-                assert_eq!(stats.len(), capacity, "{layout}: exactly C resident");
-                assert_eq!(stats.capacity(), capacity);
-                assert_eq!(stats.evictions() as usize, fps.len() - capacity);
-                // the survivors are the C most recently inserted plans
-                let (old, recent) = fps.split_at(fps.len() - capacity);
-                assert!(recent.iter().all(|fp| cache.generation(fp).is_some()));
-                assert!(old.iter().all(|fp| cache.generation(fp).is_none()));
+                assert!(cache.len() <= capacity, "capacity {capacity}");
             }
+            let stats = cache.stats();
+            assert_eq!(stats.len(), capacity, "exactly C resident");
+            assert_eq!(stats.capacity(), capacity);
+            assert_eq!(stats.evictions() as usize, fps.len() - capacity);
+            let (old, recent) = fps.split_at(fps.len() - capacity);
+            assert!(recent.iter().all(|fp| cache.generation(fp).is_some()));
+            assert!(old.iter().all(|fp| cache.generation(fp).is_none()));
         }
+
+        // K threads insert distinct settled plans while a reader polls
+        // len(): an insert and its eviction are one critical section,
+        // so no reader ever sees the cache past its capacity
+        const K: u64 = 4;
+        const PER_THREAD: u64 = 64;
+        const C: usize = 8;
+        let cache = cache_of(C);
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let (max_seen, writers_ok) = std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                let mut max_seen = 0;
+                while !done.load(Ordering::Acquire) {
+                    max_seen = max_seen.max(cache.len());
+                }
+                max_seen
+            });
+            let writers: Vec<_> = (0..K)
+                .map(|t| {
+                    let (cache, engine) = (&cache, &engine);
+                    scope.spawn(move || {
+                        for i in 0..PER_THREAD {
+                            let fp = fp_of(t * PER_THREAD + i);
+                            assert!(cache.insert_ready(fp, Arc::clone(engine)));
+                            assert!(cache.len() <= C);
+                        }
+                    })
+                })
+                .collect();
+            // a failed writer must stop the reader too, not hang it
+            let writers_ok = writers.into_iter().all(|w| w.join().is_ok());
+            done.store(true, Ordering::Release);
+            (reader.join().unwrap(), writers_ok)
+        });
+        assert!(writers_ok, "a writer saw the cache past its capacity");
+        assert!(max_seen <= C, "a reader saw {max_seen} > {C} entries");
+        let stats = cache.stats();
+        assert_eq!(stats.inserts(), K * PER_THREAD);
+        assert_eq!(stats.len(), C);
+        assert_eq!(stats.evictions(), stats.inserts() - C as u64);
     }
 
     #[test]
     fn counters_are_exact_under_concurrency() {
         let cache = Arc::new(PlanCache::new(
-            PlanCacheConfig::builder().capacity(16).shards(4).build(),
+            PlanCacheConfig::builder().capacity(16).build(),
         ));
         let matrices: Vec<Arc<CsrMatrix<f64>>> =
             (0..6).map(|i| Arc::new(matrix(100 + i))).collect();

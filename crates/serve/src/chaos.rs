@@ -30,8 +30,8 @@
 use crate::batch::BatchConfig;
 use crate::bench::verdict;
 use crate::cache::CacheStats;
-use crate::driver::{cover, zipf_schedule, DeltaChain, Knobs, Op, Stream};
-use crate::engine::{HealthSnapshot, ServeConfig, ServeStats};
+use crate::driver::{cover, zipf_schedule, DeltaChain, Op, Stream};
+use crate::engine::{HealthSnapshot, ServeConfig, ServeEngine, ServeStats};
 use crate::error::ServeError;
 use crate::store::PlanStore;
 use rand::rngs::SmallRng;
@@ -62,8 +62,8 @@ pub struct ChaosBenchConfig {
     pub queue_capacity: usize,
     /// Zipf skew exponent. Default 1.1.
     pub zipf_s: f64,
-    /// Seed for the corpus, the schedule, the fault plan's jitter and
-    /// the cache's backoff jitter. Default 42.
+    /// Seed for the corpus, the schedule and the fault plan's jitter.
+    /// Default 42.
     pub seed: u64,
     /// Dense-operand width `k`. Default 16.
     pub k: usize,
@@ -294,16 +294,17 @@ pub fn run_chaos_bench(config: &ChaosBenchConfig) -> Result<ChaosBenchReport, Se
         Some(dir) => Some(Arc::new(PlanStore::open(dir).map_err(ServeError::Prepare)?)),
         None => None,
     };
-    let engine = Knobs {
-        workers: config.workers,
-        queue_capacity: config.queue_capacity,
-        cache_capacity: config.cache_capacity,
-        preprocess_budget: ServeConfig::default().preprocess_budget,
-        seed: config.seed,
-        batch: config.batch,
-        store,
+    let mut serve_config = ServeConfig::builder()
+        .workers(config.workers)
+        .queue_capacity(config.queue_capacity)
+        .cache_capacity(config.cache_capacity);
+    if let Some(batch) = config.batch {
+        serve_config = serve_config.batching(batch);
     }
-    .start::<f64>()?;
+    if let Some(store) = store {
+        serve_config = serve_config.plan_store(store);
+    }
+    let engine = ServeEngine::<f64>::start(serve_config.build()?);
     let chain = config
         .deltas
         .then(|| DeltaChain::new(&cases[0], DELTA_EPOCHS));

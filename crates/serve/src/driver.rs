@@ -16,11 +16,8 @@
 //! [`run_serve_bench`]: crate::run_serve_bench
 //! [`run_chaos_bench`]: crate::run_chaos_bench
 
-use crate::batch::BatchConfig;
-use crate::engine::{Request, ServeConfig, ServeEngine};
-use crate::error::ServeError;
+use crate::engine::{Request, ServeEngine};
 use crate::fingerprint::MatrixFingerprint;
-use crate::store::PlanStore;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use spmm_data::generators;
@@ -251,36 +248,6 @@ pub(crate) fn percentile_ms(sorted: &[Duration], q: f64) -> f64 {
     }
     let rank = (q * sorted.len() as f64).ceil().max(1.0) as usize;
     sorted[rank.min(sorted.len()) - 1].as_secs_f64() * 1e3
-}
-
-/// The serving knobs both presets share.
-pub(crate) struct Knobs {
-    pub(crate) workers: usize,
-    pub(crate) queue_capacity: usize,
-    pub(crate) cache_capacity: usize,
-    pub(crate) preprocess_budget: Duration,
-    pub(crate) seed: u64,
-    pub(crate) batch: Option<BatchConfig>,
-    pub(crate) store: Option<Arc<PlanStore>>,
-}
-
-impl Knobs {
-    /// Starts the engine the stream drives.
-    pub(crate) fn start<T: Scalar>(self) -> Result<ServeEngine<T>, ServeError> {
-        let mut config = ServeConfig::builder()
-            .workers(self.workers)
-            .queue_capacity(self.queue_capacity)
-            .cache_capacity(self.cache_capacity)
-            .preprocess_budget(self.preprocess_budget)
-            .retry_jitter_seed(self.seed);
-        if let Some(batch) = self.batch {
-            config = config.batching(batch);
-        }
-        if let Some(store) = self.store {
-            config = config.plan_store(store);
-        }
-        Ok(ServeEngine::start(config.build()?))
-    }
 }
 
 /// Structural-delta epochs over one structure, applied live by the

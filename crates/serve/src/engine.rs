@@ -73,8 +73,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Plan-cache capacity (prepared plans kept resident). Default 32.
     pub cache_capacity: usize,
-    /// Plan-cache shard count. Default 8.
-    pub cache_shards: usize,
     /// The preprocessing budget: when a request's remaining deadline is
     /// within this budget, a cache miss degrades to the row-wise
     /// fallback instead of running `Engine::prepare`. Default 25 ms.
@@ -85,18 +83,6 @@ pub struct ServeConfig {
     /// internal collector for [`ServeEngine::manifest`], and tees every
     /// event to this handle when it is enabled.
     pub telemetry: TelemetryHandle,
-    /// First backoff window after a failed prepare (see
-    /// [`PlanCacheConfig::retry_backoff_base`]). Default 10 ms.
-    pub retry_backoff_base: Duration,
-    /// Upper bound on the raw backoff window. Default 1 s.
-    pub retry_backoff_cap: Duration,
-    /// Consecutive prepare failures that open a fingerprint's circuit
-    /// breaker. Default 3.
-    pub breaker_threshold: u32,
-    /// Open-breaker cooldown before a half-open probe. Default 250 ms.
-    pub breaker_cooldown: Duration,
-    /// Seed for the deterministic backoff jitter. Default 0.
-    pub retry_jitter_seed: u64,
     /// Time source for backoff windows and breaker cooldowns; tests
     /// inject a manual clock. Default: the system clock.
     pub clock: ClockHandle,
@@ -114,21 +100,14 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        let cache = PlanCacheConfig::default();
         ServeConfig {
             workers: 4,
             queue_capacity: 64,
             cache_capacity: 32,
-            cache_shards: 8,
             preprocess_budget: Duration::from_millis(25),
             engine: EngineConfig::default(),
             telemetry: TelemetryHandle::default(),
-            retry_backoff_base: cache.retry_backoff_base,
-            retry_backoff_cap: cache.retry_backoff_cap,
-            breaker_threshold: cache.breaker_threshold,
-            breaker_cooldown: cache.breaker_cooldown,
-            retry_jitter_seed: cache.retry_jitter_seed,
-            clock: cache.clock,
+            clock: ClockHandle::default(),
             batch: None,
             plan_store: None,
         }
@@ -169,12 +148,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Sets the plan-cache shard count.
-    pub fn cache_shards(mut self, cache_shards: usize) -> Self {
-        self.config.cache_shards = cache_shards;
-        self
-    }
-
     /// Sets the preprocessing budget for the fallback decision.
     pub fn preprocess_budget(mut self, budget: Duration) -> Self {
         self.config.preprocess_budget = budget;
@@ -190,36 +163,6 @@ impl ServeConfigBuilder {
     /// Sets the external telemetry sink.
     pub fn telemetry(mut self, telemetry: TelemetryHandle) -> Self {
         self.config.telemetry = telemetry;
-        self
-    }
-
-    /// Sets the first backoff window after a failed prepare.
-    pub fn retry_backoff_base(mut self, base: Duration) -> Self {
-        self.config.retry_backoff_base = base;
-        self
-    }
-
-    /// Sets the upper bound on the raw backoff window.
-    pub fn retry_backoff_cap(mut self, cap: Duration) -> Self {
-        self.config.retry_backoff_cap = cap;
-        self
-    }
-
-    /// Sets the consecutive-failure count that opens the breaker.
-    pub fn breaker_threshold(mut self, threshold: u32) -> Self {
-        self.config.breaker_threshold = threshold;
-        self
-    }
-
-    /// Sets the open-breaker cooldown before a half-open probe.
-    pub fn breaker_cooldown(mut self, cooldown: Duration) -> Self {
-        self.config.breaker_cooldown = cooldown;
-        self
-    }
-
-    /// Sets the backoff jitter seed.
-    pub fn retry_jitter_seed(mut self, seed: u64) -> Self {
-        self.config.retry_jitter_seed = seed;
         self
     }
 
@@ -978,13 +921,7 @@ impl<T: Scalar> ServeEngine<T> {
         };
         let mut cache_config = PlanCacheConfig::builder()
             .capacity(config.cache_capacity)
-            .shards(config.cache_shards)
             .telemetry(telemetry.clone())
-            .retry_backoff_base(config.retry_backoff_base)
-            .retry_backoff_cap(config.retry_backoff_cap)
-            .breaker_threshold(config.breaker_threshold)
-            .breaker_cooldown(config.breaker_cooldown)
-            .retry_jitter_seed(config.retry_jitter_seed)
             .clock(config.clock.clone());
         if let Some(store) = &config.plan_store {
             cache_config = cache_config.store(Arc::clone(store));
@@ -1585,8 +1522,10 @@ mod tests {
                 |serve, clock| {
                     let m = ladder_matrix();
                     fail_prepare(serve, &m);
-                    clock.advance(Duration::from_secs(5));
-                    fail_prepare(serve, &m);
+                    for _ in 1..crate::cache::BREAKER_THRESHOLD {
+                        clock.advance(Duration::from_secs(5));
+                        fail_prepare(serve, &m);
+                    }
                     assert_eq!(serve.health().open_breakers, 1);
                     m
                 },
@@ -1634,7 +1573,6 @@ mod tests {
                     ServeConfig::builder()
                         .workers(1)
                         .preprocess_budget(budget)
-                        .breaker_threshold(2)
                         .clock(clock)
                         .batching(BatchConfig::default())
                         .build()

@@ -100,8 +100,8 @@ impl MatrixFingerprint {
         self.nnz as usize
     }
 
-    /// The 64-bit structural hash (well mixed; the cache uses it for
-    /// shard selection).
+    /// The 64-bit structural hash (well mixed; the cache derives its
+    /// backoff jitter from it).
     pub fn hash(&self) -> u64 {
         self.hash
     }

@@ -10,9 +10,10 @@
 //! * [`MatrixFingerprint`] — a structural identity (shape + FNV-1a over
 //!   `rowptr`/`colidx`, values excluded) that two matrices share iff
 //!   the preprocessing pipeline would produce the same plan for both.
-//! * [`PlanCache`] — a sharded, capacity-bounded LRU from fingerprint
-//!   to `Arc<Engine<T>>` with coalesced preparation (a thundering herd
-//!   prepares exactly once), in-place value refreshes, and live
+//! * [`PlanCache`] — a capacity-bounded LRU from fingerprint to
+//!   `Arc<Engine<T>>` behind one lock, with coalesced preparation (a
+//!   thundering herd prepares exactly once; only slots still in flight
+//!   can push it past its capacity), in-place value refreshes, and live
 //!   structural deltas: [`PlanCache::apply_delta`] patches a cached
 //!   plan incrementally and installs the new epoch with an atomic swap
 //!   — readers keep hitting the old plan until the instant the new one

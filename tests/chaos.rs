@@ -80,20 +80,19 @@ fn disarmed_fault_points_have_zero_observable_overhead() {
 }
 
 /// Breaker lifecycle under a scripted prepare-failure schedule, driven
-/// deterministically by a manual clock: closed → backoff → open →
-/// failed half-open probe → successful probe → closed.
+/// deterministically by a manual clock: closed → backoff → backoff →
+/// open → failed half-open probe → successful probe → closed. The
+/// breaker opens at the third consecutive failure and stays open for
+/// 250 ms; the backoff windows are 10 ms and 20 ms plus at most 25 %.
 #[test]
 fn breaker_opens_probes_half_open_and_recovers_on_schedule() {
     let (clock, manual) = ClockHandle::manual();
-    let guard = FaultPlan::parse("serve.cache.prepare:error@1..4", chaos_seed())
+    let guard = FaultPlan::parse("serve.cache.prepare:error@1..5", chaos_seed())
         .unwrap()
         .arm();
     let serve = ServeEngine::<f64>::start(
         ServeConfig::builder()
             .workers(1)
-            .breaker_threshold(2)
-            .retry_backoff_base(Duration::from_millis(10))
-            .breaker_cooldown(Duration::from_millis(100))
             .clock(clock)
             .build()
             .unwrap(),
@@ -102,21 +101,24 @@ fn breaker_opens_probes_half_open_and_recovers_on_schedule() {
     let counter = |name: &str| serve.telemetry().counter_value(name);
     let request = || Request::spmm(m.clone(), x.clone());
 
-    // hit 1: first attempt fails; breaker stays closed, backoff starts
-    assert!(matches!(
-        serve.execute(request()),
-        Err(ServeError::Prepare(_))
-    ));
-    assert_eq!(counter("serve.breaker.open"), 0);
+    // hits 1 and 2: each failure keeps the breaker closed and starts a
+    // backoff window, inside which the next request is suppressed and
+    // degraded to row-wise
+    for failure in 1..=2 {
+        assert!(matches!(
+            serve.execute(request()),
+            Err(ServeError::Prepare(_))
+        ));
+        assert_eq!(counter("serve.breaker.open"), 0);
+        assert_eq!(counter("serve.retry.scheduled"), failure);
+        let resp = serve.execute(request()).unwrap();
+        assert_eq!(resp.path, ServePath::Fallback);
+        assert_eq!(counter("serve.retry.suppressed"), failure);
+        manual.advance(Duration::from_millis(30));
+    }
 
-    // inside the backoff window: suppressed, degraded to row-wise
-    let resp = serve.execute(request()).unwrap();
-    assert_eq!(resp.path, ServePath::Fallback);
-    assert_eq!(counter("serve.retry.suppressed"), 1);
-
-    // hit 2 after the window: second consecutive failure trips the
-    // breaker at threshold 2
-    manual.advance(Duration::from_millis(20));
+    // hit 3 after the window: the third consecutive failure trips the
+    // breaker
     assert!(serve.execute(request()).is_err());
     assert_eq!(counter("serve.breaker.open"), 1);
     assert_eq!(serve.health().open_breakers, 1);
@@ -124,23 +126,23 @@ fn breaker_opens_probes_half_open_and_recovers_on_schedule() {
     // breaker open: no attempt reaches prepare, request degrades
     let resp = serve.execute(request()).unwrap();
     assert_eq!(resp.path, ServePath::Fallback);
-    assert_eq!(counter("serve.retry.suppressed"), 2);
+    assert_eq!(counter("serve.retry.suppressed"), 3);
 
-    // cooldown over: half-open probe runs, is injected (hit 3), re-opens
-    manual.advance(Duration::from_millis(200));
+    // cooldown over: half-open probe runs, is injected (hit 4), re-opens
+    manual.advance(Duration::from_millis(250));
     assert!(serve.execute(request()).is_err());
     assert_eq!(counter("serve.breaker.half_open"), 1);
     assert_eq!(counter("serve.breaker.open"), 2);
 
-    // next probe (hit 4) also fails
-    manual.advance(Duration::from_millis(200));
+    // next probe (hit 5) also fails
+    manual.advance(Duration::from_millis(250));
     assert!(serve.execute(request()).is_err());
     assert_eq!(counter("serve.breaker.half_open"), 2);
     assert_eq!(counter("serve.breaker.open"), 3);
 
-    // hit 5 is past the scripted range: the probe succeeds and closes
+    // hit 6 is past the scripted range: the probe succeeds and closes
     // the breaker; the plan is cached from here on
-    manual.advance(Duration::from_millis(200));
+    manual.advance(Duration::from_millis(250));
     let resp = serve.execute(request()).unwrap();
     assert_eq!(resp.path, ServePath::FreshPlan);
     assert_eq!(counter("serve.breaker.close"), 1);
@@ -148,7 +150,7 @@ fn breaker_opens_probes_half_open_and_recovers_on_schedule() {
     let resp = serve.execute(request()).unwrap();
     assert_eq!(resp.path, ServePath::CachedPlan);
 
-    assert_eq!(guard.hits("serve.cache.prepare"), 5);
+    assert_eq!(guard.hits("serve.cache.prepare"), 6);
     serve.shutdown();
 }
 

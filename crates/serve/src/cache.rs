@@ -14,11 +14,12 @@
 //!   least-recently-used *settled* entries until the cache is back
 //!   within its bound. In-flight prepares and claimed mutations are
 //!   never evicted (doing so would let a concurrent lookup of the same
-//!   fingerprint re-prepare it), so the cache exceeds its capacity only
-//!   while every other resident slot is in flight; that overflow is
-//!   bounded by the number of in-flight slots and drains on the next
-//!   insert. The eviction order is the LRU order, which the tests pin
-//!   down.
+//!   fingerprint re-prepare it). So while other slots are pinned that
+//!   way, an insert can leave the cache over its capacity by up to the
+//!   number of pinned slots. The overflow stays after those slots
+//!   settle: only the next insert (or a removal) brings the cache back
+//!   within its bound. The eviction order is the LRU order, which the
+//!   tests pin down.
 //! * **Exact counters.** Every lookup increments exactly one of
 //!   hit/miss (hit: a usable or in-flight entry existed; miss: this
 //!   call created the slot, claimed a retry, was suppressed, or found
@@ -392,7 +393,22 @@ impl<T> Entry<T> {
     }
 }
 
-type Entries<T> = HashMap<MatrixFingerprint, Entry<T>>;
+/// The map and the lookup clock that orders it, both behind the
+/// cache's one lock.
+#[derive(Debug)]
+struct Entries<T> {
+    by_fp: HashMap<MatrixFingerprint, Entry<T>>,
+    /// Lookup clock driving LRU recency.
+    tick: u64,
+}
+
+impl<T> Entries<T> {
+    /// Advances the lookup clock, returning the new tick.
+    fn next_tick(&mut self) -> u64 {
+        self.tick += 1;
+        self.tick
+    }
+}
 
 /// LRU cache of fingerprint → prepared plan (see the module docs for
 /// the concurrency and failure-recovery contracts).
@@ -403,8 +419,6 @@ pub struct PlanCache<T> {
     telemetry: TelemetryHandle,
     clock: ClockHandle,
     store: Option<Arc<PlanStore>>,
-    /// Lookup clock driving LRU recency, advanced under the map lock.
-    tick: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -427,22 +441,20 @@ impl<T: Scalar> PlanCache<T> {
     /// An empty cache with the given configuration.
     pub fn new(config: PlanCacheConfig) -> Self {
         PlanCache {
-            entries: Mutex::new(HashMap::new()),
+            entries: Mutex::new(Entries {
+                by_fp: HashMap::new(),
+                tick: 0,
+            }),
             capacity: config.capacity.max(1),
             telemetry: config.telemetry,
             clock: config.clock,
             store: config.store,
-            tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
             refreshes: AtomicU64::new(0),
         }
-    }
-
-    fn next_tick(&self) -> u64 {
-        self.tick.fetch_add(1, Ordering::Relaxed)
     }
 
     fn count_hit(&self) {
@@ -467,16 +479,18 @@ impl<T: Scalar> PlanCache<T> {
     /// landed yet) and pay for a duplicate prepare — exactly the
     /// coalescing the slot exists to provide. Claimed (`Updating`)
     /// slots are likewise pinned: evicting one orphans the mutation's
-    /// settle, silently discarding a refresh or a delta restore. If
-    /// every other resident slot is pinned the cache overflows its
-    /// capacity instead, by at most the number of pinned slots, and
-    /// drains on the next insert.
+    /// settle, silently discarding a refresh or a delta restore. When
+    /// too few settled entries remain, the insert leaves the cache over
+    /// its capacity, by at most the number of pinned slots; the
+    /// overflow stays until the next insert evicts it, even after
+    /// those slots settle.
     fn insert_locked(&self, entries: &mut Entries<T>, fp: MatrixFingerprint, entry: Entry<T>) {
-        entries.insert(fp, entry);
+        entries.by_fp.insert(fp, entry);
         self.inserts.fetch_add(1, Ordering::Relaxed);
         self.telemetry.counter("serve.cache.insert", 1);
-        while entries.len() > self.capacity {
+        while entries.by_fp.len() > self.capacity {
             let victim = entries
+                .by_fp
                 .iter()
                 .filter(|(k, e)| **k != fp && e.evictable())
                 .min_by_key(|(_, e)| e.last_used)
@@ -484,7 +498,7 @@ impl<T: Scalar> PlanCache<T> {
             let Some(victim) = victim else {
                 return;
             };
-            entries.remove(&victim);
+            entries.by_fp.remove(&victim);
             self.evictions.fetch_add(1, Ordering::Relaxed);
             self.telemetry.counter("serve.cache.eviction", 1);
         }
@@ -493,6 +507,7 @@ impl<T: Scalar> PlanCache<T> {
     /// The slot cached under `fp`, with its generation.
     fn slot(&self, fp: &MatrixFingerprint) -> Option<(Arc<PlanSlot<T>>, u64)> {
         lock_clean(&self.entries)
+            .by_fp
             .get(fp)
             .map(|e| (Arc::clone(&e.slot), e.generation))
     }
@@ -503,7 +518,8 @@ impl<T: Scalar> PlanCache<T> {
     /// would fall back rather than wait for an in-flight prepare.
     pub fn try_get(&self, fp: &MatrixFingerprint) -> Option<Arc<Engine<T>>> {
         let mut entries = lock_clean(&self.entries);
-        let engine = entries.get_mut(fp).and_then(|entry| {
+        let tick = entries.next_tick();
+        let engine = entries.by_fp.get_mut(fp).and_then(|entry| {
             let ready = match &*lock_clean(&entry.slot.state) {
                 // an in-flight mutation still serves its pre-mutation
                 // snapshot: deltas have no eviction window
@@ -511,7 +527,7 @@ impl<T: Scalar> PlanCache<T> {
                 _ => None,
             };
             if ready.is_some() {
-                entry.last_used = self.next_tick();
+                entry.last_used = tick;
             }
             ready
         });
@@ -554,8 +570,8 @@ impl<T: Scalar> PlanCache<T> {
     ) -> Result<(Arc<Engine<T>>, bool), ServeError> {
         let (slot, created) = {
             let mut entries = lock_clean(&self.entries);
-            let tick = self.next_tick();
-            match entries.get_mut(&fp) {
+            let tick = entries.next_tick();
+            match entries.by_fp.get_mut(&fp) {
                 Some(entry) => {
                     entry.last_used = tick;
                     (Arc::clone(&entry.slot), false)
@@ -695,12 +711,12 @@ impl<T: Scalar> PlanCache<T> {
     /// without touching the cache when `fp` already has an entry.
     pub fn insert_ready(&self, fp: MatrixFingerprint, engine: Arc<Engine<T>>) -> bool {
         let mut entries = lock_clean(&self.entries);
-        if entries.contains_key(&fp) {
+        if entries.by_fp.contains_key(&fp) {
             return false;
         }
         let entry = Entry {
             slot: PlanSlot::new(SlotState::Ready(engine)),
-            last_used: self.next_tick(),
+            last_used: entries.next_tick(),
             generation: 0,
         };
         self.insert_locked(&mut entries, fp, entry);
@@ -836,8 +852,8 @@ impl<T: Scalar> PlanCache<T> {
         // second — at no instant is neither fingerprint serveable
         {
             let mut entries = lock_clean(&self.entries);
-            let tick = self.next_tick();
-            match entries.get_mut(&new_fp) {
+            let tick = entries.next_tick();
+            match entries.by_fp.get_mut(&new_fp) {
                 Some(entry) => {
                     // the structure was independently cached (or a
                     // prior delta landed on the same structure): the
@@ -869,14 +885,17 @@ impl<T: Scalar> PlanCache<T> {
     /// [`PlanCache::apply_delta`] on a generation-`n` plan. `None`
     /// when nothing is cached under `fp`.
     pub fn generation(&self, fp: &MatrixFingerprint) -> Option<u64> {
-        lock_clean(&self.entries).get(fp).map(|e| e.generation)
+        lock_clean(&self.entries)
+            .by_fp
+            .get(fp)
+            .map(|e| e.generation)
     }
 
     /// Drops the entry for `fp` (the targeted recovery path for a
     /// poisoned or persistently failing plan). Returns whether an
     /// entry was removed.
     pub fn remove(&self, fp: &MatrixFingerprint) -> bool {
-        lock_clean(&self.entries).remove(fp).is_some()
+        lock_clean(&self.entries).by_fp.remove(fp).is_some()
     }
 
     /// Sweeps every poisoned slot out of the cache, making their
@@ -885,15 +904,18 @@ impl<T: Scalar> PlanCache<T> {
     /// were cleared.
     pub fn clear_poisoned(&self) -> usize {
         let mut entries = lock_clean(&self.entries);
-        let before = entries.len();
-        entries.retain(|_, e| !matches!(&*lock_clean(&e.slot.state), SlotState::Poisoned));
-        before - entries.len()
+        let before = entries.by_fp.len();
+        entries
+            .by_fp
+            .retain(|_, e| !matches!(&*lock_clean(&e.slot.state), SlotState::Poisoned));
+        before - entries.by_fp.len()
     }
 
     /// Counts entries matching `pred` (map lock → slot lock, the same
     /// order every reader takes).
     fn count_slots(&self, pred: impl Fn(&SlotState<T>) -> bool) -> usize {
         lock_clean(&self.entries)
+            .by_fp
             .values()
             .filter(|e| pred(&lock_clean(&e.slot.state)))
             .count()
@@ -901,7 +923,7 @@ impl<T: Scalar> PlanCache<T> {
 
     /// Entries currently cached.
     pub fn len(&self) -> usize {
-        lock_clean(&self.entries).len()
+        lock_clean(&self.entries).by_fp.len()
     }
 
     /// Whether the cache holds no entries.
@@ -1399,7 +1421,7 @@ mod tests {
         // claim the slot, settle later
         let slot = {
             let entries = lock_clean(&cache.entries);
-            Arc::clone(&entries.get(&fp).unwrap().slot)
+            Arc::clone(&entries.by_fp.get(&fp).unwrap().slot)
         };
         let claimed = slot.claim_for_update().unwrap();
 

@@ -12,8 +12,9 @@
 //!   the preprocessing pipeline would produce the same plan for both.
 //! * [`PlanCache`] — a capacity-bounded LRU from fingerprint to
 //!   `Arc<Engine<T>>` behind one lock, with coalesced preparation (a
-//!   thundering herd prepares exactly once; only slots still in flight
-//!   can push it past its capacity), in-place value refreshes, and live
+//!   thundering herd prepares exactly once; in-flight slots are never
+//!   evicted, so an insert can leave the cache over capacity by up to
+//!   their number until the next insert), in-place value refreshes, and live
 //!   structural deltas: [`PlanCache::apply_delta`] patches a cached
 //!   plan incrementally and installs the new epoch with an atomic swap
 //!   — readers keep hitting the old plan until the instant the new one
